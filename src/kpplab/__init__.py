@@ -9,14 +9,13 @@ logarithmic front correction, so each can cross-validate the other.
 
 __version__ = "0.1.0"
 
-from .kernels import INF, Kernel, laplace_transform
+from .kernels import INF, Kernel
 from .model import (
     BranchingLaw,
     BranchingModel,
     Motion,
     log_laplace,
     model_from_dict,
-    offspring_mean,
     sample_motion,
     sample_offspring,
 )

@@ -240,13 +240,17 @@ def sampling_consistency(
 
     For each depth ``k`` the transform of the ``2**-k``-sampled walk is
     estimated from the population at ``t = 2**-k`` and scaled back; the check
-    passes within three standard errors.
+    passes within three standard errors.  ``k_list`` may be any iterable; an
+    empty one is rejected rather than reported as a vacuous pass.
     """
+    k_list = list(k_list)
+    if not k_list:
+        raise DomainError("need at least one sampling depth")
     psi = log_laplace(model, lam)
     if psi == INF:
         raise DomainError("transform divergent at this argument")
     base = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    streams = base.spawn(len(list(k_list)))
+    streams = base.spawn(len(k_list))
     rows = []
     for k, stream in zip(k_list, streams):
         t = 2.0 ** (-k)

@@ -199,11 +199,6 @@ class Kernel:
         raise InvalidKernelError(f"unknown kernel family {family!r}")
 
 
-def laplace_transform(kernel: Kernel, lam: float) -> float:
-    """Exponential moment of ``kernel`` at ``lam`` (``inf`` when divergent)."""
-    return kernel.laplace(lam)
-
-
 def _tabulated_cdf(kernel: Kernel) -> np.ndarray:
     x, v = kernel.x, kernel.values
     segments = 0.5 * (v[1:] + v[:-1]) * np.diff(x)

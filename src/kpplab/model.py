@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import DomainError, InvalidKernelError
 from .kernels import INF, Kernel
@@ -37,19 +38,12 @@ class Motion:
 
     kind: str
     kernel: Kernel | None = None
-    jump_rate: float = 1.0
-    variance_rate: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (CONSTANT, PURE_JUMP, BROWNIAN):
             raise DomainError(f"unknown motion kind {self.kind!r}")
-        if self.kind == PURE_JUMP:
-            if self.kernel is None:
-                raise DomainError("pure-jump motion needs a jump kernel")
-            if self.jump_rate != 1.0:
-                raise DomainError("jump rate is fixed to 1")
-        if self.kind == BROWNIAN and self.variance_rate != 1.0:
-            raise DomainError("Brownian variance rate is fixed to 1")
+        if self.kind == PURE_JUMP and self.kernel is None:
+            raise DomainError("pure-jump motion needs a jump kernel")
 
     @staticmethod
     def constant() -> "Motion":
@@ -92,13 +86,10 @@ class BranchingLaw:
     kind: str
     offspring_probs: tuple[tuple[int, float], ...] | None = None
     displacement: Kernel | None = None
-    branching_rate: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (BINARY_AT_PARENT, OFFSPRING_AT_PARENT, BINARY_ONE_DISPLACED):
             raise DomainError(f"unknown branching law {self.kind!r}")
-        if self.branching_rate != 1.0:
-            raise DomainError("branching rate is fixed to 1")
         if self.kind == OFFSPRING_AT_PARENT:
             if not self.offspring_probs:
                 raise DomainError("offspring law needs (n, p_n) pairs")
@@ -134,6 +125,8 @@ class BranchingLaw:
 
     def counts_and_probs(self) -> tuple[np.ndarray, np.ndarray]:
         """Offspring count distribution with the deficit folded into n = 0."""
+        if self.offspring_probs is None:
+            return np.array([2], dtype=np.int64), np.array([1.0])
         given = dict(self.offspring_probs)
         total = sum(given.values())
         if total < 1.0:
@@ -176,16 +169,22 @@ class BranchingLaw:
         return out
 
     def extinction_probability(self) -> float:
-        """Smallest fixed point of the offspring generating function."""
-        if self.kind in (BINARY_AT_PARENT, BINARY_ONE_DISPLACED):
+        """Smallest fixed point of the offspring generating function.
+
+        The fixed point is 1 when the mean is at most 1; otherwise it is the
+        root in ``[0, 1)`` of ``(E s^N - s) / (1 - s) = 1 - sum_n p_n (1 + s
+        + ... + s^(n-1))``, which falls from ``p_0`` at 0 to ``1 - mean`` at 1.
+        """
+        if self.mean() <= 1.0:
+            return 1.0
+        ns, ps = self.counts_and_probs()
+
+        def reduced(s: float) -> float:
+            return 1.0 - sum(p * sum(s**k for k in range(n)) for n, p in zip(ns, ps))
+
+        if reduced(0.0) <= 0.0:
             return 0.0
-        q = 0.0
-        for _ in range(100_000):
-            nxt = float(self.generating_function(np.array(q)))
-            if abs(nxt - q) < 1e-14:
-                return nxt
-            q = nxt
-        return q
+        return float(brentq(reduced, 0.0, 1.0, xtol=1e-15))
 
     def to_dict(self) -> dict:
         d = {"family": self.kind}
@@ -226,11 +225,6 @@ class BranchingModel:
         if self.label:
             d["label"] = self.label
         return d
-
-
-def offspring_mean(law: BranchingLaw) -> float:
-    """Mean number of children per branching event."""
-    return law.mean()
 
 
 def log_laplace(model: BranchingModel, lam: float) -> float:
@@ -340,7 +334,6 @@ __all__ = [
     "BranchingModel",
     "Kernel",
     "log_laplace",
-    "offspring_mean",
     "sample_offspring",
     "sample_offspring_batch",
     "sample_motion",

@@ -7,11 +7,16 @@ clocks are memoryless, so lifelines are advanced in vectorized "rounds":
 every pending lifeline draws its next branching wait, finishers receive one
 exact motion increment to the horizon, branchers receive one to their event.
 No time discretization error enters anywhere; Brownian increments and
-compound-Poisson jumps are sampled exactly over each segment.
+compound-Poisson jumps are sampled exactly over each segment by
+``model.sample_displacements``.
 
-Ensembles derive one independent stream per replica by splitting a
-counter-based generator with the replica index, so results do not depend on
-scheduling or worker count.
+An ensemble replica is a ``Population`` run through the public
+single-population operations: at each checkpoint ``advance`` moves it on,
+``leftmost`` and ``martingales`` record it, and ``prune`` trims its right
+tail, so every replica's pruning bound ends up on its ``MartingaleTrace``.
+Replicas derive one independent stream each by splitting a counter-based
+generator with the replica index, so results do not depend on scheduling or
+worker count.
 """
 from __future__ import annotations
 
@@ -22,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
-from .model import BranchingModel, sample_offspring_batch
+from .errors import CapacityError, DomainError, KppLabError
+from .model import BranchingModel, sample_displacements, sample_offspring_batch
 from .spectral import minimal_speed
 
 logger = logging.getLogger(__name__)
@@ -66,7 +71,8 @@ class RunConfig:
 
     ``prune_window = None`` selects the default window of 14 decay lengths
     (``14 / lambda_star``) whenever a speed profile exists; pass ``math.inf``
-    to disable pruning outright.
+    to disable pruning outright.  A finite window needs a speed profile,
+    because ``prune`` bounds the removed mass with ``lambda_star``.
     """
 
     t_max: float
@@ -99,12 +105,17 @@ class MinimumSample:
 
 @dataclass(frozen=True)
 class MartingaleTrace:
-    """Additive and derivative martingale values at integer times."""
+    """Additive and derivative martingale values at integer times.
+
+    ``pruned_mass_bound`` is the replica's accumulated ``prune`` bound at
+    ``t_max``.
+    """
 
     replica: int
     n: np.ndarray
     w: np.ndarray
     d: np.ndarray
+    pruned_mass_bound: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -183,19 +194,24 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Simulate independent replicas, recording minima and martingales.
 
-    Minima are recorded at ``cfg.record_times`` and the martingale pair at
-    integer times whenever the model admits a minimal-speed profile; the
-    right-tail prune runs after every recording checkpoint (window per
-    ``RunConfig``).  Replicas whose population exceeds ``cfg.max_particles``
-    are reported in ``invalid_replicas`` instead of aborting the ensemble.
+    Each replica runs through ``advance``, ``leftmost``/``martingales`` and
+    ``prune`` at every checkpoint.  Minima are recorded at
+    ``cfg.record_times`` and the martingale pair at integer times whenever
+    the model admits a minimal-speed profile; the right-tail prune (window
+    per ``RunConfig``) runs after every checkpoint, and its bound is reported
+    as each trace's ``pruned_mass_bound``.  Replicas whose population exceeds
+    ``cfg.max_particles`` are reported in ``invalid_replicas`` instead of
+    aborting the ensemble.
     """
     lambda_star = psi_star = None
     try:
         speed = minimal_speed(model)
         lambda_star = speed.lambda_star
         psi_star = speed.c_star * speed.lambda_star
-    except Exception as exc:  # verdict-style: ensembles run without a speed profile
+    except KppLabError as exc:  # verdict-style: ensembles run without a speed profile
         logger.info("no minimal-speed profile (%s); martingales and pruning disabled", exc)
+        if cfg.prune_window is not None and math.isfinite(cfg.prune_window):
+            raise DomainError("a finite prune window needs a minimal-speed profile") from exc
     if model.is_lattice:
         logger.warning(
             "lattice model: minima are recorded but the recentered limit law does not apply"
@@ -241,12 +257,9 @@ def empirical_v(
     one merged tagged population, which is distribution-identical to
     independent runs and much faster for short horizons.
     """
-    rng = _as_generator(rng)
     if replicas <= 0:
         raise DomainError("need at least one replica")
-    positions = np.zeros(replicas)
-    tags = np.arange(replicas, dtype=np.int64)
-    positions, tags = _evolve_segment(positions, tags, 0.0, t, model, rng, max_particles)
+    positions, tags = _merged(model, t, replicas, rng, max_particles)
     sums = np.bincount(tags, weights=np.exp(-lam * positions), minlength=replicas)
     mean = float(sums.mean())
     se = float(sums.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
@@ -261,10 +274,7 @@ def empirical_minima(
     max_particles: int = DEFAULT_MAX_PARTICLES,
 ) -> np.ndarray:
     """Left-most positions of merged replicas at time ``t`` (``inf`` = extinct)."""
-    rng = _as_generator(rng)
-    positions = np.zeros(replicas)
-    tags = np.arange(replicas, dtype=np.int64)
-    positions, tags = _evolve_segment(positions, tags, 0.0, t, model, rng, max_particles)
+    positions, tags = _merged(model, t, replicas, rng, max_particles)
     minima = np.full(replicas, np.inf)
     np.minimum.at(minima, tags, positions)
     return minima
@@ -284,24 +294,11 @@ def _replica_rng(seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _displacement_sampler(motion):
-    """Motion dispatch hoisted out of the event loop."""
-    if motion.kind == "constant":
-        return lambda durations, rng: 0.0
-    if motion.kind == "brownian":
-        return lambda durations, rng: rng.normal(0.0, 1.0, durations.size) * np.sqrt(durations)
-    kernel = motion.kernel
-
-    def jump(durations, rng):
-        counts = rng.poisson(durations)
-        total = int(counts.sum())
-        if total == 0:
-            return 0.0
-        csum = np.concatenate([[0.0], np.cumsum(kernel.sample(rng, total))])
-        ends = np.cumsum(counts)
-        return csum[ends] - csum[ends - counts]
-
-    return jump
+def _merged(model, t, replicas, rng, max_particles):
+    """Positions and replica tags at ``t`` of one origin particle per replica."""
+    positions = np.zeros(replicas)
+    tags = np.arange(replicas, dtype=np.int64)
+    return _evolve_segment(positions, tags, 0.0, t, model, _as_generator(rng), max_particles)
 
 
 def _evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles):
@@ -321,19 +318,18 @@ def _evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles):
     done_pos: list[np.ndarray] = []
     done_tag: list[np.ndarray] = []
     n_done = 0
-    law = model.law
-    move = _displacement_sampler(model.motion)
+    law, motion = model.law, model.motion
     while pos.size:
         waits = rng.standard_exponential(pos.size)
         t_branch = t + waits
         crosses = t_branch >= t_end
-        finished = pos[crosses] + move(t_end - t[crosses], rng)
+        finished = pos[crosses] + sample_displacements(motion, t_end - t[crosses], rng)
         done_pos.append(finished)
         if tag is not None:
             done_tag.append(tag[crosses])
         n_done += finished.size
         branching = ~crosses
-        parents = pos[branching] + move(waits[branching], rng)
+        parents = pos[branching] + sample_displacements(motion, waits[branching], rng)
         if parents.size == 0:
             break
         children, litter = sample_offspring_batch(law, parents, rng)
@@ -385,55 +381,30 @@ def _run_replica_chunk(args, lo: int, hi: int):
 
 def _generic_replica(model, cfg, replica, checkpoints, record_set, lambda_star, psi_star, rng):
     window = cfg.prune_window
-    if window is None and lambda_star is not None:
-        window = PRUNE_WINDOW_FACTOR / lambda_star
-    positions = np.zeros(1)
-    time = 0.0
+    if window is None:
+        window = math.inf if lambda_star is None else PRUNE_WINDOW_FACTOR / lambda_star
+    pop = Population.single(0.0)
     minima = []
     ns: list[int] = []
     ws: list[float] = []
     ds: list[float] = []
-    record_marts = lambda_star is not None
-
-    def note(t_now, pos):
-        if t_now in record_set:
-            m = float(pos.min()) if pos.size else math.inf
-            minima.append(MinimumSample(t_now, m, replica, cfg.seed))
-        if record_marts and abs(t_now - round(t_now)) < 1e-9:
-            n = int(round(t_now))
-            if pos.size:
-                a = lambda_star * pos + n * psi_star
-                e = np.exp(-a)
-                w, d = float(e.sum()), float((a * e).sum())
-            else:
-                w, d = 0.0, 0.0
+    for t in checkpoints:
+        pop = advance(pop, t, model, cfg, rng)
+        if t in record_set:
+            minima.append(MinimumSample(t, leftmost(pop), replica, cfg.seed))
+        n = round(t)
+        if lambda_star is not None and abs(t - n) < 1e-9:
+            w, d = martingales(pop, n, lambda_star, psi_star)
             ns.append(n)
             ws.append(w)
             ds.append(d)
-
-    note(0.0, positions)
-    for t_next in checkpoints:
-        if t_next <= time:
-            continue
-        positions, _ = _evolve_segment(
-            positions, None, time, t_next, model, rng, cfg.max_particles
-        )
-        time = t_next
-        note(time, positions)
-        if positions.size == 0:
-            for t_later in checkpoints:
-                if t_later > time:
-                    note(t_later, positions)
-            break
-        if window is not None and math.isfinite(window):
-            cutoff = positions.min() + window
-            positions = positions[positions <= cutoff]
-    trace = (
-        MartingaleTrace(replica, np.array(ns), np.array(ws), np.array(ds))
-        if record_marts
-        else None
+        if math.isfinite(window):
+            pop = prune(pop, lambda_star, window)
+    if lambda_star is None:
+        return minima, None
+    return minima, MartingaleTrace(
+        replica, np.array(ns), np.array(ws), np.array(ds), pop.pruned_mass_bound
     )
-    return minima, trace
 
 
 def _lattice_replica(model, cfg, replica, checkpoints, record_set, rng):

@@ -188,6 +188,18 @@ class TestSamplingConsistency:
         assert row.t == 0.25
         assert row.estimate == pytest.approx(1.0, abs=3 * row.stderr)
 
+    def test_generator_depths_match_tuple(self, brownian_binary):
+        as_tuple = sampling_consistency(brownian_binary, (0, 1), 0.3, replicas=500, rng=4)
+        as_gen = sampling_consistency(
+            brownian_binary, (k for k in (0, 1)), 0.3, replicas=500, rng=4
+        )
+        assert len(as_gen.rows) == 2
+        assert as_gen.rows == as_tuple.rows
+
+    def test_empty_depths_rejected(self, brownian_binary):
+        with pytest.raises(DomainError):
+            sampling_consistency(brownian_binary, iter(()), 0.3, replicas=10, rng=4)
+
     def test_closed_form_path_is_exact(self, jump_exponential_binary):
         from kpplab import log_laplace, psi_per_sampling
 

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from kpplab import INF, Kernel, laplace_transform
+from kpplab import INF, Kernel
 from kpplab.errors import InvalidKernelError
 
 from helpers import quad_laplace
 
 
 def test_gaussian_at_zero_is_unit_mass():
-    assert laplace_transform(Kernel.gaussian(1.0), 0.0) == pytest.approx(1.0, abs=1e-9)
+    assert Kernel.gaussian(1.0).laplace(0.0) == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -31,15 +31,15 @@ def test_named_families_have_unit_mass(kernel):
 
 def test_two_sided_exponential_transform_matches_quadrature():
     kernel = Kernel.two_sided_exponential(2.0)
-    got = laplace_transform(kernel, 1.0)
+    got = kernel.laplace(1.0)
     assert got == pytest.approx(4.0 / 3.0, rel=1e-12)
     assert got == pytest.approx(quad_laplace(lambda x: kernel.density(x), 1.0), rel=1e-9)
 
 
 def test_two_sided_exponential_divergence_sentinel():
     kernel = Kernel.two_sided_exponential(2.0)
-    assert laplace_transform(kernel, 2.0) == INF
-    assert laplace_transform(kernel, -2.5) == INF
+    assert kernel.laplace(2.0) == INF
+    assert kernel.laplace(-2.5) == INF
 
 
 def test_uniform_transform_matches_quadrature():

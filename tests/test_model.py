@@ -11,7 +11,6 @@ from kpplab import (
     Motion,
     log_laplace,
     model_from_dict,
-    offspring_mean,
     sample_motion,
     sample_offspring,
 )
@@ -80,7 +79,7 @@ def test_transform_divergence_sentinel():
 def test_transform_at_zero_is_positive_for_supercritical_catalogue():
     for model in _all_catalogue_models():
         psi0 = log_laplace(model, 0.0)
-        m = offspring_mean(model.law)
+        m = model.law.mean()
         if model.motion.kind == "pure_jump":
             expected = model.motion.kernel.laplace(0.0) + (m - 2.0)
         else:
@@ -90,9 +89,23 @@ def test_transform_at_zero_is_positive_for_supercritical_catalogue():
 
 
 def test_offspring_mean():
-    assert offspring_mean(BranchingLaw.binary_at_parent()) == 2.0
-    assert offspring_mean(BranchingLaw.offspring_at_parent({0: 0.2, 2: 0.8})) == pytest.approx(1.6)
-    assert offspring_mean(BranchingLaw.binary_one_displaced(Kernel.gaussian(1.0))) == 2.0
+    assert BranchingLaw.binary_at_parent().mean() == 2.0
+    assert BranchingLaw.offspring_at_parent({0: 0.2, 2: 0.8}).mean() == pytest.approx(1.6)
+    assert BranchingLaw.binary_one_displaced(Kernel.gaussian(1.0)).mean() == 2.0
+
+
+def test_extinction_probability_critical_law_is_one():
+    assert BranchingLaw.offspring_at_parent({0: 0.5, 2: 0.5}).extinction_probability() == 1.0
+
+
+def test_extinction_probability_smallest_fixed_point():
+    # smallest root of 0.2 + 0.8 q^2 = q
+    q = BranchingLaw.offspring_at_parent({0: 0.2, 2: 0.8}).extinction_probability()
+    assert q == pytest.approx(0.25, abs=1e-12)
+
+
+def test_extinction_probability_without_death_is_zero():
+    assert BranchingLaw.offspring_at_parent({1: 0.4, 3: 0.6}).extinction_probability() == 0.0
 
 
 def test_offspring_probability_validation():

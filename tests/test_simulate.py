@@ -15,8 +15,9 @@ from kpplab import (
     minimal_speed,
     prune,
     run_ensemble,
+    simulate,
 )
-from kpplab.errors import CapacityError, DomainError
+from kpplab.errors import CapacityError, DomainError, NoMinimizerError
 
 from helpers import binomial_se
 
@@ -154,6 +155,63 @@ class TestRunEnsemble:
         se8 = np.std(by_t[8.0], ddof=1) / math.sqrt(len(by_t[8.0]))
         assert m8 == pytest.approx(-0.938, abs=max(4 * se8, 0.03))
         assert abs(m8 + c) < abs(m4 + c)
+
+    def test_replay_through_public_operations(self, jump_gaussian_binary):
+        # replica r draws from SeedSequence(seed, spawn_key=(r,)) and runs
+        # advance -> leftmost/martingales -> prune at every checkpoint
+        cfg = RunConfig(t_max=5.0, record_times=(2.5, 5.0), prune_window=5.0, seed=7)
+        res = run_ensemble(jump_gaussian_binary, cfg, 4)
+        lam, psi = res.lambda_star, res.psi_star
+        checkpoints = (0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0)
+        for tr in res.traces:
+            seq = np.random.SeedSequence(cfg.seed, spawn_key=(tr.replica,))
+            rng = np.random.Generator(np.random.Philox(seq))
+            pop = Population.single(0.0)
+            ns, ws, ds, ms = [], [], [], []
+            for t in checkpoints:
+                pop = advance(pop, t, jump_gaussian_binary, cfg, rng)
+                if t in cfg.record_times:
+                    ms.append(leftmost(pop))
+                if t == int(t):
+                    w, d = martingales(pop, int(t), lam, psi)
+                    ns.append(int(t))
+                    ws.append(w)
+                    ds.append(d)
+                pop = prune(pop, lam, cfg.prune_window)
+            assert np.array_equal(tr.n, ns)
+            assert np.array_equal(tr.w, ws)
+            assert np.array_equal(tr.d, ds)
+            assert tr.pruned_mass_bound == pop.pruned_mass_bound
+            assert [s.m for s in res.minima if s.replica == tr.replica] == ms
+        assert any(tr.pruned_mass_bound > 0.0 for tr in res.traces)
+
+    def test_unpruned_traces_carry_zero_bound(self, jump_gaussian_binary):
+        cfg = RunConfig(t_max=2.0, prune_window=math.inf, seed=3)
+        res = run_ensemble(jump_gaussian_binary, cfg, 5)
+        assert [tr.pruned_mass_bound for tr in res.traces] == [0.0] * 5
+
+    def test_finite_window_needs_speed_profile(self, immobile_binary):
+        with pytest.raises(DomainError, match="speed profile"):
+            run_ensemble(immobile_binary, RunConfig(t_max=1.0, prune_window=5.0), 3)
+        cfg = RunConfig(t_max=1.0, record_times=(1.0,), prune_window=math.inf)
+        res = run_ensemble(immobile_binary, cfg, 3)
+        assert res.lambda_star is None
+        assert [s.m for s in res.minima] == [0.0] * 3
+
+    def test_speed_profile_errors_are_kpplab_errors_only(self, monkeypatch, brownian_binary):
+        def no_profile(model):
+            raise NoMinimizerError("no interior minimizer")
+
+        monkeypatch.setattr(simulate, "minimal_speed", no_profile)
+        res = run_ensemble(brownian_binary, RunConfig(t_max=1.0, record_times=(1.0,)), 3)
+        assert res.lambda_star is None and res.traces == [] and len(res.minima) == 3
+
+        def broken(model):
+            raise ZeroDivisionError("defect, not a verdict")
+
+        monkeypatch.setattr(simulate, "minimal_speed", broken)
+        with pytest.raises(ZeroDivisionError):
+            run_ensemble(brownian_binary, RunConfig(t_max=1.0), 3)
 
     def test_lattice_fast_path_extinction(self, immobile_offspring):
         cfg = RunConfig(t_max=25.0, record_times=(25.0,), seed=31)
