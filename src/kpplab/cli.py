@@ -5,10 +5,11 @@ module) and executed with::
 
     kpplab --config cfg.json --output out_dir [--seed N] [--threads N]
 
-Exit codes: 0 success, 2 for failed scientific verdicts (assumption checks or
-comparisons), 1 for operational errors.  Every run writes ``manifest.json``
-with the echoed config, code version, thread count and a checksum per
-artifact, so identical configs are bit-reproducible.
+Exit codes: 0 success, 2 for failed scientific verdicts (assumption checks,
+comparisons, or a report with a failed or incomplete run), 1 for operational
+errors.  Every run writes ``manifest.json`` with the echoed config, code
+version, thread count and a checksum per artifact, so identical configs are
+bit-reproducible.
 
 Config layout (JSON): ``command`` selects the action; ``model`` describes the
 process as ``{"motion": {"family": ...}, "law": {"family": ...}}`` with
@@ -34,17 +35,14 @@ import numpy as np
 from . import __version__
 from .analyze import u_vs_mc
 from .errors import ConfigError, KppLabError
-from .model import BranchingModel, model_from_dict
+from .kernels import KERNEL_FAMILIES
+from .model import LAW_FAMILIES, MOTION_FAMILIES, BranchingModel, model_from_dict
 from .plotting import plot
 from .simulate import RunConfig, run_ensemble
 from .solve import Field, Grid, measure_front, track_front
 from .spectral import check_assumptions, minimal_speed
 
 COMMANDS = ("speed", "assumptions", "simulate", "solve", "compare", "report")
-
-_MOTION_FAMILIES = ("constant", "pure_jump", "brownian")
-_LAW_FAMILIES = ("binary_at_parent", "offspring_at_parent", "binary_one_displaced")
-_KERNEL_FAMILIES = ("gaussian", "two_sided_exponential", "uniform", "tabulated")
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ def _expect(cond: bool, pointer: str, message: str):
 def _validate_kernel(d, pointer: str):
     _expect(isinstance(d, dict), pointer, "expected a kernel object")
     family = d.get("family")
-    _expect(family in _KERNEL_FAMILIES, f"{pointer}/family", f"expected one of {_KERNEL_FAMILIES}")
+    _expect(family in KERNEL_FAMILIES, f"{pointer}/family", f"expected one of {KERNEL_FAMILIES}")
     if family == "gaussian":
         _expect(isinstance(d.get("sigma", 1.0), (int, float)), f"{pointer}/sigma", "expected a number")
     elif family == "two_sided_exponential":
@@ -86,14 +84,14 @@ def _validate_model(d, pointer: str = "/model"):
     _expect(isinstance(motion, dict), f"{pointer}/motion", "expected a motion object")
     fam = motion.get("family")
     _expect(
-        fam in _MOTION_FAMILIES, f"{pointer}/motion/family", f"expected one of {_MOTION_FAMILIES}"
+        fam in MOTION_FAMILIES, f"{pointer}/motion/family", f"expected one of {MOTION_FAMILIES}"
     )
     if fam == "pure_jump":
         _validate_kernel(motion.get("kernel"), f"{pointer}/motion/kernel")
     law = d.get("law")
     _expect(isinstance(law, dict), f"{pointer}/law", "expected a law object")
     lfam = law.get("family")
-    _expect(lfam in _LAW_FAMILIES, f"{pointer}/law/family", f"expected one of {_LAW_FAMILIES}")
+    _expect(lfam in LAW_FAMILIES, f"{pointer}/law/family", f"expected one of {LAW_FAMILIES}")
     if lfam == "offspring_at_parent":
         _expect(isinstance(law.get("probs"), dict), f"{pointer}/law/probs", "expected an object")
     if lfam == "binary_one_displaced":
@@ -162,7 +160,7 @@ def _code_version() -> str:
         )
         if out.returncode == 0:
             described = out.stdout.strip()
-    except Exception:
+    except (OSError, subprocess.SubprocessError):
         pass
     return f"kpplab {__version__}" + (f" ({described})" if described else "")
 
@@ -336,6 +334,7 @@ def _cmd_report(cfg: ExperimentConfig, art: _Artifacts) -> tuple[bool, dict]:
         result = directory / "result.json"
         if not manifest.exists() or not result.exists():
             lines.append(f"| {directory.name} | - | INCOMPLETE | missing manifest |")
+            any_fail = True
             continue
         res = json.loads(result.read_text())
         status = "PASS" if res.get("passed") else "FAIL"

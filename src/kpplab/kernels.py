@@ -28,7 +28,7 @@ TWO_SIDED_EXPONENTIAL = "two_sided_exponential"
 UNIFORM = "uniform"
 TABULATED = "tabulated"
 
-_FAMILIES = (GAUSSIAN, TWO_SIDED_EXPONENTIAL, UNIFORM, TABULATED)
+KERNEL_FAMILIES = (GAUSSIAN, TWO_SIDED_EXPONENTIAL, UNIFORM, TABULATED)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +47,7 @@ class Kernel:
     values: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in KERNEL_FAMILIES:
             raise InvalidKernelError(f"unknown kernel family {self.family!r}")
         if self.family == TABULATED:
             if self.x is None or self.values is None:

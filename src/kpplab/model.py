@@ -31,6 +31,9 @@ BINARY_AT_PARENT = "binary_at_parent"
 OFFSPRING_AT_PARENT = "offspring_at_parent"
 BINARY_ONE_DISPLACED = "binary_one_displaced"
 
+MOTION_FAMILIES = (CONSTANT, PURE_JUMP, BROWNIAN)
+LAW_FAMILIES = (BINARY_AT_PARENT, OFFSPRING_AT_PARENT, BINARY_ONE_DISPLACED)
+
 
 @dataclass(frozen=True, eq=False)
 class Motion:
@@ -40,7 +43,7 @@ class Motion:
     kernel: Kernel | None = None
 
     def __post_init__(self):
-        if self.kind not in (CONSTANT, PURE_JUMP, BROWNIAN):
+        if self.kind not in MOTION_FAMILIES:
             raise DomainError(f"unknown motion kind {self.kind!r}")
         if self.kind == PURE_JUMP and self.kernel is None:
             raise DomainError("pure-jump motion needs a jump kernel")
@@ -88,7 +91,7 @@ class BranchingLaw:
     displacement: Kernel | None = None
 
     def __post_init__(self):
-        if self.kind not in (BINARY_AT_PARENT, OFFSPRING_AT_PARENT, BINARY_ONE_DISPLACED):
+        if self.kind not in LAW_FAMILIES:
             raise DomainError(f"unknown branching law {self.kind!r}")
         if self.kind == OFFSPRING_AT_PARENT:
             if not self.offspring_probs:
@@ -156,12 +159,11 @@ class BranchingLaw:
         return INF if lb == INF else 1.0 + lb
 
     def generating_function(self, u: np.ndarray) -> np.ndarray:
-        """``E u^N`` for at-parent laws (the local reaction term)."""
+        """``E u^N``: the reaction term of an at-parent law, and of any law
+        on a constant state (a displaced child sees the same constant)."""
         u = np.asarray(u, dtype=float)
-        if self.kind == BINARY_AT_PARENT:
-            return u * u
         if self.kind != OFFSPRING_AT_PARENT:
-            raise DomainError("generating function needs an at-parent law")
+            return u * u  # both binary laws have N = 2
         ns, ps = self.counts_and_probs()
         out = np.zeros_like(u)
         for n, p in zip(ns, ps):

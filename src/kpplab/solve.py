@@ -5,23 +5,24 @@ The strong form of the population equation is, per model,
     du/dt = (motion generator - 1) u + reaction(u),
 
 with reaction ``u**2`` (binary at parent), the offspring generating function
-(random litter at parent), or ``u * (b conv u)`` (one displaced child).  Time
-stepping is classical fourth-order Runge-Kutta under an explicit stability
-bound; nonlocal terms are lattice correlations computed against the field
-extended by constant values beyond the grid, with a fast transform on the
-padded interior.
-
-The mild (integral) form is solved by successive substitution from zero,
-which converges monotonically to the minimal solution; explicit forms of the
-free semigroup and branching integral are implemented for the constant-motion
-laws and the pure-jump binary law.
+(random litter at parent), or ``u * (b conv u)`` (one displaced child).  Each
+motion (a lattice stencil) and each law (a reaction and its derivative) is
+defined once, in ``_Stepper``, and serves all three solvers: fourth-order
+Runge-Kutta under an explicit stability bound, Newton iteration on the banded
+Jacobian for travelling waves, and successive substitution from zero for the
+mild (integral) form, which converges monotonically to the minimal solution.
+Nonlocal terms are lattice correlations against the field extended by
+constant values beyond the grid, with a fast transform for large problems.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import solve_banded
 from scipy.signal import fftconvolve
 
 from .errors import (
@@ -40,11 +41,12 @@ from .model import (
     BINARY_ONE_DISPLACED,
     BROWNIAN,
     CONSTANT,
-    OFFSPRING_AT_PARENT,
     PURE_JUMP,
     BranchingModel,
     log_laplace,
 )
+
+logger = logging.getLogger(__name__)
 
 OVERSHOOT_CLAMP = 1e-10
 OVERSHOOT_ERROR = 1e-6
@@ -135,19 +137,36 @@ class FrontFit:
 # -- lattice correlation -------------------------------------------------------
 
 
-def _correlate(weights: np.ndarray, values: np.ndarray, left: float, right: float) -> np.ndarray:
-    """``out[i] = sum_j w[K+j] values_ext(i+j)`` with constant extension.
+def _correlate(weights: np.ndarray, values: np.ndarray, left, right) -> np.ndarray:
+    """``out[..., i] = sum_j w[K+j] values_ext(..., i+j)`` with constant extension.
 
-    ``weights`` has odd length ``2K+1``; padding the field with ``K`` copies
-    of each limit makes the boundary sums exact.
+    ``values`` is one field or a stack of rows, and ``left``/``right`` are
+    its limits, one per row.  ``weights`` has odd length ``2K+1``; padding
+    each row with ``K`` copies of its limits makes the boundary sums exact.
+    The padded rows are correlated end to end as one sequence.
     """
     k = (weights.size - 1) // 2
-    padded = np.concatenate(
-        [np.full(k, left), values, np.full(k, right)]
-    )
+    n = values.shape[-1]
+    rows = values.reshape(-1, n)
+    padded = np.empty((rows.shape[0], n + 2 * k))
+    padded[:, :k] = np.asarray(left)[..., None]
+    padded[:, k : k + n] = rows
+    padded[:, k + n :] = np.asarray(right)[..., None]
     if padded.size * weights.size <= (1 << 18):
-        return np.convolve(padded, weights[::-1], mode="valid")
-    return fftconvolve(padded, weights[::-1], mode="valid")
+        out = np.convolve(padded.ravel(), weights[::-1], mode="valid")
+    else:
+        out = fftconvolve(padded.ravel(), weights[::-1], mode="valid")
+    # row r's outputs start at r (n + 2K); the 2K between two rows mix both
+    out = np.concatenate([out, np.zeros(2 * k)]).reshape(rows.shape[0], n + 2 * k)
+    return out[:, :n].reshape(values.shape)
+
+
+def _lattice_weights(kernel: Kernel, grid: Grid) -> np.ndarray:
+    """Lattice weights of a kernel, which must fit inside half the grid."""
+    radius = kernel.truncation_radius()
+    if radius > 0.5 * (grid.x_max - grid.x_min):
+        raise GridTooSmallError(f"kernel radius {radius:.3g} exceeds half the grid extent")
+    return kernel.lattice_weights(grid.dx)
 
 
 def convolve(kernel: Kernel, field: Field) -> Field:
@@ -157,64 +176,91 @@ def convolve(kernel: Kernel, field: Field) -> Field:
     density ``a(z)``; for the symmetric named families it coincides with the
     ordinary convolution.
     """
-    radius = kernel.truncation_radius()
-    if radius > 0.5 * (field.grid.x_max - field.grid.x_min):
-        raise GridTooSmallError(
-            f"kernel radius {radius:.3g} exceeds half the grid extent"
-        )
-    w = kernel.lattice_weights(field.grid.dx)
+    w = _lattice_weights(kernel, field.grid)
     return field.with_values(_correlate(w, field.values, field.left_limit, field.right_limit))
+
+
+def _add_band(ab: np.ndarray, stencil: np.ndarray, scale: np.ndarray | None = None) -> None:
+    """Add ``A[i, i+j] = scale[i] stencil[K+j]`` to ``ab``, held in ``solve_banded`` form.
+
+    Entry ``A[i, i+j]`` sits at ``ab[h - j, i + j]``; a missing ``scale`` is
+    all ones, and entries outside the matrix land where ``solve_banded``
+    never reads.
+    """
+    h = (ab.shape[0] - 1) // 2
+    k = (stencil.size - 1) // 2
+    if scale is None:
+        ab[h - k : h + k + 1] += stencil[::-1, None]
+    else:
+        padded = np.concatenate([np.zeros(k), scale, np.zeros(k)])
+        ab[h - k : h + k + 1] += stencil[::-1, None] * sliding_window_view(padded, scale.size)
 
 
 # -- strong-form stepping --------------------------------------------------------
 
 
 class _Stepper:
-    """Cached right-hand side of the strong form on one grid."""
+    """The model's operators on one grid, with fixed limits beyond it.
+
+    The motion is ``(generator - 1) u = motion_stencil * u - loss_rate u``,
+    the loss rate counting the unit-rate clocks (branching, and jumps).  The
+    jump kernel keeps unit mass: folding the ``-2`` into it doubles the
+    transform's round-off, enough to perturb the unstable state ``u = 1``.
+    """
 
     def __init__(self, model: BranchingModel, grid: Grid, left: float, right: float):
         self.model = model
         self.grid = grid
         self.left = left
         self.right = right
-        dx = grid.dx
-        self.inv_dx2 = 1.0 / (dx * dx)
-        self.w_jump = None
+        motion = model.motion
+        self.loss_rate = 1.0
+        if motion.kind == CONSTANT:
+            self.motion_stencil = np.zeros(1)
+        elif motion.kind == BROWNIAN:
+            half = 0.5 / (grid.dx * grid.dx)
+            self.motion_stencil = np.array([half, -2.0 * half, half])
+        else:
+            self.motion_stencil = _lattice_weights(motion.kernel, grid)
+            self.loss_rate = 2.0
         self.w_disp = None
-        if model.motion.kind == PURE_JUMP:
-            radius = model.motion.kernel.truncation_radius()
-            if radius > 0.5 * (grid.x_max - grid.x_min):
-                raise GridTooSmallError("jump kernel radius exceeds half the grid extent")
-            self.w_jump = model.motion.kernel.lattice_weights(dx)
         if model.law.kind == BINARY_ONE_DISPLACED:
-            radius = model.law.displacement.truncation_radius()
-            if radius > 0.5 * (grid.x_max - grid.x_min):
-                raise GridTooSmallError("displacement kernel radius exceeds half the grid extent")
-            self.w_disp = model.law.displacement.lattice_weights(dx)
+            self.w_disp = _lattice_weights(model.law.displacement, grid)
 
     def stability_bound(self) -> float:
         if self.model.motion.kind == BROWNIAN:
             return 0.2 * min(1.0, self.grid.dx**2)
         return 0.1
 
+    def check_step(self, dt: float) -> None:
+        bound = self.stability_bound()
+        if dt > bound * (1.0 + 1e-12):
+            raise StepSizeError(f"dt = {dt:.3g} exceeds the stability bound {bound:.3g}")
+
+    def reaction(self, u: np.ndarray, left, right) -> np.ndarray:
+        """The law's term on a field or a stack of rows with the given limits.
+
+        The limits themselves react as constant states, by the law's
+        ``generating_function``.
+        """
+        if self.w_disp is not None:
+            return u * _correlate(self.w_disp, u, left, right)
+        return self.model.law.generating_function(u)
+
+    def reaction_derivative(self, u: np.ndarray):
+        """Jacobian of ``reaction`` at a field: ``diag(d) + diag(s) W_disp``.
+
+        Returns ``(d, s)``; ``s`` is ``None`` for the at-parent laws, whose
+        reaction is local.
+        """
+        if self.w_disp is not None:
+            return _correlate(self.w_disp, u, self.left, self.right), u
+        ns, ps = self.model.law.counts_and_probs()
+        return sum(p * n * u ** (int(n) - 1) for n, p in zip(ns, ps) if n >= 1), None
+
     def rhs(self, u: np.ndarray) -> np.ndarray:
-        motion = self.model.motion
-        if motion.kind == CONSTANT:
-            acc = -u
-        elif motion.kind == BROWNIAN:
-            lap = np.empty_like(u)
-            lap[1:-1] = u[2:] - 2.0 * u[1:-1] + u[:-2]
-            lap[0] = u[1] - 2.0 * u[0] + self.left
-            lap[-1] = self.right - 2.0 * u[-1] + u[-2]
-            acc = 0.5 * self.inv_dx2 * lap - u
-        else:
-            acc = _correlate(self.w_jump, u, self.left, self.right) - 2.0 * u
-        law = self.model.law
-        if law.kind == BINARY_AT_PARENT:
-            return acc + u * u
-        if law.kind == OFFSPRING_AT_PARENT:
-            return acc + law.generating_function(u)
-        return acc + u * _correlate(self.w_disp, u, self.left, self.right)
+        motion = _correlate(self.motion_stencil, u, self.left, self.right) - self.loss_rate * u
+        return motion + self.reaction(u, self.left, self.right)
 
     def step(self, u: np.ndarray, dt: float) -> np.ndarray:
         k1 = self.rhs(u)
@@ -243,10 +289,7 @@ def pde_step(model: BranchingModel, field: Field, dt: float) -> Field:
     the overshoot is below 1e-10; larger departures raise ``StepSizeError``.
     """
     stepper = _Stepper(model, field.grid, field.left_limit, field.right_limit)
-    if dt > stepper.stability_bound() * (1.0 + 1e-12):
-        raise StepSizeError(
-            f"dt = {dt:.3g} exceeds the stability bound {stepper.stability_bound():.3g}"
-        )
+    stepper.check_step(dt)
     values = _check_range(stepper.step(field.values, dt))
     return field.with_values(values, field.t + dt)
 
@@ -256,8 +299,7 @@ def evolve(model: BranchingModel, field: Field, t_end: float, dt: float) -> Fiel
     if t_end < field.t:
         raise DomainError("t_end must not precede the field time")
     stepper = _Stepper(model, field.grid, field.left_limit, field.right_limit)
-    if dt > stepper.stability_bound() * (1.0 + 1e-12):
-        raise StepSizeError("dt exceeds the stability bound")
+    stepper.check_step(dt)
     span = t_end - field.t
     if span == 0:
         return field
@@ -282,11 +324,12 @@ def track_front(
 
     Steps are aligned so that every record time is hit exactly; snapshots of
     the full field are kept at the requested times (which must be record
-    times up to rounding).
+    times up to rounding), whether or not the field crosses ``level`` there.
+    Record times without a crossing are left out of the trace and logged
+    once, as a count.
     """
     stepper = _Stepper(model, field.grid, field.left_limit, field.right_limit)
-    if dt > stepper.stability_bound() * (1.0 + 1e-12):
-        raise StepSizeError("dt exceeds the stability bound")
+    stepper.check_step(dt)
     per = max(1, int(math.ceil(record_interval / dt - 1e-12)))
     h = record_interval / per
     n_records = int(round((t_end - field.t) / record_interval))
@@ -300,14 +343,16 @@ def track_front(
             u = stepper.step(u, h)
         u = _check_range(u)
         t += record_interval
+        while wanted and t >= wanted[0] - 1e-9:
+            snapshots[wanted.pop(0)] = field.with_values(u.copy(), t)
         try:
-            pos = _front_position_values(field.grid.xs, u, level)
+            fronts.append(_front_position_values(field.grid.xs, u, level))
         except NoFrontError:
             continue
         times.append(t)
-        fronts.append(pos)
-        while wanted and t >= wanted[0] - 1e-9:
-            snapshots[wanted.pop(0)] = field.with_values(u.copy(), t)
+    if len(times) < n_records:
+        skipped = n_records - len(times)
+        logger.warning("level %g not crossed at %d of %d record times", level, skipped, n_records)
     return field.with_values(u, t), FrontTrace(np.array(times), np.array(fronts)), snapshots
 
 
@@ -326,10 +371,13 @@ def picard_solve(
     """Minimal solution of the mild form by successive substitution from zero.
 
     Supported models: constant motion with any law, and pure-jump motion with
-    the binary-at-parent law, where the free semigroup and the branching
-    integral have explicit forms.  Iterates increase monotonically to the
-    minimal solution; failure to reach ``tol`` within ``max_iter`` sweeps
-    raises ``IterationLimitError`` carrying the last increment.
+    the binary-at-parent law, where the free semigroup has an explicit form:
+    ``e^{-s}`` for constant motion and the Poisson sum ``e^{-2s} sum_p
+    s^p/p! W^p`` of iterated jump kernels for pure jumps.  Each sweep applies
+    the law's reaction to all time rows at once and integrates it against
+    every semigroup term.  Iterates increase monotonically to the minimal
+    solution; failure to reach ``tol`` within ``max_iter`` sweeps raises
+    ``IterationLimitError`` carrying the last increment.
     """
     if np.any(f.values < 0) or np.any(f.values > 1):
         raise DomainError("initial data must lie in [0, 1]")
@@ -342,77 +390,43 @@ def picard_solve(
         )
     if n_time < 2:
         raise DomainError("need at least two time points")
+    stepper = _Stepper(model, f.grid, f.left_limit, f.right_limit)
     dt = t / (n_time - 1)
     ts = np.linspace(0.0, t, n_time)
-    nx = f.grid.n_points
     decay = np.exp(-ts)
 
-    jump_terms = None
+    # semigroup terms (coefficient in time, lattice kernel in space)
     if model.motion.kind == PURE_JUMP:
-        jump_terms = _poisson_terms(model.motion.kernel, f.grid.dx, t)
-        base = np.zeros((n_time, nx))
-        for p, w in enumerate(jump_terms):
-            fp = _correlate(w, f.values, f.left_limit, f.right_limit) if p else f.values
-            coeff = decay**2 * ts**p / math.factorial(p)
-            base += coeff[:, None] * fp[None, :]
-        # constant tails are invariant under unit-mass kernels
-        poisson_sum = sum(
-            decay**2 * ts**p / math.factorial(p) for p in range(len(jump_terms))
-        )
-        bl = f.left_limit * poisson_sum
-        br = f.right_limit * poisson_sum
+        kernels = _poisson_terms(_lattice_weights(model.motion.kernel, f.grid), t)
+        terms = [(decay**2 * ts**p / math.factorial(p), w) for p, w in enumerate(kernels)]
     else:
-        base = decay[:, None] * f.values[None, :]
-        bl = f.left_limit * decay
-        br = f.right_limit * decay
+        terms = [(decay, np.array([1.0]))]
+    # constant tails are invariant under unit-mass kernels
+    tail = sum(coeff for coeff, _ in terms)
+    base = sum(
+        coeff[:, None] * _correlate(w, f.values, f.left_limit, f.right_limit)[None, :]
+        for coeff, w in terms
+    )
+    base_limits = np.outer(tail, [f.left_limit, f.right_limit])
 
-    def reaction(rows: np.ndarray, left: np.ndarray, right: np.ndarray):
-        law = model.law
-        if law.kind == BINARY_AT_PARENT:
-            return rows * rows, left * left, right * right
-        if law.kind == OFFSPRING_AT_PARENT:
-            return law.generating_function(rows), law.generating_function(left), law.generating_function(right)
-        w = model.law.displacement.lattice_weights(f.grid.dx)
-        conv = np.empty_like(rows)
-        for j in range(rows.shape[0]):
-            conv[j] = _correlate(w, rows[j], left[j], right[j])
-        return rows * conv, left * left, right * right
-
-    u = np.zeros((n_time, nx))
-    ul = np.zeros(n_time)
-    ur = np.zeros(n_time)
+    u = np.zeros((n_time, f.grid.n_points))
+    limits = np.zeros((n_time, 2))
     history = []
     last = math.inf
     for _ in range(max_iter):
-        g_rows, g_left, g_right = reaction(u, ul, ur)
-        if jump_terms is None:
-            ku = _causal_time_integral(decay, g_rows, dt)
-            kl = _causal_time_integral(decay, g_left[:, None], dt)[:, 0]
-            kr = _causal_time_integral(decay, g_right[:, None], dt)[:, 0]
-        else:
-            ku = np.zeros_like(u)
-            scalar = np.zeros((n_time, 2))
-            for p, w in enumerate(jump_terms):
-                coeff = decay**2 * ts**p / math.factorial(p)
-                rows_p = (
-                    g_rows
-                    if p == 0
-                    else np.stack(
-                        [_correlate(w, g_rows[j], g_left[j], g_right[j]) for j in range(n_time)]
-                    )
-                )
-                ku += _causal_time_integral(coeff, rows_p, dt)
-                scalar += _causal_time_integral(coeff, np.stack([g_left, g_right], axis=1), dt)
-            kl, kr = scalar[:, 0], scalar[:, 1]
-        u_new = base + ku
-        ul_new = bl + kl
-        ur_new = br + kr
+        g = stepper.reaction(u, limits[:, 0], limits[:, 1])
+        g_limits = model.law.generating_function(limits)
+        u_new = base + sum(
+            _causal_time_integral(coeff, _correlate(w, g, g_limits[:, 0], g_limits[:, 1]), dt)
+            for coeff, w in terms
+        )
+        limits = base_limits + _causal_time_integral(tail, g_limits, dt)
         if return_history:
             history.append(u_new.copy())
         last = float(np.max(np.abs(u_new - u)))
-        u, ul, ur = u_new, ul_new, ur_new
+        u = u_new
         if last < tol:
-            out = Field(f.grid, u[-1], t, float(ul[-1]), float(ur[-1]))
+            out = Field(f.grid, u[-1], t, float(limits[-1, 0]), float(limits[-1, 1]))
             return (out, history) if return_history else out
     raise IterationLimitError(
         f"no convergence in {max_iter} sweeps (last increment {last:.3g})",
@@ -420,8 +434,8 @@ def picard_solve(
     )
 
 
-def _poisson_terms(kernel: Kernel, dx: float, horizon: float) -> list[np.ndarray]:
-    """Iterated lattice kernels up to a Poisson tail below 1e-10 at ``horizon``."""
+def _poisson_terms(w1: np.ndarray, horizon: float) -> list[np.ndarray]:
+    """Powers of the lattice kernel ``w1`` up to a Poisson tail below 1e-10 at ``horizon``."""
     n = 0
     acc = math.exp(-horizon)
     term = acc
@@ -431,7 +445,6 @@ def _poisson_terms(kernel: Kernel, dx: float, horizon: float) -> list[np.ndarray
         acc += term
         if n > 400:
             raise DomainError("Poisson truncation did not close; horizon too large")
-    w1 = kernel.lattice_weights(dx)
     terms = [np.array([1.0])]
     for _ in range(n):
         terms.append(np.convolve(terms[-1], w1))
@@ -551,7 +564,7 @@ def traveling_wave_profile(
     """Steady comoving profile at speed ``c``: solves ``rhs(u) + c u' = 0``.
 
     A short step-and-recenter relaxation provides the initial guess, then
-    Newton iteration (dense Jacobian, central-difference transport, phase
+    Newton iteration (banded Jacobian, central-difference transport, phase
     pinned at the half level) drives the comoving residual below ``tol``.
     Evolving the returned profile and shifting back by ``c dt`` leaves only
     discretization error, so it is the right object for residual tests.
@@ -561,7 +574,6 @@ def traveling_wave_profile(
     independent speed deficit in any evolved snapshot.
     """
     xs = grid.xs
-    dx = grid.dx
     n = grid.n_points
     stepper = _Stepper(model, grid, 0.0, 1.0)
     values = 1.0 / (1.0 + np.exp(-xs))
@@ -572,26 +584,19 @@ def traveling_wave_profile(
         values = np.interp(xs + pos, xs, values, left=0.0, right=1.0)
 
     i0 = int(np.argmin(np.abs(xs)))
-    transport = _shift_operator_matrix(n, c / (2.0 * dx))
-
-    def comoving_residual(u):
-        du = np.empty_like(u)
-        du[1:-1] = u[2:] - u[:-2]
-        du[0] = u[1] - 0.0
-        du[-1] = 1.0 - u[-2]
-        return stepper.rhs(u) + c * du / (2.0 * dx)
-
     converged = False
     for _ in range(max_iter):
-        f = comoving_residual(values)
+        f = _comoving_residual(stepper, values, c)
         f[i0] = values[i0] - 0.5  # phase pin replaces the (redundant) equation here
         if float(np.max(np.abs(f))) < tol:
             converged = True
             break
-        jac = _rhs_jacobian(stepper, values) + transport
-        jac[i0, :] = 0.0
-        jac[i0, i0] = 1.0
-        step = np.linalg.solve(jac, f)
+        ab = _comoving_jacobian(stepper, values, c)
+        h = (ab.shape[0] - 1) // 2
+        pinned = np.arange(max(0, i0 - h), min(n, i0 + h + 1))
+        ab[h + i0 - pinned, pinned] = 0.0
+        ab[h, i0] = 1.0
+        step = solve_banded((h, h), ab, f)
         values = values - step
         if float(np.max(np.abs(step))) < 1e-13:
             converged = True
@@ -599,62 +604,36 @@ def traveling_wave_profile(
     if not converged:
         raise IterationLimitError(
             "comoving Newton iteration did not converge",
-            last_increment=float(np.max(np.abs(comoving_residual(values)))),
+            last_increment=float(np.max(np.abs(_comoving_residual(stepper, values, c)))),
         )
     return Field(grid, np.clip(values, 0.0, 1.0), 0.0, 0.0, 1.0)
 
 
-def _shift_operator_matrix(n: int, coeff: float) -> np.ndarray:
-    m = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    m[idx, idx + 1] = coeff
-    m[idx + 1, idx] = -coeff
-    return m
+#: the central difference ``u[i+1] - u[i-1]`` as a lattice stencil
+_CENTRAL = np.array([-1.0, 0.0, 1.0])
 
 
-def _toeplitz_from_weights(weights: np.ndarray, n: int) -> np.ndarray:
-    """Dense matrix of the lattice correlation ``(w ** u)_i = sum w[K+j] u_{i+j}``."""
-    k = (weights.size - 1) // 2
-    m = np.zeros((n, n))
-    for j in range(-k, k + 1):
-        v = weights[k + j]
-        if j >= 0:
-            idx = np.arange(n - j)
-            m[idx, idx + j] = v
-        else:
-            idx = np.arange(-j, n)
-            m[idx, idx + j] = v
-    return m
+def _comoving_residual(stepper: _Stepper, u: np.ndarray, c: float) -> np.ndarray:
+    """``rhs(u) + c u'``, with ``u'`` the central difference."""
+    du = _correlate(_CENTRAL, u, stepper.left, stepper.right)
+    return stepper.rhs(u) + c * du / (2.0 * stepper.grid.dx)
 
 
-def _rhs_jacobian(stepper: _Stepper, u: np.ndarray) -> np.ndarray:
-    """Dense Jacobian of the strong-form right-hand side at ``u``."""
-    n = u.size
-    model = stepper.model
-    motion = model.motion
-    if motion.kind == CONSTANT:
-        jac = -np.eye(n)
-    elif motion.kind == BROWNIAN:
-        jac = -np.eye(n)
-        half = 0.5 * stepper.inv_dx2
-        idx = np.arange(n)
-        jac[idx, idx] += -2.0 * half
-        jac[idx[:-1], idx[:-1] + 1] += half
-        jac[idx[1:], idx[1:] - 1] += half
-    else:
-        jac = _toeplitz_from_weights(stepper.w_jump, n) - 2.0 * np.eye(n)
-    law = model.law
-    if law.kind == BINARY_AT_PARENT:
-        jac[np.arange(n), np.arange(n)] += 2.0 * u
-    elif law.kind == OFFSPRING_AT_PARENT:
-        ns, ps = law.counts_and_probs()
-        deriv = np.zeros_like(u)
-        for count, p in zip(ns, ps):
-            if count >= 1:
-                deriv += p * count * u ** (int(count) - 1)
-        jac[np.arange(n), np.arange(n)] += deriv
-    else:
-        conv = _correlate(stepper.w_disp, u, 0.0, 1.0)
-        jac[np.arange(n), np.arange(n)] += conv
-        jac += u[:, None] * _toeplitz_from_weights(stepper.w_disp, n)
-    return jac
+def _comoving_jacobian(stepper: _Stepper, u: np.ndarray, c: float) -> np.ndarray:
+    """Jacobian of ``_comoving_residual`` at ``u``, in ``solve_banded`` form.
+
+    The half-bandwidth is the largest of the motion stencil's, the
+    displacement kernel's and the transport stencil's (one).
+    """
+    widths = [stepper.motion_stencil.size, _CENTRAL.size]
+    if stepper.w_disp is not None:
+        widths.append(stepper.w_disp.size)
+    h = (max(widths) - 1) // 2
+    ab = np.zeros((2 * h + 1, u.size))
+    _add_band(ab, stepper.motion_stencil)
+    _add_band(ab, c / (2.0 * stepper.grid.dx) * _CENTRAL)
+    diagonal, scale = stepper.reaction_derivative(u)
+    ab[h] += diagonal - stepper.loss_rate
+    if scale is not None:
+        _add_band(ab, stepper.w_disp, scale)
+    return ab

@@ -1,10 +1,14 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+from kpplab import cli
 from kpplab.cli import main, parse_config, run
 from kpplab.errors import ConfigError, PlotFormatError
+from kpplab.kernels import KERNEL_FAMILIES
+from kpplab.model import LAW_FAMILIES, MOTION_FAMILIES
 from kpplab.plotting import plot
 
 BROWNIAN_OFFSPRING = {
@@ -178,6 +182,12 @@ class TestReportCommand:
         text = (out / "report.md").read_text()
         assert "PASS" in text and "FAIL" in text and "INCOMPLETE" in text
 
+    def test_incomplete_run_alone_exits_two(self, tmp_path):
+        missing = tmp_path / "never-ran"
+        code, out = _run_cli(tmp_path, {"command": "report", "run_dirs": [str(missing)]})
+        assert code == 2
+        assert "INCOMPLETE" in (out / "report.md").read_text()
+
 
 class TestPlot:
     def test_profile_polyline(self, tmp_path):
@@ -226,3 +236,11 @@ def test_run_accepts_parsed_config(tmp_path, jump_gaussian_binary):
     payload = json.loads((tmp_path / "direct" / "speed.json").read_text())
     assert payload["lambda_star"] == pytest.approx(1.0, abs=1e-8)
     assert payload["lambda0"] is None  # unbounded edge serialized as null
+
+
+def test_schema_families_match_model_constants():
+    schema = json.loads(Path(cli.__file__).with_name("schema.json").read_text())
+    model = schema["properties"]["model"]["properties"]
+    assert model["motion"]["properties"]["family"]["enum"] == list(MOTION_FAMILIES)
+    assert model["law"]["properties"]["family"]["enum"] == list(LAW_FAMILIES)
+    assert schema["$defs"]["kernel"]["properties"]["family"]["enum"] == list(KERNEL_FAMILIES)

@@ -1,7 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from kpplab import (
@@ -20,6 +23,7 @@ from kpplab import (
     picard_solve,
     shift_field,
     solve_v,
+    track_front,
     wave_residual,
 )
 from kpplab.errors import (
@@ -31,6 +35,7 @@ from kpplab.errors import (
     StepSizeError,
     UnsupportedModelError,
 )
+from kpplab.solve import _comoving_jacobian, _comoving_residual, _correlate, _Stepper
 
 from helpers import logistic_decay
 
@@ -73,6 +78,43 @@ class TestConvolve:
         grid = Grid(-2.0, 2.0, 64)
         with pytest.raises(GridTooSmallError):
             convolve(Kernel.gaussian(1.0), Field.heaviside(grid))
+
+
+def _dense_correlation(weights, rows, left, right):
+    """Correlation by explicit sums over each row extended by its limits."""
+    k = weights.size // 2
+    out = []
+    for row, lo, hi in zip(rows, left, right):
+        ext = np.concatenate([np.full(k, lo), row, np.full(k, hi)])
+        out.append([ext[i : i + weights.size] @ weights for i in range(row.size)])
+    return np.array(out)
+
+
+class TestCorrelate:
+    # (points, kernel half-width) ranges on either side of the direct/FFT switch
+    SIDES = {"direct": ((1, 40), (0, 10)), "fft": ((600, 900), (150, 200))}
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("side", ["direct", "fft"])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_sum_with_constant_limits(self, side, stacked, data):
+        (n_lo, n_hi), (k_lo, k_hi) = self.SIDES[side]
+        n = data.draw(st.integers(n_lo, n_hi), label="points")
+        k = data.draw(st.integers(k_lo, k_hi), label="half-width")
+        m = data.draw(st.integers(2, 4), label="rows") if stacked else 1
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        weights = rng.random(2 * k + 1)
+        rows = rng.uniform(-1.0, 1.0, (m, n))
+        left, right = rng.uniform(-1.0, 1.0, (2, m))
+        assert (m * (n + 2 * k) * weights.size > (1 << 18)) == (side == "fft")
+        want = _dense_correlation(weights, rows, left, right)
+        if stacked:
+            got = _correlate(weights, rows, left, right)
+        else:
+            got = _correlate(weights, rows[0], float(left[0]), float(right[0]))[None, :]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * weights.sum()
 
 
 class TestPdeStep:
@@ -276,7 +318,6 @@ def test_monotone_data_stays_monotone(jump_gaussian_binary, brownian_binary):
 class TestTravelingWaveProfile:
     def test_comoving_residual_vanishes(self, jump_gaussian_binary):
         from kpplab import traveling_wave_profile
-        from kpplab.solve import _Stepper
 
         grid = Grid(-30.0, 30.0, 1024)
         c = math.exp(0.5)
@@ -299,6 +340,62 @@ class TestTravelingWaveProfile:
         res = wave_residual(prof, c, jump_gaussian_binary, 0.05)
         assert res < 5 * grid.dx**2 + 5 * 0.05
         assert res < 5e-5
+
+
+def _dense_band(ab):
+    h = ab.shape[0] // 2
+    n = ab.shape[1]
+    dense = np.zeros((n, n))
+    for i in range(n):
+        for col in range(max(0, i - h), min(n, i + h + 1)):
+            dense[i, col] = ab[h + i - col, col]
+    return dense
+
+
+MOTIONS = {
+    "constant": Motion.constant(),
+    "brownian": Motion.brownian(),
+    "pure_jump": Motion.pure_jump(Kernel.gaussian(1.0)),
+}
+LAWS = {
+    "binary_at_parent": BranchingLaw.binary_at_parent(),
+    "offspring_at_parent": BranchingLaw.offspring_at_parent({0: 0.1, 1: 0.2, 3: 0.7}),
+    "binary_one_displaced": BranchingLaw.binary_one_displaced(Kernel.gaussian(0.5)),
+}
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("motion", sorted(MOTIONS))
+def test_banded_jacobian_matches_central_difference(motion, law):
+    model = BranchingModel(MOTIONS[motion], LAWS[law])
+    grid = Grid(-16.0, 16.0, 128)
+    stepper = _Stepper(model, grid, 0.0, 1.0)
+    rng = np.random.default_rng(5)
+    u = np.clip(ndtr(grid.xs) + 0.05 * rng.standard_normal(grid.n_points), 0.0, 1.0)
+    c, eps = 1.3, 1e-6
+    jac = _dense_band(_comoving_jacobian(stepper, u, c))
+    for _ in range(3):
+        v = rng.standard_normal(grid.n_points)
+        plus = _comoving_residual(stepper, u + eps * v, c)
+        minus = _comoving_residual(stepper, u - eps * v, c)
+        want = (plus - minus) / (2.0 * eps)
+        assert np.max(np.abs(jac @ v - want)) < 1e-6 * max(1.0, np.max(np.abs(want)))
+
+
+class TestTrackFront:
+    def test_snapshots_kept_without_crossing(self, jump_gaussian_binary, caplog):
+        grid = Grid(-24.0, 24.0, 512)
+        with caplog.at_level(logging.WARNING, logger="kpplab.solve"):
+            _, trace, snaps = track_front(
+                jump_gaussian_binary, Field.constant(grid, 1.0), 1.0, 0.1, 0.5,
+                snapshot_times=(0.5, 1.0),
+            )
+        assert sorted(snaps) == [0.5, 1.0]
+        assert snaps[1.0].t == pytest.approx(1.0)
+        assert np.max(np.abs(snaps[1.0].values - 1.0)) < 1e-9
+        assert trace.t.size == 0
+        (record,) = [r for r in caplog.records if r.name == "kpplab.solve"]
+        assert "2 of 2 record times" in record.getMessage()
 
 
 def test_convergence_order_on_logistic(immobile_binary):
