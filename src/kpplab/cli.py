@@ -11,12 +11,14 @@ errors.  Every run writes ``manifest.json`` with the echoed config, code
 version, thread count and a checksum per artifact, so identical configs are
 bit-reproducible.
 
-Config layout (JSON): ``command`` selects the action; ``model`` describes the
-process as ``{"motion": {"family": ...}, "law": {"family": ...}}`` with
-kernels as ``{"family": "gaussian", "sigma": s}``, ``{"family":
-"two_sided_exponential", "beta": b}``, ``{"family": "uniform", "radius": r}``
-or ``{"family": "tabulated", "x": [...], "density": [...]}``; ``params``
-holds per-command numbers and ``seed`` feeds every stochastic command.
+Config layout (JSON): ``command`` selects the action, ``model`` describes the
+process (read by ``model_from_dict``, its kernels by ``Kernel.from_dict``),
+``params`` holds the command's values (``PARAMS`` lists each with its default;
+``grid`` is read by ``Grid.from_dict``) and the integer ``seed`` feeds every
+stochastic command.  The whole config is read before anything is written: a
+rejection is a ``ConfigError`` at the JSON pointer of the offending value,
+such as ``/model/motion/kernel/sigma`` or ``/params/grid``, and the run exits
+1 with one ``error:`` line and no output directory.
 """
 from __future__ import annotations
 
@@ -34,19 +36,58 @@ import numpy as np
 
 from . import __version__
 from .analyze import u_vs_mc
-from .errors import ConfigError, KppLabError
-from .kernels import KERNEL_FAMILIES
-from .model import LAW_FAMILIES, MOTION_FAMILIES, BranchingModel, model_from_dict
+from .errors import KppLabError, config_pointer, expect, read_integer, read_number, read_numbers
+from .model import BranchingModel, model_from_dict
 from .plotting import plot
 from .simulate import RunConfig, run_ensemble
 from .solve import Field, Grid, measure_front, track_front
 from .spectral import check_assumptions, minimal_speed
 
-COMMANDS = ("speed", "assumptions", "simulate", "solve", "compare", "report")
+
+def _window(v, pointer: str) -> tuple[float, float]:
+    lo_hi = read_numbers(v, pointer)
+    expect(len(lo_hi) == 2, pointer, "expected [lo, hi]")
+    return tuple(lo_hi)
+
+
+REQUIRED = object()
+#: each command's params as ``key: (reader, default)``.  A ``REQUIRED`` param
+#: must be given; a ``None`` default leaves an absent (or ``null``) key out, so
+#: the library's own default, or ``record_times = [t_max]``, applies.
+PARAMS = {
+    "speed": {"tol": (read_number, None)},
+    "assumptions": {},
+    "simulate": {
+        "t_max": (read_number, REQUIRED),
+        "replicas": (read_integer, REQUIRED),
+        "record_times": (read_numbers, None),
+        "prune_window": (read_number, None),
+        "max_particles": (read_integer, None),
+    },
+    "solve": {
+        "grid": (Grid.from_dict, REQUIRED),
+        "t_max": (read_number, REQUIRED),
+        "dt": (read_number, 0.05),
+        "front_interval": (read_number, 0.5),
+        "fit_window": (_window, None),
+    },
+    "compare": {
+        "grid": (Grid.from_dict, REQUIRED),
+        "t": (read_number, REQUIRED),
+        "replicas": (read_integer, REQUIRED),
+        "threshold": (read_number, 0.05),
+        "dt": (read_number, None),
+    },
+    "report": {},
+}
+COMMANDS = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config; ``params`` holds the values read by ``PARAMS`` and, for
+    ``simulate``, the ensemble's ``run_config``."""
+
     command: str
     raw: dict
     model: BranchingModel | None
@@ -55,93 +96,54 @@ class ExperimentConfig:
     run_dirs: list[str]
 
 
-# -- validation ----------------------------------------------------------------
+# -- parsing -------------------------------------------------------------------
 
 
-def _expect(cond: bool, pointer: str, message: str):
-    if not cond:
-        raise ConfigError(pointer, message)
+def _given(params: dict, *keys: str) -> dict:
+    """The named params that are present, as keyword arguments."""
+    return {k: params[k] for k in keys if k in params}
 
 
-def _validate_kernel(d, pointer: str):
-    _expect(isinstance(d, dict), pointer, "expected a kernel object")
-    family = d.get("family")
-    _expect(family in KERNEL_FAMILIES, f"{pointer}/family", f"expected one of {KERNEL_FAMILIES}")
-    if family == "gaussian":
-        _expect(isinstance(d.get("sigma", 1.0), (int, float)), f"{pointer}/sigma", "expected a number")
-    elif family == "two_sided_exponential":
-        _expect(isinstance(d.get("beta"), (int, float)), f"{pointer}/beta", "expected a number")
-    elif family == "uniform":
-        _expect(isinstance(d.get("radius"), (int, float)), f"{pointer}/radius", "expected a number")
-    else:
-        _expect(isinstance(d.get("x"), list), f"{pointer}/x", "expected a list")
-        _expect(isinstance(d.get("density"), list), f"{pointer}/density", "expected a list")
-
-
-def _validate_model(d, pointer: str = "/model"):
-    _expect(isinstance(d, dict), pointer, "expected a model object")
-    motion = d.get("motion")
-    _expect(isinstance(motion, dict), f"{pointer}/motion", "expected a motion object")
-    fam = motion.get("family")
-    _expect(
-        fam in MOTION_FAMILIES, f"{pointer}/motion/family", f"expected one of {MOTION_FAMILIES}"
-    )
-    if fam == "pure_jump":
-        _validate_kernel(motion.get("kernel"), f"{pointer}/motion/kernel")
-    law = d.get("law")
-    _expect(isinstance(law, dict), f"{pointer}/law", "expected a law object")
-    lfam = law.get("family")
-    _expect(lfam in LAW_FAMILIES, f"{pointer}/law/family", f"expected one of {LAW_FAMILIES}")
-    if lfam == "offspring_at_parent":
-        _expect(isinstance(law.get("probs"), dict), f"{pointer}/law/probs", "expected an object")
-    if lfam == "binary_one_displaced":
-        _validate_kernel(law.get("kernel"), f"{pointer}/law/kernel")
-
-
-def _number(params, key, pointer, required=True, default=None):
-    if key not in params:
-        _expect(not required, f"{pointer}/{key}", "required parameter missing")
-        return default
-    _expect(isinstance(params[key], (int, float)), f"{pointer}/{key}", "expected a number")
-    return params[key]
+def _read_params(raw, command: str) -> dict:
+    expect(isinstance(raw, dict), "/params", "expected an object")
+    params = {}
+    for key, (read, default) in PARAMS[command].items():
+        if raw.get(key) is not None or default is REQUIRED:
+            params[key] = read(raw.get(key), f"/params/{key}")
+        elif default is not None:
+            params[key] = default
+    return params
 
 
 def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
-    """Validate a raw config document; raises ConfigError with JSON pointers."""
-    _expect(isinstance(raw, dict), "", "expected a JSON object")
+    """Read a raw config document; raises ConfigError with JSON pointers."""
+    expect(isinstance(raw, dict), "", "expected a JSON object")
     command = raw.get("command")
-    _expect(command in COMMANDS, "/command", f"expected one of {COMMANDS}")
+    expect(command in COMMANDS, "/command", f"expected one of {COMMANDS}")
 
     run_dirs: list[str] = []
     model = None
     if command == "report":
-        _expect(isinstance(raw.get("run_dirs"), list), "/run_dirs", "expected a list of paths")
-        run_dirs = [str(p) for p in raw["run_dirs"]]
+        run_dirs = raw.get("run_dirs")
+        expect(isinstance(run_dirs, list), "/run_dirs", "expected a list of paths")
+        for i, d in enumerate(run_dirs):
+            expect(isinstance(d, str), f"/run_dirs/{i}", "expected a path")
     else:
-        _validate_model(raw.get("model"))
-        try:
-            model = model_from_dict(raw["model"])
-        except KppLabError as exc:
-            raise ConfigError("/model", str(exc)) from exc
+        model = model_from_dict(raw.get("model"), "/model")
 
     seed = raw.get("seed") if seed_override is None else seed_override
-    if command in ("simulate", "compare"):
-        _expect(isinstance(seed, int), "/seed", "stochastic commands need an integer seed")
+    if seed is not None or command in ("simulate", "compare"):
+        seed = read_integer(seed, "/seed")
 
-    params = raw.get("params", {})
-    _expect(isinstance(params, dict), "/params", "expected an object")
+    params = _read_params(raw.get("params", {}), command)
     if command == "simulate":
-        _number(params, "t_max", "/params")
-        _number(params, "replicas", "/params")
-    elif command == "solve":
-        _expect(isinstance(params.get("grid"), dict), "/params/grid", "expected a grid object")
-        for key in ("x_min", "x_max", "n_points"):
-            _number(params["grid"], key, "/params/grid")
-        _number(params, "t_max", "/params")
-    elif command == "compare":
-        _expect(isinstance(params.get("grid"), dict), "/params/grid", "expected a grid object")
-        _number(params, "t", "/params")
-        _number(params, "replicas", "/params")
+        with config_pointer("/params"):
+            params["run_config"] = RunConfig(
+                t_max=params["t_max"],
+                record_times=params.get("record_times", [params["t_max"]]),
+                seed=seed,
+                **_given(params, "prune_window", "max_particles"),
+            )
     return ExperimentConfig(command, raw, model, seed, params, run_dirs)
 
 
@@ -165,18 +167,8 @@ def _code_version() -> str:
     return f"kpplab {__version__}" + (f" ({described})" if described else "")
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True, default=float) + "\n")
-
-
-def _write_csv(path: Path, columns, rows, meta: dict | None = None) -> None:
-    lines = []
-    if meta is not None:
-        lines.append("# " + json.dumps(meta, sort_keys=True, default=float))
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, default=float) + "\n"
 
 
 def _fmt(v) -> str:
@@ -187,10 +179,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _checksum(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class _Artifacts:
     """Collects written files and their checksums for the manifest."""
 
@@ -198,17 +186,20 @@ class _Artifacts:
         self.out_dir = out_dir
         self.files: list[Path] = []
 
-    def json(self, name: str, obj) -> Path:
+    def text(self, name: str, text: str) -> Path:
         path = self.out_dir / name
-        _write_json(path, obj)
+        path.write_text(text)
         self.files.append(path)
         return path
 
+    def json(self, name: str, obj) -> Path:
+        return self.text(name, _json_text(obj))
+
     def csv(self, name: str, columns, rows, meta=None) -> Path:
-        path = self.out_dir / name
-        _write_csv(path, columns, rows, meta)
-        self.files.append(path)
-        return path
+        lines = [] if meta is None else ["# " + json.dumps(meta, sort_keys=True, default=float)]
+        lines.append(",".join(columns))
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        return self.text(name, "\n".join(lines) + "\n")
 
     def svg_from(self, csv_path: Path, kind: str) -> Path | None:
         try:
@@ -219,15 +210,14 @@ class _Artifacts:
         return path
 
     def checksums(self) -> dict:
-        return {p.name: _checksum(p) for p in sorted(self.files)}
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(self.files)}
 
 
 # -- command implementations ------------------------------------------------------
 
 
 def _cmd_speed(cfg: ExperimentConfig, art: _Artifacts) -> tuple[bool, dict]:
-    tol = float(cfg.params.get("tol", 1e-9))
-    profile = minimal_speed(cfg.model, tol)
+    profile = minimal_speed(cfg.model, **_given(cfg.params, "tol"))
     art.json("speed.json", profile.to_dict())
     return True, {"c_star": profile.c_star, "lambda_star": profile.lambda_star}
 
@@ -240,14 +230,7 @@ def _cmd_assumptions(cfg: ExperimentConfig, art: _Artifacts) -> tuple[bool, dict
 
 def _cmd_simulate(cfg: ExperimentConfig, art: _Artifacts, threads: int) -> tuple[bool, dict]:
     p = cfg.params
-    rc = RunConfig(
-        t_max=float(p["t_max"]),
-        record_times=tuple(p.get("record_times", [p["t_max"]])),
-        prune_window=p.get("prune_window"),
-        max_particles=int(p.get("max_particles", 5_000_000)),
-        seed=int(cfg.seed),
-    )
-    result = run_ensemble(cfg.model, rc, int(p["replicas"]), n_workers=threads)
+    result = run_ensemble(cfg.model, p["run_config"], p["replicas"], n_workers=threads)
     minima_rows = [
         (s.replica, s.t, s.m, int(not math.isfinite(s.m))) for s in result.minima
     ]
@@ -262,7 +245,7 @@ def _cmd_simulate(cfg: ExperimentConfig, art: _Artifacts, threads: int) -> tuple
         art.svg_from(mart_csv, "martingale")
     ok = not result.invalid_replicas
     return ok, {
-        "replicas": int(p["replicas"]),
+        "replicas": p["replicas"],
         "invalid_replicas": result.invalid_replicas,
         "lambda_star": result.lambda_star,
     }
@@ -270,21 +253,18 @@ def _cmd_simulate(cfg: ExperimentConfig, art: _Artifacts, threads: int) -> tuple
 
 def _cmd_solve(cfg: ExperimentConfig, art: _Artifacts) -> tuple[bool, dict]:
     p = cfg.params
-    g = p["grid"]
-    grid = Grid(float(g["x_min"]), float(g["x_max"]), int(g["n_points"]))
-    dt = float(p.get("dt", 0.05))
-    t_max = float(p["t_max"])
-    interval = float(p.get("front_interval", 0.5))
-    field, trace, _ = track_front(cfg.model, Field.heaviside(grid), t_max, dt, interval)
+    grid = p["grid"]
+    field, trace, _ = track_front(
+        cfg.model, Field.heaviside(grid), p["t_max"], p["dt"], p["front_interval"]
+    )
     meta = {"t": field.t, "grid": grid.to_dict(), "model": cfg.model.to_dict()}
     field_csv = art.csv("field.csv", ["x", "value"], zip(grid.xs, field.values), meta)
     art.svg_from(field_csv, "profile")
     summary: dict = {"t_final": field.t}
     front_meta = {"model": cfg.model.to_dict()}
-    if p.get("fit_window") and trace.t.size:
-        lo, hi = (float(v) for v in p["fit_window"])
+    if "fit_window" in p and trace.t.size:
         speed = minimal_speed(cfg.model)
-        fit = measure_front(trace, speed.lambda_star, (lo, hi))
+        fit = measure_front(trace, speed.lambda_star, p["fit_window"])
         front_meta["fit"] = {
             "c_est": fit.c_est,
             "log_slope": fit.log_slope,
@@ -299,16 +279,9 @@ def _cmd_solve(cfg: ExperimentConfig, art: _Artifacts) -> tuple[bool, dict]:
 
 def _cmd_compare(cfg: ExperimentConfig, art: _Artifacts) -> tuple[bool, dict]:
     p = cfg.params
-    g = p["grid"]
-    grid = Grid(float(g["x_min"]), float(g["x_max"]), int(g["n_points"]))
-    threshold = float(p.get("threshold", 0.05))
+    threshold = p["threshold"]
     result = u_vs_mc(
-        cfg.model,
-        float(p["t"]),
-        grid,
-        int(p["replicas"]),
-        rng=int(cfg.seed),
-        dt=float(p.get("dt", 0.05)),
+        cfg.model, p["t"], p["grid"], p["replicas"], rng=cfg.seed, **_given(p, "dt")
     )
     rows = []
     for x, uv, mv, se in zip(result.x, result.pde_values, result.mc_values, result.mc_stderr):
@@ -342,9 +315,7 @@ def _cmd_report(cfg: ExperimentConfig, art: _Artifacts) -> tuple[bool, dict]:
             any_fail = True
         notes = json.dumps(res.get("summary", {}), sort_keys=True, default=float)
         lines.append(f"| {directory.name} | {res.get('command')} | {status} | {notes} |")
-    path = art.out_dir / "report.md"
-    path.write_text("\n".join(lines) + "\n")
-    art.files.append(path)
+    art.text("report.md", "\n".join(lines) + "\n")
     return not any_fail, {"runs": len(cfg.run_dirs)}
 
 
@@ -384,7 +355,7 @@ def run(raw_config: dict, output_dir, seed: int | None = None, threads: int = 1)
         "threads": threads,
         "outputs": art.checksums(),
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    (out_dir / "manifest.json").write_text(_json_text(manifest))
     return 0 if passed else 2
 
 

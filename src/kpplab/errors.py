@@ -1,4 +1,6 @@
-"""Exception hierarchy for kpplab."""
+"""Exception hierarchy for kpplab, and the config value readers that raise
+``ConfigError``; domain checks stay in the constructors of the objects read."""
+from contextlib import contextmanager
 
 
 class KppLabError(Exception):
@@ -90,3 +92,39 @@ class ConfigError(KppLabError):
 
 class PlotFormatError(KppLabError):
     """CSV file does not match the column contract of the plot kind."""
+
+
+def expect(cond: bool, pointer: str, message: str) -> None:
+    """Raise ``ConfigError(pointer, message)`` unless ``cond`` holds."""
+    if not cond:
+        raise ConfigError(pointer, message)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def read_number(v, pointer: str) -> float:
+    """A JSON number as a float; booleans are not numbers."""
+    expect(_is_number(v), pointer, "expected a number")
+    return float(v)
+
+
+def read_integer(v, pointer: str) -> int:
+    """A JSON number with no fractional part, as an int."""
+    expect(_is_number(v) and (isinstance(v, int) or v.is_integer()), pointer, "expected an integer")
+    return int(v)
+
+
+def read_numbers(v, pointer: str) -> list[float]:
+    expect(isinstance(v, list) and all(map(_is_number, v)), pointer, "expected a list of numbers")
+    return [float(x) for x in v]
+
+
+@contextmanager
+def config_pointer(pointer: str):
+    """Re-raise a constructor's ``KppLabError`` as a ``ConfigError`` at ``pointer``."""
+    try:
+        yield
+    except KppLabError as exc:
+        raise ConfigError(pointer, str(exc)) from exc

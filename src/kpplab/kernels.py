@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcinv
 
-from .errors import InvalidKernelError
+from .errors import InvalidKernelError, config_pointer, expect, read_number, read_numbers
 
 INF = math.inf
 
@@ -29,6 +29,8 @@ UNIFORM = "uniform"
 TABULATED = "tabulated"
 
 KERNEL_FAMILIES = (GAUSSIAN, TWO_SIDED_EXPONENTIAL, UNIFORM, TABULATED)
+#: the key of each parametric family's ``param`` in a kernel description
+PARAM_KEYS = {GAUSSIAN: "sigma", TWO_SIDED_EXPONENTIAL: "beta", UNIFORM: "radius"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +136,7 @@ class Kernel:
         """Radius outside which the density carries less than ``tail`` mass."""
         if self.family == GAUSSIAN:
             # 2*Phi(-r/sigma) <= tail; generous analytic bound
-            return self.param * math.sqrt(2.0) * _erfc_inv(tail)
+            return self.param * math.sqrt(2.0) * float(erfcinv(tail))
         if self.family == TWO_SIDED_EXPONENTIAL:
             return -math.log(tail) / self.param
         if self.family == UNIFORM:
@@ -177,26 +179,26 @@ class Kernel:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        if self.family == GAUSSIAN:
-            return {"family": GAUSSIAN, "sigma": self.param}
-        if self.family == TWO_SIDED_EXPONENTIAL:
-            return {"family": TWO_SIDED_EXPONENTIAL, "beta": self.param}
-        if self.family == UNIFORM:
-            return {"family": UNIFORM, "radius": self.param}
-        return {"family": TABULATED, "x": self.x.tolist(), "density": self.values.tolist()}
+        if self.family == TABULATED:
+            return {"family": TABULATED, "x": self.x.tolist(), "density": self.values.tolist()}
+        return {"family": self.family, PARAM_KEYS[self.family]: self.param}
 
     @staticmethod
-    def from_dict(d: dict) -> "Kernel":
+    def from_dict(d, pointer: str = "") -> "Kernel":
+        """Build a kernel from its description; raises ``ConfigError`` at the
+        JSON pointer, below ``pointer``, of the first malformed value."""
+        expect(isinstance(d, dict), pointer, "expected a kernel object")
         family = d.get("family")
-        if family == GAUSSIAN:
-            return Kernel.gaussian(d.get("sigma", 1.0))
-        if family == TWO_SIDED_EXPONENTIAL:
-            return Kernel.two_sided_exponential(d["beta"])
-        if family == UNIFORM:
-            return Kernel.uniform(d["radius"])
         if family == TABULATED:
-            return Kernel.tabulated(d["x"], d["density"])
-        raise InvalidKernelError(f"unknown kernel family {family!r}")
+            x = read_numbers(d.get("x"), f"{pointer}/x")
+            density = read_numbers(d.get("density"), f"{pointer}/density")
+            with config_pointer(pointer):
+                return Kernel.tabulated(x, density)
+        expect(family in PARAM_KEYS, f"{pointer}/family", f"expected one of {KERNEL_FAMILIES}")
+        key = PARAM_KEYS[family]
+        param = read_number(d.get(key), f"{pointer}/{key}")
+        with config_pointer(f"{pointer}/{key}"):
+            return Kernel(family, param)
 
 
 def _tabulated_cdf(kernel: Kernel) -> np.ndarray:
@@ -204,7 +206,3 @@ def _tabulated_cdf(kernel: Kernel) -> np.ndarray:
     segments = 0.5 * (v[1:] + v[:-1]) * np.diff(x)
     cdf = np.concatenate([[0.0], np.cumsum(segments)])
     return cdf / cdf[-1]
-
-
-def _erfc_inv(p: float) -> float:
-    return float(erfcinv(p))

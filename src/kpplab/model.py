@@ -15,12 +15,12 @@ form built from kernel transforms.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import DomainError, InvalidKernelError
+from .errors import ConfigError, DomainError, config_pointer, expect, read_number
 from .kernels import INF, Kernel
 
 CONSTANT = "constant"
@@ -83,12 +83,15 @@ class BranchingLaw:
     ``offspring_probs`` lists ``(n, p_n)`` pairs for the at-parent law; any
     probability deficit is assigned to zero offspring (death).  The displaced
     law puts one child at the parent and one at parent plus a draw from
-    ``displacement``.
+    ``displacement``.  ``counts``/``probs`` is the offspring count law with the
+    deficit folded into n = 0 (count 2 for both binary laws), built once.
     """
 
     kind: str
     offspring_probs: tuple[tuple[int, float], ...] | None = None
     displacement: Kernel | None = None
+    counts: np.ndarray = field(init=False, repr=False)
+    probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in LAW_FAMILIES:
@@ -109,6 +112,14 @@ class BranchingLaw:
                 raise DomainError("offspring probabilities must sum to at most 1")
         if self.kind == BINARY_ONE_DISPLACED and self.displacement is None:
             raise DomainError("displaced law needs a displacement kernel")
+        given = dict(self.offspring_probs or [(2, 1.0)])
+        total = sum(given.values())
+        if total < 1.0:
+            given[0] = given.get(0, 0.0) + (1.0 - total)
+        counts = sorted(given)
+        probs = np.array([given[n] for n in counts])
+        object.__setattr__(self, "counts", np.array(counts, dtype=np.int64))
+        object.__setattr__(self, "probs", probs / probs.sum())
 
     @staticmethod
     def binary_at_parent() -> "BranchingLaw":
@@ -125,18 +136,6 @@ class BranchingLaw:
         return BranchingLaw(BINARY_ONE_DISPLACED, displacement=kernel)
 
     # -- moments -------------------------------------------------------------
-
-    def counts_and_probs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Offspring count distribution with the deficit folded into n = 0."""
-        if self.offspring_probs is None:
-            return np.array([2], dtype=np.int64), np.array([1.0])
-        given = dict(self.offspring_probs)
-        total = sum(given.values())
-        if total < 1.0:
-            given[0] = given.get(0, 0.0) + (1.0 - total)
-        ns = np.array(sorted(given), dtype=np.int64)
-        ps = np.array([given[n] for n in sorted(given)], dtype=float)
-        return ns, ps / ps.sum()
 
     def mean(self) -> float:
         if self.kind == OFFSPRING_AT_PARENT:
@@ -164,9 +163,8 @@ class BranchingLaw:
         u = np.asarray(u, dtype=float)
         if self.kind != OFFSPRING_AT_PARENT:
             return u * u  # both binary laws have N = 2
-        ns, ps = self.counts_and_probs()
         out = np.zeros_like(u)
-        for n, p in zip(ns, ps):
+        for n, p in zip(self.counts, self.probs):
             out += p * u**int(n)
         return out
 
@@ -179,7 +177,7 @@ class BranchingLaw:
         """
         if self.mean() <= 1.0:
             return 1.0
-        ns, ps = self.counts_and_probs()
+        ns, ps = self.counts, self.probs
 
         def reduced(s: float) -> float:
             return 1.0 - sum(p * sum(s**k for k in range(n)) for n, p in zip(ns, ps))
@@ -267,15 +265,12 @@ def sample_offspring_batch(
         children[0::2] = parents
         children[1::2] = parents + disp
         return children, np.full(m, 2, dtype=np.int64)
-    ns, ps = law.counts_and_probs()
-    counts = rng.choice(ns, size=m, p=ps)
+    counts = rng.choice(law.counts, size=m, p=law.probs)
     return np.repeat(parents, counts), counts
 
 
 def sample_motion(motion: Motion, duration: float, rng: np.random.Generator) -> float:
     """Displacement of the free motion over ``duration``."""
-    if duration < 0:
-        raise DomainError("duration must be nonnegative")
     return float(sample_displacements(motion, np.array([duration], dtype=float), rng)[0])
 
 
@@ -300,46 +295,41 @@ def sample_displacements(
     return csum[ends] - csum[ends - counts]
 
 
-def model_from_dict(d: dict) -> BranchingModel:
-    """Build a model from its JSON description ``{"motion": ..., "law": ...}``."""
-    try:
-        motion_d = d["motion"]
-        law_d = d["law"]
-    except (TypeError, KeyError) as exc:
-        raise DomainError("model description needs 'motion' and 'law'") from exc
-    motion_kind = motion_d.get("family")
-    if motion_kind == CONSTANT:
-        motion = Motion.constant()
-    elif motion_kind == PURE_JUMP:
-        motion = Motion.pure_jump(Kernel.from_dict(motion_d["kernel"]))
-    elif motion_kind == BROWNIAN:
-        motion = Motion.brownian()
-    else:
-        raise DomainError(f"unknown motion family {motion_kind!r}")
-    law_kind = law_d.get("family")
-    if law_kind == BINARY_AT_PARENT:
-        law = BranchingLaw.binary_at_parent()
-    elif law_kind == OFFSPRING_AT_PARENT:
-        probs = {int(n): float(p) for n, p in law_d["probs"].items()}
-        law = BranchingLaw.offspring_at_parent(probs)
-    elif law_kind == BINARY_ONE_DISPLACED:
-        law = BranchingLaw.binary_one_displaced(Kernel.from_dict(law_d["kernel"]))
-    else:
-        raise DomainError(f"unknown branching-law family {law_kind!r}")
+def model_from_dict(d, pointer: str = "") -> BranchingModel:
+    """Build a model from its JSON description ``{"motion": ..., "law": ...}``.
+
+    Raises ``ConfigError`` at the JSON pointer, below ``pointer``, of the
+    first malformed value; ``Motion`` and ``BranchingLaw`` check the families.
+    """
+    expect(isinstance(d, dict), pointer, "expected a model object")
+    motion_d, law_d = d.get("motion"), d.get("law")
+    expect(isinstance(motion_d, dict), f"{pointer}/motion", "expected a motion object")
+    expect(isinstance(law_d, dict), f"{pointer}/law", "expected a law object")
+    motion_kind, law_kind = motion_d.get("family"), law_d.get("family")
+    jump = None
+    if motion_kind == PURE_JUMP:
+        jump = Kernel.from_dict(motion_d.get("kernel"), f"{pointer}/motion/kernel")
+    with config_pointer(f"{pointer}/motion/family"):
+        motion = Motion(motion_kind, jump)
+    probs = displacement = None
+    if law_kind == OFFSPRING_AT_PARENT:
+        probs = _offspring_probs(law_d.get("probs"), f"{pointer}/law/probs")
+    if law_kind == BINARY_ONE_DISPLACED:
+        displacement = Kernel.from_dict(law_d.get("kernel"), f"{pointer}/law/kernel")
+    with config_pointer(f"{pointer}/law/" + ("family" if probs is None else "probs")):
+        law = BranchingLaw(law_kind, probs, displacement)
     return BranchingModel(motion, law, label=str(d.get("label", "")))
 
 
-# re-export for convenience: model descriptions often start from kernels
-__all__ = [
-    "Motion",
-    "BranchingLaw",
-    "BranchingModel",
-    "Kernel",
-    "log_laplace",
-    "sample_offspring",
-    "sample_offspring_batch",
-    "sample_motion",
-    "sample_displacements",
-    "model_from_dict",
-    "InvalidKernelError",
-]
+def _offspring_probs(d, pointer: str) -> tuple[tuple[int, float], ...]:
+    """``(n, p_n)`` pairs, sorted, from ``{"n": p_n}``."""
+    expect(isinstance(d, dict), pointer, "expected an object of offspring-count probabilities")
+    probs = {}
+    for key, p in d.items():
+        at = f"{pointer}/" + key.replace("~", "~0").replace("/", "~1")
+        try:
+            n = int(key)
+        except ValueError:
+            raise ConfigError(at, "expected an integer offspring count") from None
+        probs[n] = read_number(p, at)
+    return tuple(sorted(probs.items()))

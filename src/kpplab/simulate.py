@@ -138,8 +138,6 @@ def advance(
     rng: np.random.Generator,
 ) -> Population:
     """Advance a population to ``t_target`` with exact event-driven sampling."""
-    if t_target < pop.time:
-        raise DomainError("t_target must not precede the population time")
     cap = cfg.max_particles if cfg is not None else DEFAULT_MAX_PARTICLES
     positions, _ = _evolve_segment(pop.positions, None, pop.time, t_target, model, rng, cap)
     return Population(positions, t_target, pop.pruned_mass_bound)
@@ -240,6 +238,9 @@ def run_ensemble(
         minima.extend(chunk_minima)
         traces.extend(chunk_traces)
         invalid.extend(chunk_invalid)
+    if invalid:
+        msg = "%d of %d replicas exceeded %d particles and are reported invalid"
+        logger.warning(msg, len(invalid), replicas, cfg.max_particles)
     return EnsembleResult(minima, traces, invalid, lambda_star, psi_star)
 
 
@@ -369,8 +370,7 @@ def _run_replica_chunk(args, lo: int, hi: int):
             rep_min, rep_trace = _generic_replica(
                 model, cfg, replica, checkpoints, record_set, lambda_star, psi_star, rng
             )
-        except CapacityError as exc:
-            logger.warning("replica %d invalid: %s", replica, exc)
+        except CapacityError:
             invalid.append(replica)
             continue
         minima.extend(rep_min)
@@ -428,7 +428,6 @@ def _lattice_alive(law, cps: np.ndarray, rng, max_particles: int) -> np.ndarray:
     cap = 1 if q <= 0.0 else min(4096, max(64, int(math.ceil(-350.0 / math.log(q)))))
     alive = np.zeros(cps.size, dtype=bool)
     births = np.zeros(1)
-    ns, ps = law.counts_and_probs()
     while births.size and not alive.all():
         waits = rng.standard_exponential(births.size)
         deaths = births + waits
@@ -446,7 +445,7 @@ def _lattice_alive(law, cps: np.ndarray, rng, max_particles: int) -> np.ndarray:
         spawners = deaths[deaths <= horizon]
         if spawners.size == 0:
             break
-        litters = rng.choice(ns, size=spawners.size, p=ps)
+        litters = rng.choice(law.counts, size=spawners.size, p=law.probs)
         births = np.repeat(spawners, litters)
         if births.size > max_particles:
             raise CapacityError(

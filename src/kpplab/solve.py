@@ -34,6 +34,10 @@ from .errors import (
     RangeOverflowError,
     StepSizeError,
     UnsupportedModelError,
+    config_pointer,
+    expect,
+    read_integer,
+    read_number,
 )
 from .kernels import INF, Kernel
 from .model import (
@@ -76,6 +80,15 @@ class Grid:
 
     def to_dict(self) -> dict:
         return {"x_min": self.x_min, "x_max": self.x_max, "n_points": self.n_points}
+
+    @staticmethod
+    def from_dict(d, pointer: str = "") -> "Grid":
+        """Build a grid from its description; raises ``ConfigError`` with pointers."""
+        expect(isinstance(d, dict), pointer, "expected a grid object")
+        x_min, x_max = (read_number(d.get(k), f"{pointer}/{k}") for k in ("x_min", "x_max"))
+        n_points = read_integer(d.get("n_points"), f"{pointer}/n_points")
+        with config_pointer(pointer):
+            return Grid(x_min, x_max, n_points)
 
 
 @dataclass(frozen=True)
@@ -255,8 +268,8 @@ class _Stepper:
         """
         if self.w_disp is not None:
             return _correlate(self.w_disp, u, self.left, self.right), u
-        ns, ps = self.model.law.counts_and_probs()
-        return sum(p * n * u ** (int(n) - 1) for n, p in zip(ns, ps) if n >= 1), None
+        law = self.model.law
+        return sum(p * n * u ** (int(n) - 1) for n, p in zip(law.counts, law.probs) if n >= 1), None
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         motion = _correlate(self.motion_stencil, u, self.left, self.right) - self.loss_rate * u

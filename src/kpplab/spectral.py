@@ -34,6 +34,8 @@ from .model import (
 
 #: relative tolerance of the derivative consistency check ``c* = psi'(l*)``
 DERIVATIVE_MATCH_RTOL = 1e-6
+#: the hypotheses an ``AssumptionReport`` gives a verdict on, in order
+VERDICTS = ("supercritical", "transform_finite", "speed_attained", "moment_bounds", "non_lattice")
 
 
 @dataclass(frozen=True)
@@ -85,28 +87,14 @@ class AssumptionReport:
     speed: SpeedProfile | None = None
 
     def all_passed(self) -> bool:
-        return all(
-            v.passed
-            for v in (
-                self.supercritical,
-                self.transform_finite,
-                self.speed_attained,
-                self.moment_bounds,
-                self.non_lattice,
-            )
-        )
+        return all(getattr(self, name).passed for name in VERDICTS)
 
     def to_dict(self) -> dict:
-        return {
-            "supercritical": self.supercritical.to_dict(),
-            "transform_finite": self.transform_finite.to_dict(),
-            "speed_attained": self.speed_attained.to_dict(),
-            "moment_bounds": self.moment_bounds.to_dict(),
-            "non_lattice": self.non_lattice.to_dict(),
-            "w_values": list(self.w_values) if self.w_values else None,
-            "speed": self.speed.to_dict() if self.speed else None,
-            "all_passed": self.all_passed(),
-        }
+        d = {name: getattr(self, name).to_dict() for name in VERDICTS}
+        d["w_values"] = list(self.w_values) if self.w_values else None
+        d["speed"] = self.speed.to_dict() if self.speed else None
+        d["all_passed"] = self.all_passed()
+        return d
 
 
 def abscissa(model: BranchingModel) -> float:

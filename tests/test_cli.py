@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 from kpplab import cli
 from kpplab.cli import main, parse_config, run
 from kpplab.errors import ConfigError, PlotFormatError
-from kpplab.kernels import KERNEL_FAMILIES
+from kpplab.kernels import KERNEL_FAMILIES, PARAM_KEYS
 from kpplab.model import LAW_FAMILIES, MOTION_FAMILIES
 from kpplab.plotting import plot
 
@@ -243,4 +244,76 @@ def test_schema_families_match_model_constants():
     model = schema["properties"]["model"]["properties"]
     assert model["motion"]["properties"]["family"]["enum"] == list(MOTION_FAMILIES)
     assert model["law"]["properties"]["family"]["enum"] == list(LAW_FAMILIES)
-    assert schema["$defs"]["kernel"]["properties"]["family"]["enum"] == list(KERNEL_FAMILIES)
+    kernel = schema["$defs"]["kernel"]
+    assert kernel["properties"]["family"]["enum"] == list(KERNEL_FAMILIES)
+    required = {b["properties"]["family"]["const"]: b["required"] for b in kernel["oneOf"]}
+    assert required == {**{f: [key] for f, key in PARAM_KEYS.items()}, "tabulated": ["x", "density"]}
+
+
+SIMULATE = {
+    "command": "simulate",
+    "model": BROWNIAN_OFFSPRING,
+    "seed": 1,
+    "params": {"t_max": 1.0, "replicas": 2},
+}
+SOLVE = {
+    "command": "solve",
+    "model": JUMP_GAUSSIAN,
+    "params": {"grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 64}, "t_max": 1.0},
+}
+COMPARE = {
+    "command": "compare",
+    "model": JUMP_GAUSSIAN,
+    "seed": 1,
+    "params": {"grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 64}, "t": 1.0, "replicas": 2},
+}
+SPEED_JUMP = {"command": "speed", "model": JUMP_GAUSSIAN}
+_ABSENT = object()
+
+
+def _with(base, pointer, value):
+    """A copy of ``base`` with the value at a JSON pointer set (or removed)."""
+    cfg = copy.deepcopy(base)
+    *path, last = pointer.strip("/").split("/")
+    node = cfg
+    for key in path:
+        node = node[key]
+    if value is _ABSENT:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+TABULATED_XS = {"family": "tabulated", "x": ["a", "b"], "density": [1.0, 1.0]}
+
+MALFORMED = [
+    ("probs-key", _with(SIMULATE, "/model/law/probs", {"two": 1.0}), "/model/law/probs/two"),
+    ("probs-string", _with(SIMULATE, "/model/law/probs/2", "x"), "/model/law/probs/2"),
+    ("probs-null", _with(SIMULATE, "/model/law/probs/2", None), "/model/law/probs/2"),
+    ("tabulated-x", _with(SPEED_JUMP, "/model/motion/kernel", TABULATED_XS), "/model/motion/kernel/x"),
+    ("sigma-bool", _with(SPEED_JUMP, "/model/motion/kernel/sigma", True), "/model/motion/kernel/sigma"),
+    ("sigma-negative", _with(SPEED_JUMP, "/model/motion/kernel/sigma", -1), "/model/motion/kernel/sigma"),
+    ("motion-family", _with(SPEED_JUMP, "/model/motion/family", "warp"), "/model/motion/family"),
+    ("seed-bool", _with(SIMULATE, "/seed", True), "/seed"),
+    ("replicas-fraction", _with(SIMULATE, "/params/replicas", 2.5), "/params/replicas"),
+    ("record-times", _with(SIMULATE, "/params/record_times", ["a"]), "/params/record_times"),
+    ("prune-window", _with(SIMULATE, "/params/prune_window", "x"), "/params/prune_window"),
+    ("solve-dt", _with(SOLVE, "/params/dt", "x"), "/params/dt"),
+    ("fit-window", _with(SOLVE, "/params/fit_window", [1, 2, 3]), "/params/fit_window"),
+    ("grid-x-min", _with(COMPARE, "/params/grid/x_min", _ABSENT), "/params/grid/x_min"),
+    ("n-points", _with(SOLVE, "/params/grid/n_points", 100), "/params/grid"),
+    ("run-dirs", {"command": "report", "run_dirs": [1]}, "/run_dirs/0"),
+]
+
+
+@pytest.mark.parametrize("config,pointer", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
+def test_malformed_config_rejected_at_pointer_before_writing(tmp_path, capsys, config, pointer):
+    with pytest.raises(ConfigError) as err:
+        parse_config(config)
+    assert err.value.pointer == pointer
+    code, out_dir = _run_cli(tmp_path, config)
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {pointer}: ")
+    assert not out_dir.exists()

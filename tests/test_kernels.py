@@ -131,7 +131,12 @@ def test_serialization_round_trip():
         Kernel.gaussian(1.2),
         Kernel.two_sided_exponential(0.4),
         Kernel.uniform(3.0),
+        Kernel.tabulated([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]),
     ):
         back = Kernel.from_dict(kernel.to_dict())
         assert back.family == kernel.family
         assert back.param == kernel.param
+        assert back.to_dict() == kernel.to_dict()
+        if kernel.family == "tabulated":
+            assert np.array_equal(back.x, kernel.x)
+            assert np.array_equal(back.values, kernel.values)

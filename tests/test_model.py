@@ -14,7 +14,7 @@ from kpplab import (
     sample_motion,
     sample_offspring,
 )
-from kpplab.errors import DomainError
+from kpplab.errors import ConfigError, DomainError
 
 from helpers import quad_laplace
 
@@ -186,14 +186,27 @@ def test_lattice_flag():
     assert not BranchingModel(Motion.brownian(), BranchingLaw.binary_at_parent()).is_lattice
 
 
-def test_model_json_round_trip(jump_gaussian_binary):
-    desc = jump_gaussian_binary.to_dict()
-    back = model_from_dict(desc)
-    assert back.motion.kind == "pure_jump"
-    assert back.law.kind == "binary_at_parent"
-    assert log_laplace(back, 0.5) == log_laplace(jump_gaussian_binary, 0.5)
+def test_model_json_round_trip():
+    motions = [Motion.constant(), Motion.pure_jump(Kernel.gaussian(1.0)), Motion.brownian()]
+    laws = [
+        BranchingLaw.binary_at_parent(),
+        BranchingLaw.offspring_at_parent({2: 0.6, 3: 0.3}),  # death deficit 0.1
+        BranchingLaw.binary_one_displaced(Kernel.two_sided_exponential(2.0)),
+    ]
+    for motion in motions:
+        for law in laws:
+            model = BranchingModel(motion, law)
+            desc = model.to_dict()
+            back = model_from_dict(desc)
+            assert back.to_dict() == desc
+            assert back.motion.kind == motion.kind and back.law.kind == law.kind
+            assert log_laplace(back, 0.5) == log_laplace(model, 0.5)
 
 
 def test_model_from_dict_rejects_unknown_families():
-    with pytest.raises(DomainError, match="motion family"):
+    with pytest.raises(ConfigError) as err:
         model_from_dict({"motion": {"family": "teleport"}, "law": {"family": "binary_at_parent"}})
+    assert err.value.pointer == "/motion/family"
+    with pytest.raises(ConfigError) as err:
+        model_from_dict({"motion": {"family": "constant"}, "law": {"family": "fission"}})
+    assert err.value.pointer == "/law/family"

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -132,6 +133,16 @@ class TestRunEnsemble:
             np.array_equal(x.w, y.w) and np.array_equal(x.d, y.d)
             for x, y in zip(a.traces, b.traces)
         )
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_capacity_warning_once_per_ensemble(self, jump_gaussian_binary, caplog, n_workers):
+        cfg = RunConfig(t_max=6.0, record_times=(6.0,), max_particles=50, seed=3)
+        with caplog.at_level(logging.WARNING, logger="kpplab.simulate"):
+            res = run_ensemble(jump_gaussian_binary, cfg, 8, n_workers=n_workers)
+        assert len(res.invalid_replicas) > 1
+        records = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(records) == 1
+        assert records[0].getMessage().startswith(f"{len(res.invalid_replicas)} of 8 replicas")
 
     def test_worker_count_invariance(self, jump_gaussian_binary):
         cfg = RunConfig(t_max=1.5, record_times=(1.5,), seed=5)
