@@ -121,7 +121,7 @@ def phi_from_martingale(
     """
     if d.samples.size == 0:
         raise DomainError("need at least one martingale sample")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     x = np.asarray(x_grid, dtype=float)
     n = d.samples.size
     with np.errstate(over="ignore"):
@@ -160,11 +160,16 @@ def recentered_cdf(
         raise DomainError(f"no samples at t = {t}")
     m = np.asarray(sel, dtype=float)
     recentered = m + c_star * t - 1.5 / lambda_star * math.log(t)
-    sorted_neg = np.sort(-recentered)
     x = np.asarray(x_grid, dtype=float)
-    frac = np.searchsorted(sorted_neg, x, side="right") / m.size
-    stderr = np.sqrt(frac * (1.0 - frac) / m.size)
+    frac, stderr = _survival_fraction(recentered, x)
     return ProfileEstimate(x, frac, stderr, "empirical-cdf")
+
+
+def _survival_fraction(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fraction of ``values`` at or above ``-x`` at each ``x``, with its binomial
+    standard error; an ``inf`` value counts at every ``x``."""
+    frac = np.searchsorted(np.sort(-values), x, side="right") / values.size
+    return frac, np.sqrt(frac * (1.0 - frac) / values.size)
 
 
 def align_shift(p: ProfileEstimate, q: ProfileEstimate) -> tuple[float, float]:
@@ -222,9 +227,7 @@ def u_vs_mc(
     """
     field = evolve(model, Field.heaviside(grid), t, dt)
     minima = empirical_minima(model, t, replicas, rng)
-    sorted_neg = np.sort(-minima)
-    frac = np.searchsorted(sorted_neg, grid.xs, side="right") / replicas
-    stderr = np.sqrt(frac * (1.0 - frac) / replicas)
+    frac, stderr = _survival_fraction(minima, grid.xs)
     sup = float(np.max(np.abs(field.values - frac)))
     return ComparisonResult(sup, grid.xs, field.values, frac, stderr)
 
@@ -249,7 +252,7 @@ def sampling_consistency(
     psi = log_laplace(model, lam)
     if psi == INF:
         raise DomainError("transform divergent at this argument")
-    base = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    base = np.random.default_rng(rng)
     streams = base.spawn(len(k_list))
     rows = []
     for k, stream in zip(k_list, streams):

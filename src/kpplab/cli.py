@@ -50,16 +50,22 @@ def _window(v, pointer: str) -> tuple[float, float]:
     return tuple(lo_hi)
 
 
+def _replicas(v, pointer: str) -> int:
+    n = read_integer(v, pointer)
+    expect(n >= 1, pointer, "expected at least one replica")
+    return n
+
+
 REQUIRED = object()
 #: each command's params as ``key: (reader, default)``.  A ``REQUIRED`` param
 #: must be given; a ``None`` default leaves an absent (or ``null``) key out, so
 #: the library's own default, or ``record_times = [t_max]``, applies.
 PARAMS = {
-    "speed": {"tol": (read_number, None)},
+    "speed": {},
     "assumptions": {},
     "simulate": {
         "t_max": (read_number, REQUIRED),
-        "replicas": (read_integer, REQUIRED),
+        "replicas": (_replicas, REQUIRED),
         "record_times": (read_numbers, None),
         "prune_window": (read_number, None),
         "max_particles": (read_integer, None),
@@ -74,7 +80,7 @@ PARAMS = {
     "compare": {
         "grid": (Grid.from_dict, REQUIRED),
         "t": (read_number, REQUIRED),
-        "replicas": (read_integer, REQUIRED),
+        "replicas": (_replicas, REQUIRED),
         "threshold": (read_number, 0.05),
         "dt": (read_number, None),
     },
@@ -180,13 +186,18 @@ def _fmt(v) -> str:
 
 
 class _Artifacts:
-    """Collects written files and their checksums for the manifest."""
+    """Collects written files and their checksums for the manifest.
+
+    The output directory is made by the first write, so a run that fails
+    before writing anything leaves no directory behind.
+    """
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         self.files: list[Path] = []
 
     def text(self, name: str, text: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
         path.write_text(text)
         self.files.append(path)
@@ -217,7 +228,7 @@ class _Artifacts:
 
 
 def _cmd_speed(cfg: ExperimentConfig, art: _Artifacts) -> tuple[bool, dict]:
-    profile = minimal_speed(cfg.model, **_given(cfg.params, "tol"))
+    profile = minimal_speed(cfg.model)
     art.json("speed.json", profile.to_dict())
     return True, {"c_star": profile.c_star, "lambda_star": profile.lambda_star}
 
@@ -328,7 +339,6 @@ def run(raw_config: dict, output_dir, seed: int | None = None, threads: int = 1)
     wall_start = time.monotonic()
     cfg = parse_config(raw_config, seed_override=seed)
     out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     art = _Artifacts(out_dir)
     if cfg.command == "speed":
         passed, summary = _cmd_speed(cfg, art)

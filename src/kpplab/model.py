@@ -138,21 +138,15 @@ class BranchingLaw:
     # -- moments -------------------------------------------------------------
 
     def mean(self) -> float:
-        if self.kind == OFFSPRING_AT_PARENT:
-            return float(sum(n * p for n, p in self.offspring_probs))
-        return 2.0
+        return float(self.counts @ self.probs)
 
     def factorial_moment(self) -> float:
         """``E N (N - 1)`` of the offspring count."""
-        if self.kind == OFFSPRING_AT_PARENT:
-            return float(sum(n * (n - 1) * p for n, p in self.offspring_probs))
-        return 2.0
+        return float((self.counts * (self.counts - 1)) @ self.probs)
 
     def gain(self, lam: float) -> float:
         """Expected exponential sum over one litter, relative to the parent."""
-        if self.kind == BINARY_AT_PARENT:
-            return 2.0
-        if self.kind == OFFSPRING_AT_PARENT:
+        if self.kind != BINARY_ONE_DISPLACED:
             return self.mean()
         lb = self.displacement.laplace(lam)
         return INF if lb == INF else 1.0 + lb

@@ -26,6 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from .errors import CapacityError, DomainError, KppLabError
 from .model import BranchingModel, sample_displacements, sample_offspring_batch
@@ -82,6 +83,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.t_max < 0:
+            raise DomainError("t_max must be nonnegative")
         object.__setattr__(self, "record_times", tuple(float(t) for t in self.record_times))
         if any(t < 0 or t > self.t_max for t in self.record_times):
             raise DomainError("record times must lie in [0, t_max]")
@@ -199,7 +202,9 @@ def run_ensemble(
     per ``RunConfig``) runs after every checkpoint, and its bound is reported
     as each trace's ``pruned_mass_bound``.  Replicas whose population exceeds
     ``cfg.max_particles`` are reported in ``invalid_replicas`` instead of
-    aborting the ensemble.
+    aborting the ensemble.  An immobile at-parent (lattice) replica is only
+    alive at the origin or extinct, so it is not simulated: one uniform draw
+    against the extinction curve gives all of its records.
     """
     lambda_star = psi_star = None
     try:
@@ -221,8 +226,8 @@ def run_ensemble(
     if replicas <= 0:
         return EnsembleResult(minima, traces, invalid, lambda_star, psi_star)
 
-    use_fast = model.is_lattice and model.law.mean() > 1.0 and lambda_star is None
-    args = (model, cfg, lambda_star, psi_star, use_fast)
+    extinct_by = _extinction_curve(model.law, cfg.record_times) if model.is_lattice else None
+    args = (model, cfg, lambda_star, psi_star, extinct_by)
     if n_workers <= 1:
         chunks = [_run_replica_chunk(args, 0, replicas)]
     else:
@@ -350,7 +355,7 @@ def _evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles):
 
 
 def _run_replica_chunk(args, lo: int, hi: int):
-    model, cfg, lambda_star, psi_star, use_fast = args
+    model, cfg, lambda_star, psi_star, extinct_by = args
     minima: list[MinimumSample] = []
     traces: list[MartingaleTrace] = []
     invalid: list[int] = []
@@ -363,8 +368,12 @@ def _run_replica_chunk(args, lo: int, hi: int):
     checkpoints = sorted(set(cfg.record_times) | set(integer_times) | {float(cfg.t_max)})
     for replica in range(lo, hi):
         rng = _replica_rng(cfg.seed, replica)
-        if use_fast:
-            minima.extend(_lattice_replica(model, cfg, replica, checkpoints, record_set, rng))
+        if extinct_by is not None:
+            u = rng.random()
+            minima.extend(
+                MinimumSample(t, math.inf if u < q else 0.0, replica, cfg.seed)
+                for t, q in extinct_by.items()
+            )
             continue
         try:
             rep_min, rep_trace = _generic_replica(
@@ -407,48 +416,27 @@ def _generic_replica(model, cfg, replica, checkpoints, record_set, lambda_star, 
     )
 
 
-def _lattice_replica(model, cfg, replica, checkpoints, record_set, rng):
-    """Alive-or-extinct bookkeeping for immobile at-parent models.
+def _extinction_curve(law, times) -> dict[float, float]:
+    """``q(t)``, the probability that an immobile at-parent replica is extinct
+    by time ``t``, at each of ``times`` in increasing order.
 
-    Positions never leave the starting point, so a record reduces to whether
-    the replica is alive; the full tree is only explored until enough
-    independent supercritical subtrees witness each checkpoint.
+    ``q`` solves the backward equation ``q' = E q^N - q`` from ``q(0) = 0``
+    (Athreya & Ney 1972, ch. III).  Extinction is absorbing and ``q``
+    increases with ``t``, so one uniform ``u`` per replica, extinct at ``t``
+    exactly when ``u < q(t)``, gives every record its exact joint law.
     """
-    times = [t for t in checkpoints if t in record_set]
-    alive = _lattice_alive(model.law, np.array(times), rng, cfg.max_particles)
-    return [
-        MinimumSample(t, 0.0 if ok else math.inf, replica, cfg.seed)
-        for t, ok in zip(times, alive)
-    ]
-
-
-def _lattice_alive(law, cps: np.ndarray, rng, max_particles: int) -> np.ndarray:
-    q = law.extinction_probability()
-    # q**cap below ~1e-150 cannot influence any recorded statistic
-    cap = 1 if q <= 0.0 else min(4096, max(64, int(math.ceil(-350.0 / math.log(q)))))
-    alive = np.zeros(cps.size, dtype=bool)
-    births = np.zeros(1)
-    while births.size and not alive.all():
-        waits = rng.standard_exponential(births.size)
-        deaths = births + waits
-        covered = (births[None, :] <= cps[:, None]) & (deaths[None, :] > cps[:, None])
-        alive |= covered.any(axis=1)
-        while True:
-            open_idx = np.flatnonzero(~alive)
-            if open_idx.size == 0:
-                return alive
-            if np.count_nonzero(births <= cps[open_idx[0]]) >= cap:
-                alive[open_idx[0]] = True
-            else:
-                break
-        horizon = cps[open_idx[-1]]
-        spawners = deaths[deaths <= horizon]
-        if spawners.size == 0:
-            break
-        litters = rng.choice(law.counts, size=spawners.size, p=law.probs)
-        births = np.repeat(spawners, litters)
-        if births.size > max_particles:
-            raise CapacityError(
-                f"lattice frontier exceeded {max_particles}", count=int(births.size)
-            )
-    return alive
+    ts = sorted(set(times))
+    if not ts or ts[-1] == 0.0:
+        return dict.fromkeys(ts, 0.0)
+    sol = solve_ivp(
+        lambda t, q: law.generating_function(q) - q,
+        (0.0, ts[-1]),
+        [0.0],
+        method="DOP853",
+        t_eval=ts,
+        rtol=1e-12,
+        atol=1e-15,
+    )
+    if not sol.success:
+        raise DomainError(f"extinction-probability integration failed: {sol.message}")
+    return dict(zip(ts, sol.y[0].tolist()))

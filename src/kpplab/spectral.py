@@ -6,9 +6,10 @@ functional ``psi(lam)/lam`` with minimal speed ``c_star``, the second-moment
 values used to certify the limit-law hypotheses, and the per-sampling scaling
 ``psi / 2**k`` of the transform under dyadic time sampling.
 
-``psi(lam)/lam`` is strictly convex for the supported model catalogue, which
-justifies unimodal golden-section search; convexity is additionally verified
-numerically by the test suite on a grid.
+``psi`` is convex, so ``s(lam) = lam psi'(lam) - psi(lam)`` (the numerator of
+the derivative of ``psi(lam)/lam``) is increasing and ``lambda_star`` is its one
+root: one bracketed root solve finds it.  The test suite also checks the
+convexity of ``psi(lam)/lam`` numerically on a grid.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .errors import (
     BoundaryInfimumError,
@@ -34,6 +36,8 @@ from .model import (
 
 #: relative tolerance of the derivative consistency check ``c* = psi'(l*)``
 DERIVATIVE_MATCH_RTOL = 1e-6
+#: least relative gap the speed search keeps below a finite edge ``lambda0``
+EDGE_GAP = 1e-4
 #: the hypotheses an ``AssumptionReport`` gives a verdict on, in order
 VERDICTS = ("supercritical", "transform_finite", "speed_attained", "moment_bounds", "non_lattice")
 
@@ -111,12 +115,11 @@ def abscissa(model: BranchingModel) -> float:
     return lam0
 
 
-def minimal_speed(model: BranchingModel, tol: float = 1e-9) -> SpeedProfile:
+def minimal_speed(model: BranchingModel) -> SpeedProfile:
     """Minimize the speed functional ``psi(lam)/lam`` over ``(0, lambda0)``.
 
-    Golden-section search locates the minimizer, then bisection on the
-    stationarity function ``lam psi'(lam) - psi(lam)`` (strictly increasing
-    under convexity) polishes it well past ``tol`` relative accuracy.
+    The minimizer is the root of the increasing stationarity function
+    ``lam psi'(lam) - psi(lam)``, solved to machine precision.
 
     Raises ``NoMinimizerError`` when the infimum is only approached as
     ``lam -> inf`` and ``BoundaryInfimumError`` when it is only approached at
@@ -126,7 +129,7 @@ def minimal_speed(model: BranchingModel, tol: float = 1e-9) -> SpeedProfile:
     if not 0.0 < psi0 < INF:
         raise DomainError(f"transform at zero is {psi0!r}, expected in (0, inf)")
     lam0 = abscissa(model)
-    lam_star = _minimize_speed(lambda l: log_laplace(model, l), lam0, tol)
+    lam_star = _minimize_speed(lambda l: log_laplace(model, l), lam0)
     c_star = log_laplace(model, lam_star) / lam_star
     dpsi = _psi_prime(lambda l: log_laplace(model, l), lam_star)
     if lam0 == INF:
@@ -264,93 +267,33 @@ def _psi_prime(psi, lam: float) -> float:
     return (psi(lam + h) - psi(lam - h)) / (2.0 * h)
 
 
-def _minimize_speed(psi, lam0: float, tol: float) -> float:
-    guess = lam0 if lam0 < INF else 1.0
-    eps = 1e-4 * max(1.0, guess)
+def _minimize_speed(psi, lam0: float) -> float:
+    """Root of ``s(l) = l psi'(l) - psi(l)``, increasing when ``psi`` is convex.
 
-    def g(l):
-        v = psi(l)
-        return INF if v == INF else v / l
-
-    if lam0 < INF:
-        lo, hi = eps, lam0 - eps
-        if hi <= lo:
-            raise DomainError("finiteness interval too narrow to search")
-        grid = np.linspace(lo, hi, 256)
-        vals = np.array([g(l) for l in grid])
-        i = int(np.argmin(vals))
-        if i == len(grid) - 1:
-            raise BoundaryInfimumError(
-                "speed functional decreases into the finiteness edge"
-            )
-        a = grid[max(i - 1, 0)]
-        c = grid[min(i + 1, len(grid) - 1)]
-    else:
-        lo = eps
-        a, b = lo, 1.0
-        gb = g(b)
-        c = 2.0
-        gc = g(c)
-        expansions = 0
-        while gc < gb:
-            a, b, gb = b, c, gc
-            c *= 2.0
-            gc = g(c)
-            expansions += 1
-            if c > 1e7:
-                raise NoMinimizerError(
-                    "speed functional keeps decreasing; no interior minimizer"
-                )
-        if expansions == 0 and g(lo) < gb:
-            # minimum may hide between lo and 1
-            grid = np.geomspace(lo, c, 128)
-            vals = np.array([g(l) for l in grid])
-            i = int(np.argmin(vals))
-            if i == 0:
-                raise NoMinimizerError("speed functional minimized at the origin edge")
-            a, c = grid[i - 1], grid[min(i + 1, len(grid) - 1)]
-
-    lam = _golden_section(g, a, c, tol)
-    return _polish_stationary(psi, lam, a, c)
-
-
-def _golden_section(g, a: float, c: float, tol: float) -> float:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    b1 = c - phi * (c - a)
-    b2 = a + phi * (c - a)
-    f1, f2 = g(b1), g(b2)
-    target = max(tol, 1e-12) * max(1.0, abs(c))
-    while c - a > target:
-        if f1 <= f2:
-            c, b2, f2 = b2, b1, f1
-            b1 = c - phi * (c - a)
-            f1 = g(b1)
-        else:
-            a, b1, f1 = b1, b2, f2
-            b2 = a + phi * (c - a)
-            f2 = g(b2)
-    return 0.5 * (a + c)
-
-
-def _polish_stationary(psi, lam: float, lo: float, hi: float) -> float:
-    """Bisection on ``s(l) = l psi'(l) - psi(l)``, increasing under convexity."""
+    The bracket is ``[margin, lambda0 - max(EDGE_GAP lambda0, margin)]`` when
+    the edge is finite; otherwise its upper end doubles from 1 until ``s``
+    turns positive.
+    """
 
     def s(l):
         return l * _psi_prime(psi, l) - psi(l)
 
-    width = 1e-4 * max(1.0, lam)
-    a = max(lo, lam - width)
-    b = min(hi, lam + width)
-    sa, sb = s(a), s(b)
-    if not (sa < 0.0 < sb):
-        return lam
-    for _ in range(100):
-        m = 0.5 * (a + b)
-        sm = s(m)
-        if sm < 0.0:
-            a = m
-        else:
-            b = m
-        if b - a < 1e-13 * max(1.0, m):
-            break
-    return 0.5 * (a + b)
+    # twice the step of _psi_prime below 1, so every stencil stays in (0, lambda0)
+    margin = 2e-6
+    if lam0 < INF:
+        hi = lam0 - max(EDGE_GAP * lam0, margin)
+        if hi <= margin:
+            raise DomainError("finiteness interval too narrow to search")
+        if s(hi) <= 0.0:
+            raise BoundaryInfimumError("speed functional decreases into the finiteness edge")
+    else:
+        hi = 1.0
+        while s(hi) <= 0.0:
+            hi *= 2.0
+            if hi > 1e7:
+                raise NoMinimizerError(
+                    "speed functional keeps decreasing; no interior minimizer"
+                )
+    if s(margin) >= 0.0:
+        raise NoMinimizerError("speed functional minimized at the origin edge")
+    return float(brentq(s, margin, hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps))

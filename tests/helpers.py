@@ -52,6 +52,18 @@ def logistic_decay(f0, t):
     return f0 * e / (1.0 - f0 + f0 * e)
 
 
+def binary_death_extinction(p0, t):
+    """``P[extinct by t]`` for an immobile particle with litters {0: p0, 2: 1 - p0}.
+
+    The backward equation ``q' = p0 + (1 - p0) q^2 - q`` is a Riccati
+    equation with fixed points ``r = p0 / (1 - p0)`` and 1; from ``q(0) = 0``
+    its solution is ``r (1 - e^{-kt}) / (1 - r e^{-kt})`` with ``k = 1 - 2 p0``.
+    """
+    r = p0 / (1.0 - p0)
+    e = math.exp(-(1.0 - 2.0 * p0) * t)
+    return r * (1.0 - e) / (1.0 - r * e)
+
+
 def extinction_fixed_point(probs, iters=10_000):
     """Smallest fixed point of the offspring generating function."""
     q = 0.0

@@ -297,6 +297,9 @@ MALFORMED = [
     ("motion-family", _with(SPEED_JUMP, "/model/motion/family", "warp"), "/model/motion/family"),
     ("seed-bool", _with(SIMULATE, "/seed", True), "/seed"),
     ("replicas-fraction", _with(SIMULATE, "/params/replicas", 2.5), "/params/replicas"),
+    ("replicas-negative", _with(SIMULATE, "/params/replicas", -5), "/params/replicas"),
+    ("compare-replicas-zero", _with(COMPARE, "/params/replicas", 0), "/params/replicas"),
+    ("t-max-negative", _with(_with(SIMULATE, "/params/t_max", -1.0), "/params/record_times", []), "/params"),
     ("record-times", _with(SIMULATE, "/params/record_times", ["a"]), "/params/record_times"),
     ("prune-window", _with(SIMULATE, "/params/prune_window", "x"), "/params/prune_window"),
     ("solve-dt", _with(SOLVE, "/params/dt", "x"), "/params/dt"),
@@ -316,4 +319,15 @@ def test_malformed_config_rejected_at_pointer_before_writing(tmp_path, capsys, c
     assert code == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {pointer}: ")
+    assert not out_dir.exists()
+
+
+def test_late_failure_leaves_no_directory(tmp_path, capsys):
+    # the stability bound needs the model and the grid, so dt is checked
+    # only when stepping starts, after the config has been read
+    config = _with(_with(SOLVE, "/model", BROWNIAN_OFFSPRING), "/params/dt", 1.0)
+    code, out_dir = _run_cli(tmp_path, config)
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not out_dir.exists()

@@ -19,8 +19,9 @@ from kpplab import (
     simulate,
 )
 from kpplab.errors import CapacityError, DomainError, NoMinimizerError
+from kpplab.simulate import _extinction_curve
 
-from helpers import binomial_se
+from helpers import binary_death_extinction, binomial_se
 
 
 def _rng(seed=0):
@@ -235,6 +236,31 @@ class TestRunEnsemble:
             q = 0.2 + 0.8 * q * q
         assert q == pytest.approx(0.25, abs=1e-12)
         assert extinct == pytest.approx(q, abs=4 * binomial_se(q, 4000))
+
+    def test_lattice_extinction_matches_riccati(self, immobile_offspring):
+        curve = _extinction_curve(immobile_offspring.law, (25.0, 1.0))
+        assert list(curve) == [1.0, 25.0]
+        assert binary_death_extinction(0.2, 1.0) == pytest.approx(0.1307, abs=5e-5)
+        for t, q in curve.items():
+            assert q == pytest.approx(binary_death_extinction(0.2, t), rel=1e-10)
+        cfg = RunConfig(t_max=25.0, record_times=(1.0, 25.0), seed=32)
+        res = run_ensemble(immobile_offspring, cfg, 4000)
+        extinct = {t: {s.replica for s in res.minima if s.t == t and math.isinf(s.m)} for t in curve}
+        assert extinct[1.0] <= extinct[25.0]  # extinction is absorbing
+        for t, q in curve.items():
+            assert len(extinct[t]) / 4000 == pytest.approx(q, abs=4 * binomial_se(q, 4000))
+
+    def test_lattice_replicas_never_exceed_capacity(self, immobile_offspring):
+        cfg = RunConfig(t_max=30.0, record_times=(30.0,), max_particles=10, seed=0)
+        res = run_ensemble(immobile_offspring, cfg, 4)
+        assert len(res.minima) == 4
+        assert res.invalid_replicas == []
+
+    def test_lattice_worker_invariance(self, immobile_offspring):
+        cfg = RunConfig(t_max=10.0, record_times=(2.0, 10.0), seed=5)
+        a = run_ensemble(immobile_offspring, cfg, 60, n_workers=1)
+        b = run_ensemble(immobile_offspring, cfg, 60, n_workers=2)
+        assert [(s.replica, s.t, s.m) for s in a.minima] == [(s.replica, s.t, s.m) for s in b.minima]
 
     def test_survivors_sit_at_origin(self, immobile_offspring):
         cfg = RunConfig(t_max=5.0, record_times=(2.5, 5.0), seed=8)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpplab import (
     INF,
@@ -91,10 +93,29 @@ class TestMinimalSpeed:
         with pytest.raises(NoMinimizerError):
             minimal_speed(immobile_offspring)
 
+    @settings(max_examples=40, deadline=None)
+    @given(sigma=st.floats(0.2, 5.0), m=st.floats(1.01, 4.0))
+    def test_closed_forms(self, sigma, m):
+        # gaussian jumps x binary: psi = exp(sigma^2 l^2 / 2), so l* = 1/sigma
+        # and c* = sigma sqrt(e).  Brownian x mean m: psi = l^2/2 + m - 1, so
+        # l* = c* = sqrt(2 (m - 1)).  Means nearer 1 put l* where the
+        # finite-difference psi' resolves it only to ~1e-8.
+        gauss = minimal_speed(
+            BranchingModel(Motion.pure_jump(Kernel.gaussian(sigma)), BranchingLaw.binary_at_parent())
+        )
+        assert gauss.lambda_star == pytest.approx(1.0 / sigma, rel=1e-9)
+        assert gauss.c_star == pytest.approx(sigma * math.sqrt(math.e), rel=1e-10)
+        a = (m - 1.0) / 4.0
+        law = BranchingLaw.offspring_at_parent({1: 1.0 - a, 5: a})
+        bbm = minimal_speed(BranchingModel(Motion.brownian(), law))
+        root = math.sqrt(2.0 * (law.mean() - 1.0))
+        assert bbm.lambda_star == pytest.approx(root, rel=1e-9)
+        assert bbm.c_star == pytest.approx(root, rel=1e-10)
+
     def test_boundary_infimum_detected(self):
         # synthetic transform finite on (0, 2) whose speed ratio keeps falling
         with pytest.raises(BoundaryInfimumError):
-            _minimize_speed(lambda l: 0.1 + 0.05 * l if l < 2.0 else INF, 2.0, 1e-9)
+            _minimize_speed(lambda l: 0.1 + 0.05 * l if l < 2.0 else INF, 2.0)
 
 
 class TestSecondMoment:
