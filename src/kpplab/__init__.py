@@ -16,8 +16,6 @@ from .model import (
     Motion,
     log_laplace,
     model_from_dict,
-    sample_motion,
-    sample_offspring,
 )
 from .spectral import (
     AssumptionReport,

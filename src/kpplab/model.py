@@ -144,12 +144,15 @@ class BranchingLaw:
         """``E N (N - 1)`` of the offspring count."""
         return float((self.counts * (self.counts - 1)) @ self.probs)
 
-    def gain(self, lam: float) -> float:
-        """Expected exponential sum over one litter, relative to the parent."""
+    def net_gain(self, lam: float) -> float:
+        """``E sum exp(-lam d) - 1`` over one litter, ``d`` each child's
+        displacement from the parent.  An at-parent law forms it as
+        ``(counts - 1) @ probs``, so a near-critical law keeps its small net
+        gain to relative precision; the displaced law's is its kernel's
+        transform."""
         if self.kind != BINARY_ONE_DISPLACED:
-            return self.mean()
-        lb = self.displacement.laplace(lam)
-        return INF if lb == INF else 1.0 + lb
+            return float((self.counts - 1) @ self.probs)
+        return self.displacement.laplace(lam)
 
     def generating_function(self, u: np.ndarray) -> np.ndarray:
         """``E u^N``: the reaction term of an at-parent law, and of any law
@@ -229,16 +232,10 @@ def log_laplace(model: BranchingModel, lam: float) -> float:
     sampling step.  Returns the ``inf`` sentinel past the finiteness edge.
     """
     eta = model.motion.exponent(lam)
-    gain = model.law.gain(lam)
+    gain = model.law.net_gain(lam)
     if eta == INF or gain == INF:
         return INF
-    return eta + gain - 1.0
-
-
-def sample_offspring(law: BranchingLaw, parent: float, rng: np.random.Generator) -> np.ndarray:
-    """Positions of the children replacing a parent that branches at ``parent``."""
-    children, _ = sample_offspring_batch(law, np.array([parent], dtype=float), rng)
-    return children
+    return eta + gain
 
 
 def sample_offspring_batch(
@@ -263,11 +260,6 @@ def sample_offspring_batch(
     return np.repeat(parents, counts), counts
 
 
-def sample_motion(motion: Motion, duration: float, rng: np.random.Generator) -> float:
-    """Displacement of the free motion over ``duration``."""
-    return float(sample_displacements(motion, np.array([duration], dtype=float), rng)[0])
-
-
 def sample_displacements(
     motion: Motion, durations: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -275,18 +267,74 @@ def sample_displacements(
     durations = np.asarray(durations, dtype=float)
     if np.any(durations < 0):
         raise DomainError("durations must be nonnegative")
+    return _displacements(motion, durations, rng)
+
+
+#: Poisson means from here on go to ``rng.poisson``; smaller ones are inverted
+POISSON_INVERSION_LIMIT = 10.0
+
+
+def _displacements(motion: Motion, durations: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``sample_displacements`` on nonnegative float durations, unchecked.
+
+    Constant motion draws nothing; Brownian motion is one standard normal per
+    duration; a pure jump motion draws its Poisson jump counts, then all
+    jumps in one ``Kernel.sample`` call, and sums each duration's jumps.
+    """
     if motion.kind == CONSTANT:
         return np.zeros_like(durations)
     if motion.kind == BROWNIAN:
-        return rng.normal(0.0, 1.0, durations.shape) * np.sqrt(durations)
-    counts = rng.poisson(durations)
-    total = int(counts.sum())
-    if total == 0:
+        steps = rng.standard_normal(durations.shape)
+        steps *= np.sqrt(durations)
+        return steps
+    owners = _poisson_owners(durations, rng)
+    if owners.size == 0:
         return np.zeros_like(durations)
-    jumps = motion.kernel.sample(rng, total)
-    csum = np.concatenate([[0.0], np.cumsum(jumps)])
-    ends = np.cumsum(counts)
-    return csum[ends] - csum[ends - counts]
+    jumps = motion.kernel.sample(rng, owners.size)
+    return np.bincount(owners, weights=jumps, minlength=durations.size)
+
+
+def _poisson_owners(means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Independent Poisson counts ``N_i`` with the given means, exact in law,
+    as an owner list: each index ``i`` appears ``N_i`` times, in no set order.
+
+    Means below ``POISSON_INVERSION_LIMIT`` invert one uniform ``u`` each by
+    sequential search (Devroye, Non-Uniform Random Variate Generation, 1986):
+    ``N`` is the first ``k`` at which ``u - P(N <= k)`` turns negative.  Each
+    pass moves every unresolved entry on by one ``k``, lists it once more and
+    drops the resolved ones.  Larger means go to ``rng.poisson``, which
+    switches its own algorithm at 10 too: the search takes about ``mean``
+    passes, and past about 745 ``exp(-mean)`` underflows to 0.
+    """
+    owners = []
+    small = means < POISSON_INVERSION_LIMIT
+    if small.all():
+        at, lam = None, means
+    else:
+        large = np.flatnonzero(~small)
+        owners.append(np.repeat(large, rng.poisson(means[large])))
+        at = np.flatnonzero(small)
+        lam = means[at]
+    residual = rng.random(lam.size)
+    pmf = np.negative(lam)
+    np.exp(pmf, out=pmf)
+    residual -= pmf
+    more = residual >= 0.0
+    k = 0
+    while True:
+        sel = np.flatnonzero(more)
+        if sel.size == 0:
+            return np.concatenate(owners) if owners else sel
+        at = sel if at is None else at.take(sel)
+        owners.append(at)
+        k += 1
+        lam, pmf, residual = lam.take(sel), pmf.take(sel), residual.take(sel)
+        pmf *= lam
+        pmf /= k
+        residual -= pmf
+        # rounding can leave u above every partial sum of the pmf; such an
+        # entry stops where its pmf underflows to 0
+        more = (residual >= 0.0) & (pmf > 0.0)
 
 
 def model_from_dict(d, pointer: str = "") -> BranchingModel:

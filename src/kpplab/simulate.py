@@ -4,11 +4,13 @@ Each particle carries an exponential rate-one branching clock and moves
 according to the model's motion law between events; at a branching event the
 particle is replaced by a litter drawn from the branching law.  Exponential
 clocks are memoryless, so lifelines are advanced in vectorized "rounds":
-every pending lifeline draws its next branching wait, finishers receive one
-exact motion increment to the horizon, branchers receive one to their event.
-No time discretization error enters anywhere; Brownian increments and
-compound-Poisson jumps are sampled exactly over each segment by
-``model.sample_displacements``.
+every pending lifeline draws its next branching wait, then one exact motion
+increment over its own duration, to the horizon for a finisher and to its
+event for a brancher, all in one sampler call.  No time discretization error
+enters anywhere: Brownian increments are one scaled normal each, and a
+compound-Poisson displacement draws its jump count by exact inversion of
+one uniform (``rng.poisson`` for means of 10 and more) and sums its jumps by
+``bincount``.
 
 An ensemble replica is a ``Population`` run through the public
 single-population operations: at each checkpoint ``advance`` moves it on,
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import CapacityError, DomainError, KppLabError
-from .model import BranchingModel, sample_displacements, sample_offspring_batch
+from .model import BranchingModel, _displacements, sample_offspring_batch
 from .spectral import minimal_speed
 
 logger = logging.getLogger(__name__)
@@ -149,20 +151,21 @@ def advance(
 def prune(pop: Population, lambda_star: float, window: float) -> Population:
     """Drop particles further than ``window`` above the current minimum.
 
-    The accumulated ``pruned_mass_bound`` grows by ``count * exp(-lambda_star
-    * window)`` per removed particle, the usual change-of-measure bound on a
-    removed particle's descendants reaching the left tail.
+    The accumulated ``pruned_mass_bound`` grows by ``exp(-lambda_star * (x -
+    min))`` per removed particle at ``x``, the usual change-of-measure bound
+    on its descendants reaching the left tail; each term is below
+    ``exp(-lambda_star * window)``.
     """
     if window <= 0:
         raise DomainError("prune window must be positive")
     if pop.extinct:
         return pop
-    cutoff = pop.positions.min() + window
-    keep = pop.positions <= cutoff
-    removed = int(pop.positions.size - np.count_nonzero(keep))
-    if removed == 0:
+    low = pop.positions.min()
+    keep = pop.positions <= low + window
+    if keep.all():
         return pop
-    bound = pop.pruned_mass_bound + removed * math.exp(-lambda_star * window)
+    removed = pop.positions[~keep]
+    bound = pop.pruned_mass_bound + float(np.exp(-lambda_star * (removed - low)).sum())
     return Population(pop.positions[keep], pop.time, bound)
 
 
@@ -328,21 +331,26 @@ def _evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles):
     while pos.size:
         waits = rng.standard_exponential(pos.size)
         t_branch = t + waits
+        # decided on the sum, so no child starts at or past t_end
         crosses = t_branch >= t_end
-        finished = pos[crosses] + sample_displacements(motion, t_end - t[crosses], rng)
-        done_pos.append(finished)
+        # each lifeline moves for its wait, or to t_end if it crosses
+        durations = np.subtract(t_end, t, out=waits, where=crosses)
+        moved = _displacements(motion, durations, rng)
+        moved += pos
+        pos = moved
+        finished = np.flatnonzero(crosses)
+        branching = np.flatnonzero(~crosses)
+        done_pos.append(pos.take(finished))
         if tag is not None:
-            done_tag.append(tag[crosses])
+            done_tag.append(tag.take(finished))
         n_done += finished.size
-        branching = ~crosses
-        parents = pos[branching] + sample_displacements(motion, waits[branching], rng)
-        if parents.size == 0:
+        if branching.size == 0:
             break
-        children, litter = sample_offspring_batch(law, parents, rng)
+        children, litter = sample_offspring_batch(law, pos.take(branching), rng)
         pos = children
-        t = np.repeat(t_branch[branching], litter)
+        t = np.repeat(t_branch.take(branching), litter)
         if tag is not None:
-            tag = np.repeat(tag[branching], litter)
+            tag = np.repeat(tag.take(branching), litter)
         if n_done + pos.size > max_particles:
             raise CapacityError(
                 f"population exceeded {max_particles} particles",

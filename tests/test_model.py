@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from kpplab import (
     INF,
@@ -11,10 +12,15 @@ from kpplab import (
     Motion,
     log_laplace,
     model_from_dict,
-    sample_motion,
-    sample_offspring,
 )
 from kpplab.errors import ConfigError, DomainError
+from kpplab.model import (
+    POISSON_INVERSION_LIMIT,
+    _displacements,
+    _poisson_owners,
+    sample_displacements,
+    sample_offspring_batch,
+)
 
 from helpers import quad_laplace
 
@@ -118,24 +124,20 @@ def test_offspring_probability_validation():
 def test_sample_offspring_binary_at_parent():
     rng = np.random.default_rng(0)
     law = BranchingLaw.binary_at_parent()
-    assert sample_offspring(law, 3.2, rng).tolist() == [3.2, 3.2]
+    assert sample_offspring_batch(law, np.array([3.2]), rng)[0].tolist() == [3.2, 3.2]
 
 
 def test_sample_offspring_certain_death():
     rng = np.random.default_rng(0)
     law = BranchingLaw.offspring_at_parent({0: 1.0})
     for _ in range(10):
-        assert sample_offspring(law, 0.0, rng).size == 0
+        assert sample_offspring_batch(law, np.array([0.0]), rng)[0].size == 0
 
 
 def test_sample_offspring_displaced_statistics():
     rng = np.random.default_rng(42)
     law = BranchingLaw.binary_one_displaced(Kernel.gaussian(1.0))
     n = 100_000
-    firsts = np.empty(n)
-    seconds = np.empty(n)
-    from kpplab.model import sample_offspring_batch
-
     children, litter = sample_offspring_batch(law, np.zeros(n), rng)
     assert np.all(litter == 2)
     firsts = children[0::2]
@@ -147,18 +149,16 @@ def test_sample_offspring_displaced_statistics():
 
 def test_sample_motion_constant_and_trivial():
     rng = np.random.default_rng(0)
-    assert sample_motion(Motion.constant(), 5.0, rng) == 0.0
-    assert sample_motion(Motion.brownian(), 0.0, rng) == 0.0
+    assert sample_displacements(Motion.constant(), np.array([5.0]), rng).tolist() == [0.0]
+    assert sample_displacements(Motion.brownian(), np.array([0.0]), rng).tolist() == [0.0]
     with pytest.raises(DomainError):
-        sample_motion(Motion.brownian(), -1.0, rng)
+        sample_displacements(Motion.brownian(), np.array([-1.0]), rng)
 
 
 def test_sample_motion_compound_poisson_variance():
     # one unit of time at rate 1: Var = E[N] Var[J] = integral x^2 a(x) dx = 1
     rng = np.random.default_rng(7)
     motion = Motion.pure_jump(Kernel.gaussian(1.0))
-    from kpplab.model import sample_displacements
-
     draws = sample_displacements(motion, np.ones(100_000), rng)
     gauss = Kernel.gaussian(1.0)
     expected = quad_laplace(lambda x: x * x * gauss.density(x), 0.0)
@@ -170,9 +170,101 @@ def test_sampling_is_deterministic_in_rng_state():
     motion = Motion.pure_jump(Kernel.gaussian(1.0))
     a = np.random.default_rng(123)
     b = np.random.default_rng(123)
+    one, two = np.array([1.0]), np.array([2.0])
     for _ in range(5):
-        assert sample_offspring(law, 1.0, a).tolist() == sample_offspring(law, 1.0, b).tolist()
-        assert sample_motion(motion, 2.0, a) == sample_motion(motion, 2.0, b)
+        assert (
+            sample_offspring_batch(law, one, a)[0].tolist()
+            == sample_offspring_batch(law, one, b)[0].tolist()
+        )
+        assert sample_displacements(motion, two, a) == sample_displacements(motion, two, b)
+
+
+@pytest.mark.parametrize("mean", [0.0, 1e-3, 0.5, 1.0, 3.0, 9.99, 10.01, 800.0])
+def test_poisson_counts_follow_the_pmf(mean):
+    n = 20_000
+    rng = np.random.default_rng(2024)
+    counts = np.bincount(_poisson_owners(np.full(n, mean), rng), minlength=n)
+    if mean == 0.0:
+        assert not counts.any()
+        return
+    # chi-square over the support, pooled into bins of expected count >= 20
+    k = np.arange(int(mean + 12 * math.sqrt(mean) + 12))
+    pmf = stats.poisson.pmf(k, mean)
+    edges, acc = [0], 0.0
+    for i, p in enumerate(pmf):
+        acc += p * n
+        if acc >= 20.0:
+            edges.append(i + 1)
+            acc = 0.0
+    edges[-1] = k.size  # the short last bin joins its neighbour
+    bins = np.append(edges[:-1], np.inf)
+    observed = np.histogram(counts, bins=bins - 0.5)[0]
+    expected = n * np.diff(np.append(stats.poisson.cdf(bins[:-1] - 1, mean), 1.0))
+    if observed.size == 1:  # mean 1e-3 and below pool to one bin: compare the zero class
+        observed = np.array([np.count_nonzero(counts == 0), np.count_nonzero(counts)])
+        expected = n * np.array([math.exp(-mean), -math.expm1(-mean)])
+    p_value = stats.chisquare(observed, expected).pvalue
+    assert p_value > 1e-3, (mean, observed, expected)
+    assert abs(counts.mean() - mean) <= 5 * math.sqrt(mean / n)
+
+
+def test_poisson_means_split_at_the_inversion_limit():
+    # entries on either side of the limit in one call keep their own means
+    rng = np.random.default_rng(11)
+    means = np.tile([0.5, POISSON_INVERSION_LIMIT, 2.0, 800.0], 5000)
+    counts = np.bincount(_poisson_owners(means, rng), minlength=means.size)
+    for j, mean in enumerate((0.5, POISSON_INVERSION_LIMIT, 2.0, 800.0)):
+        got = counts[j::4]
+        assert abs(got.mean() - mean) <= 5 * math.sqrt(mean / got.size)
+
+
+_TRIANGLE_X = np.linspace(-1.0, 1.0, 201)
+_KERNELS = {
+    "gaussian": Kernel.gaussian(1.3),
+    "two_sided_exponential": Kernel.two_sided_exponential(2.0),
+    "uniform": Kernel.uniform(1.5),
+    "tabulated": Kernel.tabulated(_TRIANGLE_X, 1.0 - np.abs(_TRIANGLE_X)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_KERNELS))
+def test_sample_displacements_moments(family):
+    # compound Poisson over d: mean d E J = 0, variance d E J^2, and fourth
+    # central moment d E J^4 + 3 (d E J^2)^2 gives the variance estimate's SE
+    kernel = _KERNELS[family]
+    lo, hi = -kernel.truncation_radius(), kernel.truncation_radius()
+    m2 = integrate.quad(lambda x: x**2 * kernel.density(x), lo, hi, limit=200)[0]
+    m4 = integrate.quad(lambda x: x**4 * kernel.density(x), lo, hi, limit=200)[0]
+    n = 100_000
+    rng = np.random.default_rng(31)
+    for d in (0.3, 1.0, 3.0):
+        draws = sample_displacements(Motion.pure_jump(kernel), np.full(n, d), rng)
+        var = d * m2
+        mu4 = d * m4 + 3.0 * var**2
+        assert abs(draws.mean()) <= 5.0 * math.sqrt(var / n), (family, d)
+        assert abs(draws.var() - var) <= 5.0 * math.sqrt((mu4 - var**2) / n), (family, d)
+
+
+def test_jump_sums_match_a_loop_over_lifelines():
+    motion = Motion.pure_jump(Kernel.two_sided_exponential(1.5))
+    durations = np.random.default_rng(3).exponential(1.0, 400)
+    durations[::50] = 0.0
+    got = _displacements(motion, durations, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    owners = _poisson_owners(durations, rng)
+    jumps = motion.kernel.sample(rng, owners.size)
+    want = []
+    for i in range(durations.size):
+        total = 0.0
+        for owner, jump in zip(owners, jumps):
+            if owner == i:
+                total += jump
+        want.append(total)
+    assert got.tolist() == want
+    assert not got[::50].any()
+    # a call with no jumps at all still returns float displacements
+    none = sample_displacements(motion, np.zeros(3), np.random.default_rng(9))
+    assert none.dtype == np.float64 and not none.any()
 
 
 def test_lattice_flag():

@@ -70,7 +70,8 @@ class TestPrune:
         pop = Population(np.array([0.0, 5.0, 30.0]), 2.0)
         out = prune(pop, 1.0, 12.0)
         assert sorted(out.positions.tolist()) == [0.0, 5.0]
-        assert out.pruned_mass_bound == pytest.approx(math.exp(-12.0))
+        # the one removed particle at 30 contributes exp(-1 * (30 - 0))
+        assert out.pruned_mass_bound == pytest.approx(math.exp(-30.0), rel=1e-12, abs=0.0)
 
     def test_noop_within_window(self):
         pop = Population(np.array([0.0, 5.0, 11.0]), 2.0)
@@ -81,10 +82,17 @@ class TestPrune:
         pop = Population(np.array([7.0]), 0.0)
         assert prune(pop, 2.0, 0.5).positions.tolist() == [7.0]
 
+    def test_bound_is_relative_to_the_minimum(self):
+        pop = Population(np.array([3.0, 4.0, 20.0, 25.0]), 1.0)
+        out = prune(pop, 0.5, 10.0)
+        want = math.exp(-0.5 * 17.0) + math.exp(-0.5 * 22.0)
+        assert out.pruned_mass_bound == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_bound_accumulates(self):
         pop = Population(np.array([0.0, 20.0]), 0.0, pruned_mass_bound=0.25)
         out = prune(pop, 1.0, 10.0)
-        assert out.pruned_mass_bound == pytest.approx(0.25 + math.exp(-10.0))
+        assert out.pruned_mass_bound == pytest.approx(0.25 + math.exp(-20.0))
+        assert out.pruned_mass_bound - 0.25 == pytest.approx(math.exp(-20.0), rel=1e-6)
 
 
 class TestLeftmost:

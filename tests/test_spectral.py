@@ -112,6 +112,15 @@ class TestMinimalSpeed:
         assert bbm.lambda_star == pytest.approx(root, rel=1e-9)
         assert bbm.c_star == pytest.approx(root, rel=1e-10)
 
+    @pytest.mark.parametrize("d", [1e-6, 1e-8, 1e-10])
+    def test_near_critical_brownian(self, d):
+        # Brownian x {1: 1 - d, 2: d}: psi = l^2/2 + d, so l* = c* = sqrt(2 d).
+        # The net gain d enters psi without a cancelling "+ 1 - 1".
+        law = BranchingLaw.offspring_at_parent({1: 1.0 - d, 2: d})
+        sp = minimal_speed(BranchingModel(Motion.brownian(), law))
+        assert sp.lambda_star == pytest.approx(math.sqrt(2.0 * d), rel=1e-9)
+        assert sp.c_star == pytest.approx(math.sqrt(2.0 * d), rel=1e-9)
+
     def test_boundary_infimum_detected(self):
         # synthetic transform finite on (0, 2) whose speed ratio keeps falling
         with pytest.raises(BoundaryInfimumError):
