@@ -52,7 +52,6 @@ from .solve import (
     pde_step,
     picard_solve,
     shift_field,
-    solve_v,
     track_front,
     traveling_wave_profile,
     wave_residual,

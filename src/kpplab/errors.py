@@ -55,10 +55,6 @@ class IterationLimitError(KppLabError):
         self.last_increment = last_increment
 
 
-class RangeOverflowError(KppLabError):
-    """Requested evaluation would leave the floating-point range."""
-
-
 class NoFrontError(KppLabError):
     """Field does not cross the requested level."""
 
@@ -73,10 +69,6 @@ class AlignmentError(KppLabError):
 
 class InsufficientHorizonError(KppLabError):
     """Martingale traces are shorter than the requested generation."""
-
-
-class UnsupportedModelError(KppLabError):
-    """Operation is not implemented for this model combination."""
 
 
 class ConfigError(KppLabError):

@@ -240,22 +240,23 @@ def log_laplace(model: BranchingModel, lam: float) -> float:
 
 def sample_offspring_batch(
     law: BranchingLaw, parents: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | int]:
     """Vectorized litter sampling.
 
-    Returns the concatenated child positions and the per-parent litter sizes,
-    children grouped by parent in order.
+    Returns the concatenated child positions, children grouped by parent in
+    order, and the litter sizes: per-parent sizes, or one size shared by
+    every parent.
     """
     parents = np.asarray(parents, dtype=float)
     m = parents.size
     if law.kind == BINARY_AT_PARENT:
-        return np.repeat(parents, 2), np.full(m, 2, dtype=np.int64)
+        return np.repeat(parents, 2), 2
     if law.kind == BINARY_ONE_DISPLACED:
         disp = law.displacement.sample(rng, m)
         children = np.empty(2 * m, dtype=float)
         children[0::2] = parents
         children[1::2] = parents + disp
-        return children, np.full(m, 2, dtype=np.int64)
+        return children, 2
     counts = rng.choice(law.counts, size=m, p=law.probs)
     return np.repeat(parents, counts), counts
 

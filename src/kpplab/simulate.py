@@ -357,7 +357,10 @@ def _evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles):
                 time=float(t.min()) if pos.size else t_end,
                 count=n_done + pos.size,
             )
+    # free the position chunks before joining the tags, so that both chunk
+    # lists and both outputs are never held at once
     out_pos = np.concatenate(done_pos) if done_pos else np.empty(0)
+    del done_pos
     out_tag = np.concatenate(done_tag) if tag is not None and done_tag else None
     return out_pos, (out_tag if tags is not None else None)
 

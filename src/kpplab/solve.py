@@ -12,7 +12,17 @@ Runge-Kutta under an explicit stability bound, Newton iteration on the banded
 Jacobian for travelling waves, and successive substitution from zero for the
 mild (integral) form, which converges monotonically to the minimal solution.
 Nonlocal terms are lattice correlations against the field extended by
-constant values beyond the grid, with a fast transform for large problems.
+constant values beyond the grid, with a fast transform for large problems;
+each stencil keeps its own transform for every length it is used at.
+
+The mild form applies the free semigroup ``exp(s (S - loss))`` exactly, as a
+Fourier multiplier: each row is padded with its limits onto a periodic
+lattice, wide enough that the transition kernel's mass wrapping past the
+padding (the leak, which is logged) stays below ``kernels.TAIL_MASS``.  So
+every motion and law has a mild form, on the same lattice operator as the
+Runge-Kutta stepper.  The two differ in time discretization, and near the
+grid's edges: beyond the grid the strong form holds the field at its limits,
+the mild form holds only the reaction there.
 """
 from __future__ import annotations
 
@@ -22,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import fft as sp_fft
 from scipy.linalg import solve_banded
-from scipy.signal import fftconvolve
 
 from .errors import (
     DomainError,
@@ -31,24 +41,14 @@ from .errors import (
     GridTooSmallError,
     IterationLimitError,
     NoFrontError,
-    RangeOverflowError,
     StepSizeError,
-    UnsupportedModelError,
     config_pointer,
     expect,
     read_integer,
     read_number,
 )
-from .kernels import INF, Kernel
-from .model import (
-    BINARY_AT_PARENT,
-    BINARY_ONE_DISPLACED,
-    BROWNIAN,
-    CONSTANT,
-    PURE_JUMP,
-    BranchingModel,
-    log_laplace,
-)
+from .kernels import TAIL_MASS, Kernel
+from .model import BINARY_ONE_DISPLACED, BROWNIAN, CONSTANT, BranchingModel
 
 logger = logging.getLogger(__name__)
 
@@ -150,36 +150,70 @@ class FrontFit:
 # -- lattice correlation -------------------------------------------------------
 
 
-def _correlate(weights: np.ndarray, values: np.ndarray, left, right) -> np.ndarray:
+class _Stencil:
+    """Lattice weights ``w`` of odd length ``2K+1``, with their transforms.
+
+    The real FFT of ``w[::-1]`` is kept for each transform length on first
+    use, so a correlation transforms only the field side.
+    """
+
+    def __init__(self, weights):
+        self.weights = np.asarray(weights, dtype=float)
+        self.half = (self.weights.size - 1) // 2
+        self._spectra: dict[int, np.ndarray] = {}
+
+    def fft_valid(self, seq: np.ndarray) -> np.ndarray:
+        """``scipy.signal.fftconvolve(seq, w[::-1], "valid")``, bit for bit.
+
+        The same fast length, real transforms and centred slice, with the
+        stencil's transform taken from the cache.
+        """
+        size_w = self.weights.size
+        full = seq.size + size_w - 1
+        size = sp_fft.next_fast_len(full, True)
+        spectrum = self._spectra.get(size)
+        if spectrum is None:
+            spectrum = self._spectra[size] = sp_fft.rfft(self.weights[::-1], size)
+        out = sp_fft.irfft(sp_fft.rfft(seq, size) * spectrum, size)
+        return out[size_w - 1 : seq.size]
+
+    def symbol(self, size: int) -> np.ndarray:
+        """Fourier multiplier of this correlation on a periodic lattice of ``size`` points."""
+        h = np.zeros(size)
+        h[: self.weights.size] = self.weights[::-1]
+        return sp_fft.rfft(np.roll(h, -self.half))
+
+
+def _correlate(stencil: _Stencil, values: np.ndarray, left, right) -> np.ndarray:
     """``out[..., i] = sum_j w[K+j] values_ext(..., i+j)`` with constant extension.
 
     ``values`` is one field or a stack of rows, and ``left``/``right`` are
-    its limits, one per row.  ``weights`` has odd length ``2K+1``; padding
-    each row with ``K`` copies of its limits makes the boundary sums exact.
-    The padded rows are correlated end to end as one sequence.
+    its limits, one per row.  The stencil ``w`` has odd length ``2K+1``;
+    padding each row with ``K`` copies of its limits makes the boundary sums
+    exact.  The padded rows are correlated end to end as one sequence.
     """
-    k = (weights.size - 1) // 2
+    k = stencil.half
     n = values.shape[-1]
     rows = values.reshape(-1, n)
     padded = np.empty((rows.shape[0], n + 2 * k))
     padded[:, :k] = np.asarray(left)[..., None]
     padded[:, k : k + n] = rows
     padded[:, k + n :] = np.asarray(right)[..., None]
-    if padded.size * weights.size <= (1 << 18):
-        out = np.convolve(padded.ravel(), weights[::-1], mode="valid")
+    if padded.size * stencil.weights.size <= (1 << 18):
+        out = np.convolve(padded.ravel(), stencil.weights[::-1], mode="valid")
     else:
-        out = fftconvolve(padded.ravel(), weights[::-1], mode="valid")
+        out = stencil.fft_valid(padded.ravel())
     # row r's outputs start at r (n + 2K); the 2K between two rows mix both
     out = np.concatenate([out, np.zeros(2 * k)]).reshape(rows.shape[0], n + 2 * k)
     return out[:, :n].reshape(values.shape)
 
 
-def _lattice_weights(kernel: Kernel, grid: Grid) -> np.ndarray:
+def _lattice_stencil(kernel: Kernel, grid: Grid) -> _Stencil:
     """Lattice weights of a kernel, which must fit inside half the grid."""
     radius = kernel.truncation_radius()
     if radius > 0.5 * (grid.x_max - grid.x_min):
         raise GridTooSmallError(f"kernel radius {radius:.3g} exceeds half the grid extent")
-    return kernel.lattice_weights(grid.dx)
+    return _Stencil(kernel.lattice_weights(grid.dx))
 
 
 def convolve(kernel: Kernel, field: Field) -> Field:
@@ -189,7 +223,7 @@ def convolve(kernel: Kernel, field: Field) -> Field:
     density ``a(z)``; for the symmetric named families it coincides with the
     ordinary convolution.
     """
-    w = _lattice_weights(kernel, field.grid)
+    w = _lattice_stencil(kernel, field.grid)
     return field.with_values(_correlate(w, field.values, field.left_limit, field.right_limit))
 
 
@@ -229,16 +263,16 @@ class _Stepper:
         motion = model.motion
         self.loss_rate = 1.0
         if motion.kind == CONSTANT:
-            self.motion_stencil = np.zeros(1)
+            self.motion_stencil = _Stencil(np.zeros(1))
         elif motion.kind == BROWNIAN:
             half = 0.5 / (grid.dx * grid.dx)
-            self.motion_stencil = np.array([half, -2.0 * half, half])
+            self.motion_stencil = _Stencil([half, -2.0 * half, half])
         else:
-            self.motion_stencil = _lattice_weights(motion.kernel, grid)
+            self.motion_stencil = _lattice_stencil(motion.kernel, grid)
             self.loss_rate = 2.0
         self.w_disp = None
         if model.law.kind == BINARY_ONE_DISPLACED:
-            self.w_disp = _lattice_weights(model.law.displacement, grid)
+            self.w_disp = _lattice_stencil(model.law.displacement, grid)
 
     def stability_bound(self) -> float:
         if self.model.motion.kind == BROWNIAN:
@@ -383,59 +417,73 @@ def picard_solve(
 ):
     """Minimal solution of the mild form by successive substitution from zero.
 
-    Supported models: constant motion with any law, and pure-jump motion with
-    the binary-at-parent law, where the free semigroup has an explicit form:
-    ``e^{-s}`` for constant motion and the Poisson sum ``e^{-2s} sum_p
-    s^p/p! W^p`` of iterated jump kernels for pure jumps.  Each sweep applies
-    the law's reaction to all time rows at once and integrates it against
-    every semigroup term.  Iterates increase monotonically to the minimal
-    solution; failure to reach ``tol`` within ``max_iter`` sweeps raises
+    The mild form is ``u(t) = T_t f + int_0^t T_s reaction(u(t - s)) ds``,
+    with the free semigroup ``T_s = exp(s (S - loss))`` built from the same
+    motion stencil ``S`` and loss rate as the strong form, for every motion
+    and law.  ``T_s`` is applied exactly, as the Fourier multiplier
+    ``exp(s (S^(xi) - loss))``: each row is padded with its limits onto a
+    periodic lattice whose length doubles from twice the grid until the
+    wrapped transition kernel carries less than ``kernels.TAIL_MASS`` beyond
+    the padding at every time row.  That leak, times the jump between the
+    limits, bounds the wrap-around error of each semigroup application; it is
+    logged once per solve.  The limits evolve as constant states, under
+    ``exp(s (S^(0) - loss))``.
+
+    Each sweep applies the law's reaction to all time rows at once and
+    integrates it against the semigroup by the trapezoid rule, frequency by
+    frequency.  Iterates increase monotonically to the minimal solution;
+    failure to reach ``tol`` within ``max_iter`` sweeps raises
     ``IterationLimitError`` carrying the last increment.
     """
     if np.any(f.values < 0) or np.any(f.values > 1):
         raise DomainError("initial data must lie in [0, 1]")
-    if not (
-        model.motion.kind == CONSTANT
-        or (model.motion.kind == PURE_JUMP and model.law.kind == BINARY_AT_PARENT)
-    ):
-        raise UnsupportedModelError(
-            "mild-form solver supports constant motion or pure-jump binary branching"
-        )
     if n_time < 2:
         raise DomainError("need at least two time points")
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError("the horizon must be finite and nonnegative")
     stepper = _Stepper(model, f.grid, f.left_limit, f.right_limit)
+    n = f.grid.n_points
     dt = t / (n_time - 1)
-    ts = np.linspace(0.0, t, n_time)
-    decay = np.exp(-ts)
+    ts = np.linspace(0.0, t, n_time)[:, None]
 
-    # semigroup terms (coefficient in time, lattice kernel in space)
-    if model.motion.kind == PURE_JUMP:
-        kernels = _poisson_terms(_lattice_weights(model.motion.kernel, f.grid), t)
-        terms = [(decay**2 * ts**p / math.factorial(p), w) for p, w in enumerate(kernels)]
-    else:
-        terms = [(decay, np.array([1.0]))]
-    # constant tails are invariant under unit-mass kernels
-    tail = sum(coeff for coeff, _ in terms)
-    base = sum(
-        coeff[:, None] * _correlate(w, f.values, f.left_limit, f.right_limit)[None, :]
-        for coeff, w in terms
-    )
-    base_limits = np.outer(tail, [f.left_limit, f.right_limit])
+    size = 2 * n
+    while True:
+        pad = (size - n) // 2
+        coeff = np.exp(ts * (stepper.motion_stencil.symbol(size) - stepper.loss_rate))
+        kernels = sp_fft.irfft(coeff, size, axis=1)
+        leak = float(kernels[:, pad : size - pad + 1].sum(axis=1).max())
+        if leak < TAIL_MASS:
+            break
+        size *= 2
+    logger.info("mild form on %d periodic points; wrap-around mass %.3g", size, leak)
 
-    u = np.zeros((n_time, f.grid.n_points))
+    def periodic(rows, limits):
+        """Spectra of the rows, each padded with its limits to ``size`` points."""
+        out = np.empty((rows.shape[0], size))
+        out[:, :n] = rows
+        out[:, n : n + pad] = limits[:, 1:]
+        out[:, n + pad :] = limits[:, :1]
+        return sp_fft.rfft(out, axis=1)
+
+    f_limits = np.array([[f.left_limit, f.right_limit]])
+    base = sp_fft.irfft(coeff * periodic(f.values[None, :], f_limits), size, axis=1)[:, :n]
+    decay = coeff[:, 0].real
+    base_limits = decay[:, None] * f_limits
+    field_integral = _causal_time_integral(coeff, dt)
+    limits_integral = _causal_time_integral(decay, dt)
+
+    u = np.zeros((n_time, n))
     limits = np.zeros((n_time, 2))
     history = []
     last = math.inf
     for _ in range(max_iter):
         g = stepper.reaction(u, limits[:, 0], limits[:, 1])
         g_limits = model.law.generating_function(limits)
-        u_new = base + sum(
-            _causal_time_integral(coeff, _correlate(w, g, g_limits[:, 0], g_limits[:, 1]), dt)
-            for coeff, w in terms
-        )
-        limits = base_limits + _causal_time_integral(tail, g_limits, dt)
+        integral = field_integral(periodic(g, g_limits))
+        u_new = base + sp_fft.irfft(integral, size, axis=1)[:, :n]
+        limits = base_limits + limits_integral(g_limits).real
         if return_history:
-            history.append(u_new.copy())
+            history.append(u_new)
         last = float(np.max(np.abs(u_new - u)))
         u = u_new
         if last < tol:
@@ -447,61 +495,25 @@ def picard_solve(
     )
 
 
-def _poisson_terms(w1: np.ndarray, horizon: float) -> list[np.ndarray]:
-    """Powers of the lattice kernel ``w1`` up to a Poisson tail below 1e-10 at ``horizon``."""
-    n = 0
-    acc = math.exp(-horizon)
-    term = acc
-    while 1.0 - acc > 1e-10:
-        n += 1
-        term *= horizon / n
-        acc += term
-        if n > 400:
-            raise DomainError("Poisson truncation did not close; horizon too large")
-    terms = [np.array([1.0])]
-    for _ in range(n):
-        terms.append(np.convolve(terms[-1], w1))
-    return terms
+def _causal_time_integral(coeff: np.ndarray, dt: float):
+    """The map ``rows -> int_0^{t_j} coeff(s) rows(t_j - s) ds``, causal in time.
 
-
-def _causal_time_integral(coeff: np.ndarray, rows: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid-in-time causal convolution ``int_0^{t_j} coeff(s) rows(t_j - s) ds``."""
-    n = coeff.size
-    size = 1
-    while size < 2 * n:
-        size <<= 1
-    fc = np.fft.rfft(coeff, size)
-    fr = np.fft.rfft(rows, size, axis=0)
-    full = np.fft.irfft(fc[:, None] * fr, size, axis=0)[:n]
-    full -= 0.5 * coeff[0] * rows
-    full -= 0.5 * coeff[:, None] * rows[0][None, :]
-    return dt * full
-
-
-# -- linear transform solve -------------------------------------------------------
-
-
-def solve_v(model: BranchingModel, lam: float, grid: Grid, t: float, dt: float) -> Field:
-    """Exponentially weighted solve of the linear moment equation.
-
-    Writing ``v(x, t) = exp(-lam x) phi(t)`` reduces the spatially
-    homogeneous equation to the scalar growth ODE ``phi' = psi(lam) phi``,
-    integrated by Runge-Kutta steps of at most ``dt``.
+    The integral is the trapezoid rule on the time rows, convolved by FFT in
+    time; ``coeff`` is transformed once, here.  It holds one value per time
+    row, shared by every column of ``rows``, or one per time row and column;
+    either may be complex, and so is the result.
     """
-    psi = log_laplace(model, lam)
-    if psi == INF:
-        raise DomainError("transform divergent at this argument")
-    exponent = max(abs(lam * grid.x_min), abs(lam * grid.x_max)) + max(t * psi, 0.0)
-    if exponent > 700.0:
-        raise RangeOverflowError("requested values exceed the floating-point range")
-    amp = 1.0
-    if t > 0:
-        n_steps = max(1, int(math.ceil(t / dt - 1e-12)))
-        z = psi * (t / n_steps)
-        per_step = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
-        amp = per_step**n_steps
-    values = np.exp(-lam * grid.xs) * amp
-    return Field(grid, values, t, float(values[0]), float(values[-1]))
+    n = coeff.shape[0]
+    coeff = coeff.reshape(n, -1)
+    size = 1 << (2 * n - 1).bit_length()
+    spectrum = sp_fft.fft(coeff, size, axis=0)
+
+    def integral(rows: np.ndarray) -> np.ndarray:
+        full = sp_fft.ifft(spectrum * sp_fft.fft(rows, size, axis=0), axis=0)[:n]
+        full -= 0.5 * (coeff[0] * rows + coeff * rows[0])
+        return dt * full
+
+    return integral
 
 
 # -- front measurement -------------------------------------------------------------
@@ -623,7 +635,7 @@ def traveling_wave_profile(
 
 
 #: the central difference ``u[i+1] - u[i-1]`` as a lattice stencil
-_CENTRAL = np.array([-1.0, 0.0, 1.0])
+_CENTRAL = _Stencil([-1.0, 0.0, 1.0])
 
 
 def _comoving_residual(stepper: _Stepper, u: np.ndarray, c: float) -> np.ndarray:
@@ -638,15 +650,15 @@ def _comoving_jacobian(stepper: _Stepper, u: np.ndarray, c: float) -> np.ndarray
     The half-bandwidth is the largest of the motion stencil's, the
     displacement kernel's and the transport stencil's (one).
     """
-    widths = [stepper.motion_stencil.size, _CENTRAL.size]
+    stencils = [stepper.motion_stencil, _CENTRAL]
     if stepper.w_disp is not None:
-        widths.append(stepper.w_disp.size)
-    h = (max(widths) - 1) // 2
+        stencils.append(stepper.w_disp)
+    h = max(s.half for s in stencils)
     ab = np.zeros((2 * h + 1, u.size))
-    _add_band(ab, stepper.motion_stencil)
-    _add_band(ab, c / (2.0 * stepper.grid.dx) * _CENTRAL)
+    _add_band(ab, stepper.motion_stencil.weights)
+    _add_band(ab, c / (2.0 * stepper.grid.dx) * _CENTRAL.weights)
     diagonal, scale = stepper.reaction_derivative(u)
     ab[h] += diagonal - stepper.loss_rate
     if scale is not None:
-        _add_band(ab, stepper.w_disp, scale)
+        _add_band(ab, stepper.w_disp.weights, scale)
     return ab

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 from scipy.special import ndtr
 
 from kpplab import (
@@ -22,7 +23,6 @@ from kpplab import (
     pde_step,
     picard_solve,
     shift_field,
-    solve_v,
     track_front,
     wave_residual,
 )
@@ -31,17 +31,28 @@ from kpplab.errors import (
     FitError,
     GridTooSmallError,
     NoFrontError,
-    RangeOverflowError,
     StepSizeError,
-    UnsupportedModelError,
 )
-from kpplab.solve import _comoving_jacobian, _comoving_residual, _correlate, _Stepper
+from kpplab.kernels import TAIL_MASS
+from kpplab.solve import _comoving_jacobian, _comoving_residual, _correlate, _Stencil, _Stepper
 
 from helpers import logistic_decay
 
 
 def small_grid(n=16, half=1.0):
     return Grid(-half, half, n)
+
+
+MOTIONS = {
+    "constant": Motion.constant(),
+    "brownian": Motion.brownian(),
+    "pure_jump": Motion.pure_jump(Kernel.gaussian(1.0)),
+}
+LAWS = {
+    "binary_at_parent": BranchingLaw.binary_at_parent(),
+    "offspring_at_parent": BranchingLaw.offspring_at_parent({0: 0.1, 1: 0.2, 3: 0.7}),
+    "binary_one_displaced": BranchingLaw.binary_one_displaced(Kernel.gaussian(0.5)),
+}
 
 
 class TestGrid:
@@ -110,11 +121,40 @@ class TestCorrelate:
         assert (m * (n + 2 * k) * weights.size > (1 << 18)) == (side == "fft")
         want = _dense_correlation(weights, rows, left, right)
         if stacked:
-            got = _correlate(weights, rows, left, right)
+            got = _correlate(_Stencil(weights), rows, left, right)
         else:
-            got = _correlate(weights, rows[0], float(left[0]), float(right[0]))[None, :]
+            got = _correlate(_Stencil(weights), rows[0], float(left[0]), float(right[0]))[None, :]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * weights.sum()
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_fft_side_is_scipy_fftconvolve_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows)
+        weights = rng.random(2 * 170 + 1)
+        stencil = _Stencil(weights)
+        for n in (700, 1000):  # two transform lengths, each computed then reused
+            values = rng.uniform(-1.0, 1.0, (rows, n))
+            left, right = rng.uniform(-1.0, 1.0, (2, rows))
+            padded = np.column_stack(
+                [np.repeat(left[:, None], 170, 1), values, np.repeat(right[:, None], 170, 1)]
+            ).ravel()
+            want = fftconvolve(padded, weights[::-1], "valid")
+            first = stencil.fft_valid(padded)
+            again = stencil.fft_valid(padded)
+            assert np.array_equal(first, want) and np.array_equal(again, want)
+            # and _correlate takes that side at these sizes
+            got = _correlate(stencil, values, left, right)
+            starts = range(0, rows * (n + 2 * 170), n + 2 * 170)
+            assert np.array_equal(got, np.stack([want[s : s + n] for s in starts]))
+        assert len(stencil._spectra) == 2
+
+    def test_symbol_is_the_periodic_correlation(self):
+        rng = np.random.default_rng(3)
+        weights = rng.random(7)  # asymmetric, so an orientation error shows
+        values = rng.random(32)
+        got = np.fft.irfft(_Stencil(weights).symbol(32) * np.fft.rfft(values), 32)
+        want = [sum(weights[3 + j] * values[(i + j) % 32] for j in range(-3, 4)) for i in range(32)]
+        assert np.max(np.abs(got - want)) < 1e-14
 
 
 class TestPdeStep:
@@ -206,50 +246,43 @@ class TestPicard:
             assert np.all(late >= early - 1e-12)
             assert np.all(late <= 1.0 + 1e-12)
 
-    def test_unsupported_model_rejected(self, brownian_binary):
-        with pytest.raises(UnsupportedModelError):
-            picard_solve(brownian_binary, Field.constant(small_grid(), 0.5), 1.0, 10)
+    @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+    def test_horizon_must_be_finite_and_nonnegative(self, immobile_binary, t):
+        # each would keep doubling the periodic padding, its leak never below TAIL_MASS
+        with pytest.raises(DomainError):
+            picard_solve(immobile_binary, Field.constant(small_grid(), 0.5), t, 10)
 
-    def test_agrees_with_strong_form(self, jump_gaussian_binary):
+    def test_brownian_constant_data_is_logistic(self, brownian_binary):
+        u = picard_solve(brownian_binary, Field.constant(small_grid(), 0.5), 1.0, 65, tol=1e-10)
+        assert np.max(np.abs(u.values - logistic_decay(0.5, 1.0))) < 1e-4
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("motion", sorted(MOTIONS))
+    def test_agrees_with_strong_form(self, motion, law):
+        model = BranchingModel(MOTIONS[motion], LAWS[law])
         grid = Grid(-24.0, 24.0, 512)
-        f = Field(grid, ndtr(grid.xs), 0.0, 0.0, 1.0)
-        mild = picard_solve(jump_gaussian_binary, f, 1.0, 129, tol=1e-10)
-        strong = evolve(jump_gaussian_binary, f, 1.0, 0.05)
+        # the strong form holds its limits fixed, so the data run between the
+        # law's two constant states: extinction probability q and 1
+        q = model.law.extinction_probability()
+        f = Field(grid, q + (1.0 - q) * ndtr(grid.xs), 0.0, q, 1.0)
+        mild = picard_solve(model, f, 1.0, 129, tol=1e-10)
+        dt = min(0.05, _Stepper(model, grid, q, 1.0).stability_bound())
+        strong = evolve(model, f, 1.0, dt)
         assert np.max(np.abs(mild.values - strong.values)) < 5e-4
 
-
-class TestSolveV:
-    def test_initial_data_exact(self, jump_gaussian_binary):
-        grid = small_grid(64, 4.0)
-        v = solve_v(jump_gaussian_binary, 0.7, grid, 0.0, 0.01)
-        assert np.array_equal(v.values, np.exp(-0.7 * grid.xs))
-
-    def test_gaussian_jump_growth(self, jump_gaussian_binary):
-        grid = small_grid(64, 4.0)
-        v = solve_v(jump_gaussian_binary, 0.0, grid, 1.0, 0.01)
-        assert v.values[0] == pytest.approx(math.e, abs=1e-8)
-
-    def test_brownian_offspring_closed_form(self, brownian_binary):
-        grid = Grid(-4.0, 4.0, 128)
-        v = solve_v(brownian_binary, 1.0, grid, 1.0, 0.01)
-        want = np.exp(0.5 + 1.0) * np.exp(-grid.xs)
-        assert np.max(np.abs(v.values - want) / want) < 1e-8
-
-    def test_consistency_with_transform(self, jump_exponential_binary):
-        from kpplab import log_laplace
-
-        grid = small_grid(64, 4.0)
-        for lam in (0.0, 0.5, 1.0):
-            v = solve_v(jump_exponential_binary, lam, grid, 1.0, 0.005)
-            ratio = v.values[32] / math.exp(-lam * grid.xs[32])
-            assert math.log(ratio) == pytest.approx(
-                log_laplace(jump_exponential_binary, lam), abs=1e-6
-            )
-
-    def test_overflow_guard(self, jump_gaussian_binary):
-        grid = Grid(-800.0, 800.0, 128)
-        with pytest.raises(RangeOverflowError):
-            solve_v(jump_gaussian_binary, 2.0, grid, 1.0, 0.01)
+    def test_wrap_around_mass_logged_below_tail_mass(self, jump_gaussian_binary, caplog):
+        # by t = 1 the jumps carry more than TAIL_MASS past half the grid's
+        # extent, so the padding of 2 x 64 points must double
+        grid = Grid(-8.0, 8.0, 64)
+        f = Field(grid, ndtr(grid.xs), 0.0, 0.0, 1.0)
+        with caplog.at_level(logging.INFO, logger="kpplab.solve"):
+            mild = picard_solve(jump_gaussian_binary, f, 1.0, 129, tol=1e-10)
+        (record,) = [r for r in caplog.records if "wrap-around" in r.getMessage()]
+        size, leak = record.args
+        assert size > 2 * grid.n_points
+        assert 0.0 <= abs(leak) < TAIL_MASS
+        strong = evolve(jump_gaussian_binary, f, 1.0, 0.05)
+        assert np.max(np.abs(mild.values - strong.values)) < 5e-4
 
 
 class TestFrontPosition:
@@ -352,18 +385,6 @@ def _dense_band(ab):
     return dense
 
 
-MOTIONS = {
-    "constant": Motion.constant(),
-    "brownian": Motion.brownian(),
-    "pure_jump": Motion.pure_jump(Kernel.gaussian(1.0)),
-}
-LAWS = {
-    "binary_at_parent": BranchingLaw.binary_at_parent(),
-    "offspring_at_parent": BranchingLaw.offspring_at_parent({0: 0.1, 1: 0.2, 3: 0.7}),
-    "binary_one_displaced": BranchingLaw.binary_one_displaced(Kernel.gaussian(0.5)),
-}
-
-
 @pytest.mark.parametrize("law", sorted(LAWS))
 @pytest.mark.parametrize("motion", sorted(MOTIONS))
 def test_banded_jacobian_matches_central_difference(motion, law):
@@ -396,6 +417,13 @@ class TestTrackFront:
         assert trace.t.size == 0
         (record,) = [r for r in caplog.records if r.name == "kpplab.solve"]
         assert "2 of 2 record times" in record.getMessage()
+
+    def test_benchmark_front_keeps_every_record(self, jump_gaussian_binary):
+        # u = 1 is unstable: the front survives only while the transform's
+        # round-off at u = 1 rounds away, which the exact FFT arithmetic keeps
+        f = Field.heaviside(Grid(-40.0, 139.0, 8192))
+        _, trace, _ = track_front(jump_gaussian_binary, f, 60.0, 0.1, 0.5)
+        assert trace.t.size == 120
 
 
 def test_convergence_order_on_logistic(immobile_binary):
