@@ -23,7 +23,6 @@ from .spectral import (
     abscissa,
     check_assumptions,
     minimal_speed,
-    psi_per_sampling,
     second_moment_w,
 )
 from .simulate import (

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import AlignmentError, DomainError, InsufficientHorizonError
 from .kernels import INF
@@ -175,10 +176,12 @@ def _survival_fraction(values: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, n
 def align_shift(p: ProfileEstimate, q: ProfileEstimate) -> tuple[float, float]:
     """Translation of ``q`` best matching ``p`` in sup distance.
 
-    Minimizes ``sup_x |p(x) - q(x + s)|`` over the shift ``s`` by a coarse
-    scan refined with golden-section search (the objective is unimodal for
-    monotone profiles).  Positive ``s`` means ``q`` is ``p`` translated
-    right.
+    Minimizes ``sup_x |p(x) - q(x + s)|`` over the shift ``s``: a 257-point
+    scan over every shift at which the profiles overlap, then a bounded Brent
+    search between the best scan point's neighbours.  For a monotone ``q``
+    each ``|p(x) - q(x + s)|`` is quasiconvex in ``s``, so their sup is
+    unimodal and the search finds its minimum.  Positive ``s`` means ``q`` is
+    ``p`` translated right.
     """
     pv, qv = p.values, q.values
     if min(pv.max(), qv.max()) < max(pv.min(), qv.min()):
@@ -188,28 +191,12 @@ def align_shift(p: ProfileEstimate, q: ProfileEstimate) -> tuple[float, float]:
         interp = np.interp(p.x + s, q.x, qv, left=qv[0], right=qv[-1])
         return float(np.max(np.abs(pv - interp)))
 
-    lo = q.x[0] - p.x[-1]
-    hi = q.x[-1] - p.x[0]
-    scan = np.linspace(lo, hi, 257)
-    vals = [dist(s) for s in scan]
-    i = int(np.argmin(vals))
-    a = scan[max(i - 1, 0)]
-    b = scan[min(i + 1, len(scan) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    s1 = b - phi * (b - a)
-    s2 = a + phi * (b - a)
-    f1, f2 = dist(s1), dist(s2)
-    while b - a > 1e-10 * max(1.0, abs(b) + abs(a)):
-        if f1 <= f2:
-            b, s2, f2 = s2, s1, f1
-            s1 = b - phi * (b - a)
-            f1 = dist(s1)
-        else:
-            a, s1, f1 = s1, s2, f2
-            s2 = a + phi * (b - a)
-            f2 = dist(s2)
-    best = 0.5 * (a + b)
-    return best, dist(best)
+    scan = np.linspace(q.x[0] - p.x[-1], q.x[-1] - p.x[0], 257)
+    i = int(np.argmin([dist(s) for s in scan]))
+    a, b = scan[max(i - 1, 0)], scan[min(i + 1, scan.size - 1)]
+    xatol = 1e-10 * max(1.0, abs(a) + abs(b))
+    best = minimize_scalar(dist, bounds=(a, b), method="bounded", options={"xatol": xatol}).x
+    return float(best), dist(best)
 
 
 def u_vs_mc(

@@ -1,17 +1,19 @@
 """Branching particle models: a single-particle motion plus a branching law.
 
-A model couples a non-branching motion (constant, pure-jump, or standard
-Brownian) with a branching law (two children at the parent point, a random
-number of children at the parent point, or two children with one displaced).
-Branching and jump clocks are exponential with rate one; the closed forms of
-the exponential growth transform below assume those unit rates, so they are
-fixed rather than configurable.
+The motion is a Lévy process with up to two parts, a standard Brownian part
+and rate-one compound-Poisson jumps with a kernel; with both it is a
+jump-diffusion, with neither it stays put.  The branching law is an offspring
+count law with every child at the parent, or two children with one displaced
+by a kernel.  Branching and jump clocks are exponential with rate one; the
+closed forms of the exponential growth transform below assume those unit
+rates, so they are fixed rather than configurable.
 
 The central quantity is ``log_laplace``: the logarithm of the expected
 exponential sum ``E sum_y exp(-lam * y)`` over the population at time one,
-started from a single particle at the origin.  It splits into a motion
-exponent and a branching gain, and every catalogue combination has a closed
-form built from kernel transforms.
+started from a single particle at the origin.  It is the sum of a motion
+exponent and a branching gain, each built from the parts' kernel transforms.
+The config family names spell these parts; only ``model_from_dict`` and the
+``to_dict`` methods know them.
 """
 from __future__ import annotations
 
@@ -34,43 +36,47 @@ BINARY_ONE_DISPLACED = "binary_one_displaced"
 MOTION_FAMILIES = (CONSTANT, PURE_JUMP, BROWNIAN)
 LAW_FAMILIES = (BINARY_AT_PARENT, OFFSPRING_AT_PARENT, BINARY_ONE_DISPLACED)
 
+#: the binary count law: two children, always
+BINARY = ((2, 1.0),)
+
 
 @dataclass(frozen=True, eq=False)
 class Motion:
-    """Single-particle motion between branching events."""
+    """Single-particle motion between branching events: a Lévy process.
 
-    kind: str
+    ``diffusive`` adds a standard Brownian part; ``kernel`` adds jumps at rate
+    one with that jump density.  With neither, the particle stays put.
+    """
+
+    diffusive: bool = False
     kernel: Kernel | None = None
-
-    def __post_init__(self):
-        if self.kind not in MOTION_FAMILIES:
-            raise DomainError(f"unknown motion kind {self.kind!r}")
-        if self.kind == PURE_JUMP and self.kernel is None:
-            raise DomainError("pure-jump motion needs a jump kernel")
 
     @staticmethod
     def constant() -> "Motion":
-        return Motion(CONSTANT)
+        return Motion()
 
     @staticmethod
     def pure_jump(kernel: Kernel) -> "Motion":
-        return Motion(PURE_JUMP, kernel)
+        if kernel is None:
+            raise DomainError("pure-jump motion needs a jump kernel")
+        return Motion(False, kernel)
 
     @staticmethod
     def brownian() -> "Motion":
-        return Motion(BROWNIAN)
+        return Motion(True)
 
     def exponent(self, lam: float) -> float:
-        """Growth exponent of ``E exp(-lam X_t)`` for the free motion."""
-        if self.kind == CONSTANT:
-            return 0.0
-        if self.kind == BROWNIAN:
-            return 0.5 * lam * lam
+        """Growth exponent of ``E exp(-lam X_t)`` for the free motion:
+        ``lam^2 / 2`` for the Brownian part plus ``L(lam) - 1`` for the jumps."""
+        eta = 0.5 * lam * lam if self.diffusive else 0.0
+        if self.kernel is None:
+            return eta
         la = self.kernel.laplace(lam)
-        return INF if la == INF else la - 1.0
+        return INF if la == INF else eta + (la - 1.0)
 
     def to_dict(self) -> dict:
-        d = {"family": self.kind}
+        family = BROWNIAN if self.diffusive else CONSTANT if self.kernel is None else PURE_JUMP
+        d = {"family": family}
         if self.kernel is not None:
             d["kernel"] = self.kernel.to_dict()
         return d
@@ -80,60 +86,58 @@ class Motion:
 class BranchingLaw:
     """Offspring positions produced when a particle branches.
 
-    ``offspring_probs`` lists ``(n, p_n)`` pairs for the at-parent law; any
-    probability deficit is assigned to zero offspring (death).  The displaced
-    law puts one child at the parent and one at parent plus a draw from
-    ``displacement``.  ``counts``/``probs`` is the offspring count law with the
-    deficit folded into n = 0 (count 2 for both binary laws), built once.
+    ``offspring_probs`` lists the ``(n, p_n)`` pairs of the count law, any
+    deficit assigned to zero offspring (death), every child at the parent;
+    a ``displacement`` kernel moves the second of two children.
+    ``counts``/``probs`` is the count law with the deficit folded into n = 0,
+    and ``litter`` its one count if it has only one (else ``None``).
     """
 
-    kind: str
-    offspring_probs: tuple[tuple[int, float], ...] | None = None
+    offspring_probs: tuple[tuple[int, float], ...] = BINARY
     displacement: Kernel | None = None
     counts: np.ndarray = field(init=False, repr=False)
     probs: np.ndarray = field(init=False, repr=False)
+    litter: int | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in LAW_FAMILIES:
-            raise DomainError(f"unknown branching law {self.kind!r}")
-        if self.kind == OFFSPRING_AT_PARENT:
-            if not self.offspring_probs:
-                raise DomainError("offspring law needs (n, p_n) pairs")
-            probs = tuple((int(n), float(p)) for n, p in self.offspring_probs)
-            object.__setattr__(self, "offspring_probs", probs)
-            total = 0.0
-            for n, p in probs:
-                if n < 0:
-                    raise DomainError("offspring counts must be nonnegative")
-                if not 0.0 <= p <= 1.0:
-                    raise DomainError("offspring probabilities must lie in [0, 1]")
-                total += p
-            if total > 1.0 + 1e-12:
-                raise DomainError("offspring probabilities must sum to at most 1")
-        if self.kind == BINARY_ONE_DISPLACED and self.displacement is None:
-            raise DomainError("displaced law needs a displacement kernel")
-        given = dict(self.offspring_probs or [(2, 1.0)])
-        total = sum(given.values())
+        if not self.offspring_probs:
+            raise DomainError("offspring law needs (n, p_n) pairs")
+        probs = tuple((int(n), float(p)) for n, p in self.offspring_probs)
+        object.__setattr__(self, "offspring_probs", probs)
+        ns, ps = zip(*probs)
+        if min(ns) < 0:
+            raise DomainError("offspring counts must be nonnegative")
+        if not all(0.0 <= p <= 1.0 for p in ps):
+            raise DomainError("offspring probabilities must lie in [0, 1]")
+        total = sum(ps)
+        if total > 1.0 + 1e-12:
+            raise DomainError("offspring probabilities must sum to at most 1")
+        if self.displacement is not None and probs != BINARY:
+            raise DomainError("a displaced child needs the binary count law")
+        given = dict(probs)
         if total < 1.0:
             given[0] = given.get(0, 0.0) + (1.0 - total)
         counts = sorted(given)
-        probs = np.array([given[n] for n in counts])
+        weights = np.array([given[n] for n in counts])
         object.__setattr__(self, "counts", np.array(counts, dtype=np.int64))
-        object.__setattr__(self, "probs", probs / probs.sum())
+        object.__setattr__(self, "probs", weights / weights.sum())
+        object.__setattr__(self, "litter", counts[0] if len(counts) == 1 else None)
 
     @staticmethod
     def binary_at_parent() -> "BranchingLaw":
-        return BranchingLaw(BINARY_AT_PARENT)
+        return BranchingLaw()
 
     @staticmethod
     def offspring_at_parent(probs) -> "BranchingLaw":
         if isinstance(probs, dict):
             probs = sorted(probs.items())
-        return BranchingLaw(OFFSPRING_AT_PARENT, offspring_probs=tuple(probs))
+        return BranchingLaw(tuple(probs))
 
     @staticmethod
     def binary_one_displaced(kernel: Kernel) -> "BranchingLaw":
-        return BranchingLaw(BINARY_ONE_DISPLACED, displacement=kernel)
+        if kernel is None:
+            raise DomainError("displaced law needs a displacement kernel")
+        return BranchingLaw(displacement=kernel)
 
     # -- moments -------------------------------------------------------------
 
@@ -150,7 +154,7 @@ class BranchingLaw:
         ``(counts - 1) @ probs``, so a near-critical law keeps its small net
         gain to relative precision; the displaced law's is its kernel's
         transform."""
-        if self.kind != BINARY_ONE_DISPLACED:
+        if self.displacement is None:
             return float((self.counts - 1) @ self.probs)
         return self.displacement.laplace(lam)
 
@@ -158,8 +162,8 @@ class BranchingLaw:
         """``E u^N``: the reaction term of an at-parent law, and of any law
         on a constant state (a displaced child sees the same constant)."""
         u = np.asarray(u, dtype=float)
-        if self.kind != OFFSPRING_AT_PARENT:
-            return u * u  # both binary laws have N = 2
+        if self.litter is not None:
+            return u**self.litter  # u**2 is u*u, bit for bit
         out = np.zeros_like(u)
         for n, p in zip(self.counts, self.probs):
             out += p * u**int(n)
@@ -184,12 +188,12 @@ class BranchingLaw:
         return float(brentq(reduced, 0.0, 1.0, xtol=1e-15))
 
     def to_dict(self) -> dict:
-        d = {"family": self.kind}
-        if self.offspring_probs is not None:
-            d["probs"] = {str(n): p for n, p in self.offspring_probs}
         if self.displacement is not None:
-            d["kernel"] = self.displacement.to_dict()
-        return d
+            return {"family": BINARY_ONE_DISPLACED, "kernel": self.displacement.to_dict()}
+        if self.offspring_probs == BINARY:
+            return {"family": BINARY_AT_PARENT}
+        probs = {str(n): p for n, p in self.offspring_probs}
+        return {"family": OFFSPRING_AT_PARENT, "probs": probs}
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,19 +207,11 @@ class BranchingModel:
     @property
     def is_lattice(self) -> bool:
         # all offspring sit exactly on the parent and the parent never moves
-        return self.motion.kind == CONSTANT and self.law.kind in (
-            BINARY_AT_PARENT,
-            OFFSPRING_AT_PARENT,
-        )
+        return not self.motion.diffusive and not self.transform_kernels()
 
     def transform_kernels(self) -> list[Kernel]:
         """Kernels whose exponential moments enter the growth transform."""
-        ks = []
-        if self.motion.kind == PURE_JUMP:
-            ks.append(self.motion.kernel)
-        if self.law.kind == BINARY_ONE_DISPLACED:
-            ks.append(self.law.displacement)
-        return ks
+        return [k for k in (self.motion.kernel, self.law.displacement) if k is not None]
 
     def to_dict(self) -> dict:
         d = {"motion": self.motion.to_dict(), "law": self.law.to_dict()}
@@ -248,17 +244,15 @@ def sample_offspring_batch(
     every parent.
     """
     parents = np.asarray(parents, dtype=float)
-    m = parents.size
-    if law.kind == BINARY_AT_PARENT:
-        return np.repeat(parents, 2), 2
-    if law.kind == BINARY_ONE_DISPLACED:
-        disp = law.displacement.sample(rng, m)
-        children = np.empty(2 * m, dtype=float)
-        children[0::2] = parents
-        children[1::2] = parents + disp
-        return children, 2
-    counts = rng.choice(law.counts, size=m, p=law.probs)
-    return np.repeat(parents, counts), counts
+    if law.litter is None:
+        counts = rng.choice(law.counts, size=parents.size, p=law.probs)
+        return np.repeat(parents, counts), counts
+    if law.displacement is None:
+        return np.repeat(parents, law.litter), law.litter
+    children = np.empty(2 * parents.size, dtype=float)
+    children[0::2] = parents
+    children[1::2] = parents + law.displacement.sample(rng, parents.size)
+    return children, 2
 
 
 def sample_displacements(
@@ -278,21 +272,22 @@ POISSON_INVERSION_LIMIT = 10.0
 def _displacements(motion: Motion, durations: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """``sample_displacements`` on nonnegative float durations, unchecked.
 
-    Constant motion draws nothing; Brownian motion is one standard normal per
-    duration; a pure jump motion draws its Poisson jump counts, then all
-    jumps in one ``Kernel.sample`` call, and sums each duration's jumps.
+    The Brownian part is one standard normal per duration, scaled by its
+    root; the jump part draws its Poisson jump counts, then all jumps in one
+    ``Kernel.sample`` call, and sums each duration's jumps.  A motion with
+    neither part draws nothing.
     """
-    if motion.kind == CONSTANT:
-        return np.zeros_like(durations)
-    if motion.kind == BROWNIAN:
-        steps = rng.standard_normal(durations.shape)
-        steps *= np.sqrt(durations)
-        return steps
-    owners = _poisson_owners(durations, rng)
-    if owners.size == 0:
-        return np.zeros_like(durations)
-    jumps = motion.kernel.sample(rng, owners.size)
-    return np.bincount(owners, weights=jumps, minlength=durations.size)
+    moved = None
+    if motion.diffusive:
+        moved = rng.standard_normal(durations.shape)
+        moved *= np.sqrt(durations)
+    if motion.kernel is not None:
+        owners = _poisson_owners(durations, rng)
+        if owners.size:
+            jumps = motion.kernel.sample(rng, owners.size)
+            sums = np.bincount(owners, weights=jumps, minlength=durations.size)
+            moved = sums if moved is None else np.add(moved, sums, out=moved)
+    return np.zeros_like(durations) if moved is None else moved
 
 
 def _poisson_owners(means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -342,25 +337,37 @@ def model_from_dict(d, pointer: str = "") -> BranchingModel:
     """Build a model from its JSON description ``{"motion": ..., "law": ...}``.
 
     Raises ``ConfigError`` at the JSON pointer, below ``pointer``, of the
-    first malformed value; ``Motion`` and ``BranchingLaw`` check the families.
+    first malformed value: an unknown family, or a ``kernel`` or ``probs``
+    key that the family does not take.
     """
     expect(isinstance(d, dict), pointer, "expected a model object")
     motion_d, law_d = d.get("motion"), d.get("law")
-    expect(isinstance(motion_d, dict), f"{pointer}/motion", "expected a motion object")
-    expect(isinstance(law_d, dict), f"{pointer}/law", "expected a law object")
-    motion_kind, law_kind = motion_d.get("family"), law_d.get("family")
-    jump = None
-    if motion_kind == PURE_JUMP:
-        jump = Kernel.from_dict(motion_d.get("kernel"), f"{pointer}/motion/kernel")
-    with config_pointer(f"{pointer}/motion/family"):
-        motion = Motion(motion_kind, jump)
-    probs = displacement = None
-    if law_kind == OFFSPRING_AT_PARENT:
-        probs = _offspring_probs(law_d.get("probs"), f"{pointer}/law/probs")
-    if law_kind == BINARY_ONE_DISPLACED:
-        displacement = Kernel.from_dict(law_d.get("kernel"), f"{pointer}/law/kernel")
-    with config_pointer(f"{pointer}/law/" + ("family" if probs is None else "probs")):
-        law = BranchingLaw(law_kind, probs, displacement)
+    at = f"{pointer}/motion"
+    expect(isinstance(motion_d, dict), at, "expected a motion object")
+    family = motion_d.get("family")
+    expect(family in MOTION_FAMILIES, f"{at}/family", f"expected one of {MOTION_FAMILIES}")
+    jumps = None
+    if family == PURE_JUMP or "kernel" in motion_d:
+        expect(family != CONSTANT, f"{at}/kernel", "a constant motion takes no kernel")
+        jumps = Kernel.from_dict(motion_d.get("kernel"), f"{at}/kernel")
+    motion = Motion(family == BROWNIAN, jumps)
+
+    at = f"{pointer}/law"
+    expect(isinstance(law_d, dict), at, "expected a law object")
+    family = law_d.get("family")
+    expect(family in LAW_FAMILIES, f"{at}/family", f"expected one of {LAW_FAMILIES}")
+    takes_kernel = family == BINARY_ONE_DISPLACED
+    expect(takes_kernel or "kernel" not in law_d, f"{at}/kernel", "an at-parent law takes no kernel")
+    takes_probs = family == OFFSPRING_AT_PARENT
+    expect(takes_probs or "probs" not in law_d, f"{at}/probs", "a binary law takes no probs")
+    if takes_probs:
+        probs = _offspring_probs(law_d.get("probs"), f"{at}/probs")
+        with config_pointer(f"{at}/probs"):
+            law = BranchingLaw(probs)
+    elif takes_kernel:
+        law = BranchingLaw(displacement=Kernel.from_dict(law_d.get("kernel"), f"{at}/kernel"))
+    else:
+        law = BranchingLaw()
     return BranchingModel(motion, law, label=str(d.get("label", "")))
 
 

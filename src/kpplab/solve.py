@@ -4,13 +4,14 @@ The strong form of the population equation is, per model,
 
     du/dt = (motion generator - 1) u + reaction(u),
 
-with reaction ``u**2`` (binary at parent), the offspring generating function
-(random litter at parent), or ``u * (b conv u)`` (one displaced child).  Each
-motion (a lattice stencil) and each law (a reaction and its derivative) is
-defined once, in ``_Stepper``, and serves all three solvers: fourth-order
-Runge-Kutta under an explicit stability bound, Newton iteration on the banded
-Jacobian for travelling waves, and successive substitution from zero for the
-mild (integral) form, which converges monotonically to the minimal solution.
+with reaction ``E u^N`` (every child at the parent) or ``u * (b conv u)``
+(one of two children displaced).  The motion (a lattice stencil per part:
+the 3-point Laplacian, the jump kernel's weights) and the law (a reaction and
+its derivative) are defined once, in ``_Stepper``, and serve all three
+solvers: fourth-order Runge-Kutta under an explicit stability bound, Newton
+iteration on the banded Jacobian for travelling waves, and successive
+substitution from zero for the mild (integral) form, which converges
+monotonically to the minimal solution.
 Nonlocal terms are lattice correlations against the field extended by
 constant values beyond the grid, with a fast transform for large problems;
 each stencil keeps its own transform for every length it is used at.
@@ -21,8 +22,9 @@ lattice, wide enough that the transition kernel's mass wrapping past the
 padding (the leak, which is logged) stays below ``kernels.TAIL_MASS``.  So
 every motion and law has a mild form, on the same lattice operator as the
 Runge-Kutta stepper.  The two differ in time discretization, and near the
-grid's edges: beyond the grid the strong form holds the field at its limits,
-the mild form holds only the reaction there.
+grid's edges: beyond the grid the strong form holds the field at its limits
+(which move as constant states, ``l' = E l^N - l``), the mild form holds only
+the reaction there.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ from .errors import (
     read_number,
 )
 from .kernels import TAIL_MASS, Kernel
-from .model import BINARY_ONE_DISPLACED, BROWNIAN, CONSTANT, BranchingModel
+from .model import BranchingModel
 
 logger = logging.getLogger(__name__)
 
@@ -107,8 +109,9 @@ class Field:
             raise DomainError("values must match the grid")
         object.__setattr__(self, "values", v)
 
-    def with_values(self, values, t=None) -> "Field":
-        return Field(self.grid, values, self.t if t is None else t, self.left_limit, self.right_limit)
+    def with_values(self, values, t=None, limits=None) -> "Field":
+        left, right = (self.left_limit, self.right_limit) if limits is None else map(float, limits)
+        return Field(self.grid, values, self.t if t is None else t, left, right)
 
     @staticmethod
     def heaviside(grid: Grid) -> "Field":
@@ -247,42 +250,45 @@ def _add_band(ab: np.ndarray, stencil: np.ndarray, scale: np.ndarray | None = No
 
 
 class _Stepper:
-    """The model's operators on one grid, with fixed limits beyond it.
+    """The model's operators on one grid, each field extended by its limits.
 
-    The motion is ``(generator - 1) u = motion_stencil * u - loss_rate u``,
-    the loss rate counting the unit-rate clocks (branching, and jumps).  The
-    jump kernel keeps unit mass: folding the ``-2`` into it doubles the
-    transform's round-off, enough to perturb the unstable state ``u = 1``.
+    The motion is ``(generator - 1) u = sum_S S * u - loss_rate u`` over its
+    ``motion_stencils``, one per part, each correlated on its own; the loss
+    rate counts the unit-rate clocks (branching, and jumps).  The jump kernel
+    keeps unit mass: folding the ``-2`` into it doubles the transform's
+    round-off, enough to perturb the unstable state ``u = 1``.
     """
 
-    def __init__(self, model: BranchingModel, grid: Grid, left: float, right: float):
+    def __init__(self, model: BranchingModel, grid: Grid):
         self.model = model
         self.grid = grid
-        self.left = left
-        self.right = right
         motion = model.motion
-        self.loss_rate = 1.0
-        if motion.kind == CONSTANT:
-            self.motion_stencil = _Stencil(np.zeros(1))
-        elif motion.kind == BROWNIAN:
+        self.motion_stencils = []
+        if motion.diffusive:
             half = 0.5 / (grid.dx * grid.dx)
-            self.motion_stencil = _Stencil([half, -2.0 * half, half])
-        else:
-            self.motion_stencil = _lattice_stencil(motion.kernel, grid)
-            self.loss_rate = 2.0
-        self.w_disp = None
-        if model.law.kind == BINARY_ONE_DISPLACED:
-            self.w_disp = _lattice_stencil(model.law.displacement, grid)
+            self.motion_stencils.append(_Stencil([half, -2.0 * half, half]))
+        if motion.kernel is not None:
+            self.motion_stencils.append(_lattice_stencil(motion.kernel, grid))
+        self.loss_rate = 1.0 if motion.kernel is None else 2.0
+        disp = model.law.displacement
+        self.w_disp = None if disp is None else _lattice_stencil(disp, grid)
 
     def stability_bound(self) -> float:
-        if self.model.motion.kind == BROWNIAN:
-            return 0.2 * min(1.0, self.grid.dx**2)
-        return 0.1
+        """The smaller of the parts' bounds: ``0.2 min(1, dx^2)`` for the
+        Brownian part, 0.1 for the jumps and for a motion with neither."""
+        motion = self.model.motion
+        bound = 0.2 * min(1.0, self.grid.dx**2) if motion.diffusive else 0.1
+        return bound if motion.kernel is None else min(bound, 0.1)
 
     def check_step(self, dt: float) -> None:
         bound = self.stability_bound()
         if dt > bound * (1.0 + 1e-12):
             raise StepSizeError(f"dt = {dt:.3g} exceeds the stability bound {bound:.3g}")
+
+    def symbol(self, size: int):
+        """Fourier multiplier of the motion stencils on ``size`` periodic points."""
+        symbols = [s.symbol(size) for s in self.motion_stencils] or [np.zeros(size // 2 + 1)]
+        return np.sum(symbols, axis=0)
 
     def reaction(self, u: np.ndarray, left, right) -> np.ndarray:
         """The law's term on a field or a stack of rows with the given limits.
@@ -294,27 +300,38 @@ class _Stepper:
             return u * _correlate(self.w_disp, u, left, right)
         return self.model.law.generating_function(u)
 
-    def reaction_derivative(self, u: np.ndarray):
+    def reaction_derivative(self, u: np.ndarray, left: float, right: float):
         """Jacobian of ``reaction`` at a field: ``diag(d) + diag(s) W_disp``.
 
         Returns ``(d, s)``; ``s`` is ``None`` for the at-parent laws, whose
         reaction is local.
         """
         if self.w_disp is not None:
-            return _correlate(self.w_disp, u, self.left, self.right), u
+            return _correlate(self.w_disp, u, left, right), u
         law = self.model.law
         return sum(p * n * u ** (int(n) - 1) for n, p in zip(law.counts, law.probs) if n >= 1), None
 
-    def rhs(self, u: np.ndarray) -> np.ndarray:
-        motion = _correlate(self.motion_stencil, u, self.left, self.right) - self.loss_rate * u
-        return motion + self.reaction(u, self.left, self.right)
+    def rhs(self, u: np.ndarray, left: float, right: float) -> np.ndarray:
+        motion = -self.loss_rate * u
+        for stencil in self.motion_stencils:
+            motion += _correlate(stencil, u, left, right)
+        return motion + self.reaction(u, left, right)
 
-    def step(self, u: np.ndarray, dt: float) -> np.ndarray:
-        k1 = self.rhs(u)
-        k2 = self.rhs(u + 0.5 * dt * k1)
-        k3 = self.rhs(u + 0.5 * dt * k2)
-        k4 = self.rhs(u + dt * k3)
-        return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    def rates(self, u: np.ndarray, limits: np.ndarray):
+        """Time derivatives of a field and of its two limits, which react as
+        constant states."""
+        return self.rhs(u, *limits), self.model.law.generating_function(limits) - limits
+
+    def step(self, u: np.ndarray, limits: np.ndarray, dt: float):
+        """One RK4 step of a field and, through the same stages, of its limits."""
+        k1, l1 = self.rates(u, limits)
+        k2, l2 = self.rates(u + 0.5 * dt * k1, limits + 0.5 * dt * l1)
+        k3, l3 = self.rates(u + 0.5 * dt * k2, limits + 0.5 * dt * l2)
+        k4, l4 = self.rates(u + dt * k3, limits + dt * l3)
+        return (
+            u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+            limits + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4),
+        )
 
 
 def _check_range(values: np.ndarray) -> np.ndarray:
@@ -329,33 +346,32 @@ def _check_range(values: np.ndarray) -> np.ndarray:
 
 
 def pde_step(model: BranchingModel, field: Field, dt: float) -> Field:
-    """One Runge-Kutta step of the strong form.
+    """One Runge-Kutta step of the strong form, limits included.
 
-    ``dt`` must respect the explicit stability bound (0.2 min(1, dx^2) for
-    Brownian motion, 0.1 otherwise).  Values are clamped to [0, 1] only when
-    the overshoot is below 1e-10; larger departures raise ``StepSizeError``.
+    ``dt`` must respect the explicit stability bound (``_Stepper.
+    stability_bound``: 0.2 min(1, dx^2) with a Brownian part, 0.1 otherwise).
+    Values are clamped to [0, 1] only when the overshoot is below 1e-10;
+    larger departures raise ``StepSizeError``.
     """
-    stepper = _Stepper(model, field.grid, field.left_limit, field.right_limit)
-    stepper.check_step(dt)
-    values = _check_range(stepper.step(field.values, dt))
-    return field.with_values(values, field.t + dt)
+    return evolve(model, field, field.t + dt, dt)
 
 
 def evolve(model: BranchingModel, field: Field, t_end: float, dt: float) -> Field:
     """March the strong form to ``t_end`` in uniform steps of at most ``dt``."""
     if t_end < field.t:
         raise DomainError("t_end must not precede the field time")
-    stepper = _Stepper(model, field.grid, field.left_limit, field.right_limit)
+    stepper = _Stepper(model, field.grid)
     stepper.check_step(dt)
     span = t_end - field.t
     if span == 0:
         return field
     n_steps = max(1, int(math.ceil(span / dt - 1e-12)))
     h = span / n_steps
-    u = field.values
+    u, limits = field.values, np.array([field.left_limit, field.right_limit])
     for _ in range(n_steps):
-        u = _check_range(stepper.step(u, h))
-    return field.with_values(u, t_end)
+        u, limits = stepper.step(u, limits, h)
+        u = _check_range(u)
+    return field.with_values(u, t_end, limits)
 
 
 def track_front(
@@ -375,23 +391,23 @@ def track_front(
     Record times without a crossing are left out of the trace and logged
     once, as a count.
     """
-    stepper = _Stepper(model, field.grid, field.left_limit, field.right_limit)
+    stepper = _Stepper(model, field.grid)
     stepper.check_step(dt)
     per = max(1, int(math.ceil(record_interval / dt - 1e-12)))
     h = record_interval / per
     n_records = int(round((t_end - field.t) / record_interval))
-    u = field.values
+    u, limits = field.values, np.array([field.left_limit, field.right_limit])
     t = field.t
     times, fronts = [], []
     snapshots: dict[float, Field] = {}
     wanted = sorted(snapshot_times)
     for _ in range(n_records):
         for _ in range(per):
-            u = stepper.step(u, h)
+            u, limits = stepper.step(u, limits, h)
         u = _check_range(u)
         t += record_interval
         while wanted and t >= wanted[0] - 1e-9:
-            snapshots[wanted.pop(0)] = field.with_values(u.copy(), t)
+            snapshots[wanted.pop(0)] = field.with_values(u.copy(), t, limits)
         try:
             fronts.append(_front_position_values(field.grid.xs, u, level))
         except NoFrontError:
@@ -400,7 +416,7 @@ def track_front(
     if len(times) < n_records:
         skipped = n_records - len(times)
         logger.warning("level %g not crossed at %d of %d record times", level, skipped, n_records)
-    return field.with_values(u, t), FrontTrace(np.array(times), np.array(fronts)), snapshots
+    return field.with_values(u, t, limits), FrontTrace(np.array(times), np.array(fronts)), snapshots
 
 
 # -- mild-form (integral) solver --------------------------------------------------
@@ -441,7 +457,7 @@ def picard_solve(
         raise DomainError("need at least two time points")
     if not (math.isfinite(t) and t >= 0):
         raise DomainError("the horizon must be finite and nonnegative")
-    stepper = _Stepper(model, f.grid, f.left_limit, f.right_limit)
+    stepper = _Stepper(model, f.grid)
     n = f.grid.n_points
     dt = t / (n_time - 1)
     ts = np.linspace(0.0, t, n_time)[:, None]
@@ -449,7 +465,7 @@ def picard_solve(
     size = 2 * n
     while True:
         pad = (size - n) // 2
-        coeff = np.exp(ts * (stepper.motion_stencil.symbol(size) - stepper.loss_rate))
+        coeff = np.exp(ts * (stepper.symbol(size) - stepper.loss_rate))
         kernels = sp_fft.irfft(coeff, size, axis=1)
         leak = float(kernels[:, pad : size - pad + 1].sum(axis=1).max())
         if leak < TAIL_MASS:
@@ -600,11 +616,11 @@ def traveling_wave_profile(
     """
     xs = grid.xs
     n = grid.n_points
-    stepper = _Stepper(model, grid, 0.0, 1.0)
+    stepper = _Stepper(model, grid)
     values = 1.0 / (1.0 + np.exp(-xs))
     dt = 0.5 * stepper.stability_bound()
     for _ in range(int(20.0 / dt)):
-        values = stepper.step(values, dt)
+        values, _ = stepper.step(values, np.array([0.0, 1.0]), dt)
         pos = _front_position_values(xs, values, 0.5)
         values = np.interp(xs + pos, xs, values, left=0.0, right=1.0)
 
@@ -639,25 +655,27 @@ _CENTRAL = _Stencil([-1.0, 0.0, 1.0])
 
 
 def _comoving_residual(stepper: _Stepper, u: np.ndarray, c: float) -> np.ndarray:
-    """``rhs(u) + c u'``, with ``u'`` the central difference."""
-    du = _correlate(_CENTRAL, u, stepper.left, stepper.right)
-    return stepper.rhs(u) + c * du / (2.0 * stepper.grid.dx)
+    """``rhs(u) + c u'`` between the wave's limits 0 and 1, ``u'`` the central
+    difference."""
+    du = _correlate(_CENTRAL, u, 0.0, 1.0)
+    return stepper.rhs(u, 0.0, 1.0) + c * du / (2.0 * stepper.grid.dx)
 
 
 def _comoving_jacobian(stepper: _Stepper, u: np.ndarray, c: float) -> np.ndarray:
     """Jacobian of ``_comoving_residual`` at ``u``, in ``solve_banded`` form.
 
-    The half-bandwidth is the largest of the motion stencil's, the
+    The half-bandwidth is the largest of the motion stencils', the
     displacement kernel's and the transport stencil's (one).
     """
-    stencils = [stepper.motion_stencil, _CENTRAL]
+    stencils = [*stepper.motion_stencils, _CENTRAL]
     if stepper.w_disp is not None:
         stencils.append(stepper.w_disp)
     h = max(s.half for s in stencils)
     ab = np.zeros((2 * h + 1, u.size))
-    _add_band(ab, stepper.motion_stencil.weights)
+    for stencil in stepper.motion_stencils:
+        _add_band(ab, stencil.weights)
     _add_band(ab, c / (2.0 * stepper.grid.dx) * _CENTRAL.weights)
-    diagonal, scale = stepper.reaction_derivative(u)
+    diagonal, scale = stepper.reaction_derivative(u, 0.0, 1.0)
     ab[h] += diagonal - stepper.loss_rate
     if scale is not None:
         _add_band(ab, stepper.w_disp.weights, scale)

@@ -2,9 +2,8 @@
 
 All quantities derive from the growth transform ``psi`` of the model: the
 finiteness edge ``lambda0``, the minimizer ``lambda_star`` of the speed
-functional ``psi(lam)/lam`` with minimal speed ``c_star``, the second-moment
-values used to certify the limit-law hypotheses, and the per-sampling scaling
-``psi / 2**k`` of the transform under dyadic time sampling.
+functional ``psi(lam)/lam`` with minimal speed ``c_star``, and the second-moment
+values used to certify the limit-law hypotheses.
 
 ``psi`` is convex, so ``s(lam) = lam psi'(lam) - psi(lam)`` (the numerator of
 the derivative of ``psi(lam)/lam``) is increasing and ``lambda_star`` is its one
@@ -27,12 +26,7 @@ from .errors import (
     NoMinimizerError,
 )
 from .kernels import INF
-from .model import (
-    BINARY_ONE_DISPLACED,
-    OFFSPRING_AT_PARENT,
-    BranchingModel,
-    log_laplace,
-)
+from .model import BranchingModel, log_laplace
 
 #: relative tolerance of the derivative consistency check ``c* = psi'(l*)``
 DERIVATIVE_MATCH_RTOL = 1e-6
@@ -175,18 +169,17 @@ def _pair_source(model: BranchingModel, lam: float, mu: float) -> float:
 
     Derived from the branching law: expected sum over ordered child pairs of
     ``exp(-lam d_i - mu d_j)`` with ``i != j`` and displacements ``d`` relative
-    to the parent.  Equals 2 for both binary laws at coincident points.
+    to the parent: ``E N (N - 1)`` for an at-parent law, which is 2 for the
+    binary one.
     """
     law = model.law
-    if law.kind == OFFSPRING_AT_PARENT:
+    if law.displacement is None:
         return law.factorial_moment()
-    if law.kind == BINARY_ONE_DISPLACED:
-        bl = law.displacement.laplace(lam)
-        bm = law.displacement.laplace(mu)
-        if INF in (bl, bm):
-            return INF
-        return bl + bm
-    return 2.0
+    bl = law.displacement.laplace(lam)
+    bm = law.displacement.laplace(mu)
+    if INF in (bl, bm):
+        return INF
+    return bl + bm
 
 
 def check_assumptions(model: BranchingModel) -> AssumptionReport:
@@ -247,16 +240,6 @@ def check_assumptions(model: BranchingModel) -> AssumptionReport:
         else "offspring spread off any arithmetic lattice",
     )
     return AssumptionReport(a1, a2, a3, a4, non_lattice, w_values, speed)
-
-
-def psi_per_sampling(model: BranchingModel, k: int, lam: float) -> float:
-    """Growth transform of the ``2**-k``-sampled walk: ``psi(lam) / 2**k``."""
-    if k < 0 or int(k) != k:
-        raise DomainError("sampling depth must be a nonnegative integer")
-    psi = log_laplace(model, lam)
-    if psi == INF:
-        return INF
-    return psi / (1 << int(k))
 
 
 # -- internals ---------------------------------------------------------------

@@ -199,11 +199,3 @@ class TestSamplingConsistency:
     def test_empty_depths_rejected(self, brownian_binary):
         with pytest.raises(DomainError):
             sampling_consistency(brownian_binary, iter(()), 0.3, replicas=10, rng=4)
-
-    def test_closed_form_path_is_exact(self, jump_exponential_binary):
-        from kpplab import log_laplace, psi_per_sampling
-
-        for k in (0, 1, 2, 5):
-            assert psi_per_sampling(jump_exponential_binary, k, 0.9) * 2**k == log_laplace(
-                jump_exponential_binary, 0.9
-            )

@@ -45,6 +45,17 @@ class TestSpeedCommand:
         assert payload["c_star"] == pytest.approx(1.414214, abs=1e-6)
         assert (out / "manifest.json").exists()
 
+    def test_kernel_on_brownian_reads_as_jump_diffusion(self, tmp_path):
+        model = _with(JUMP_GAUSSIAN, "/motion/family", "brownian")
+        code, out = _run_cli(tmp_path, {"command": "speed", "model": model})
+        assert code == 0
+        payload = json.loads((out / "speed.json").read_text())
+        # psi(lam) = lam^2 / 2 + exp(lam^2 / 2): the Brownian part plus the jumps
+        lam = payload["lambda_star"]
+        psi = 0.5 * lam * lam + math.exp(0.5 * lam * lam)
+        assert payload["c_star"] == pytest.approx(psi / lam, rel=1e-12)
+        assert parse_config({"command": "speed", "model": model}).model.to_dict() == model
+
     def test_malformed_motion_family(self, tmp_path):
         bad = {"command": "speed", "model": {"motion": {"family": "warp"}, "law": {"family": "binary_at_parent"}}}
         code, _ = _run_cli(tmp_path, bad)
@@ -286,6 +297,8 @@ def _with(base, pointer, value):
 
 
 TABULATED_XS = {"family": "tabulated", "x": ["a", "b"], "density": [1.0, 1.0]}
+GAUSS = {"family": "gaussian", "sigma": 1.0}
+DISPLACED_PROBS = {"family": "binary_one_displaced", "kernel": GAUSS, "probs": {"2": 1.0}}
 
 MALFORMED = [
     ("probs-key", _with(SIMULATE, "/model/law/probs", {"two": 1.0}), "/model/law/probs/two"),
@@ -295,6 +308,11 @@ MALFORMED = [
     ("sigma-bool", _with(SPEED_JUMP, "/model/motion/kernel/sigma", True), "/model/motion/kernel/sigma"),
     ("sigma-negative", _with(SPEED_JUMP, "/model/motion/kernel/sigma", -1), "/model/motion/kernel/sigma"),
     ("motion-family", _with(SPEED_JUMP, "/model/motion/family", "warp"), "/model/motion/family"),
+    ("constant-kernel", _with(SPEED_JUMP, "/model/motion/family", "constant"), "/model/motion/kernel"),
+    ("binary-kernel", _with(SPEED_JUMP, "/model/law/kernel", GAUSS), "/model/law/kernel"),
+    ("offspring-kernel", _with(SIMULATE, "/model/law/kernel", GAUSS), "/model/law/kernel"),
+    ("binary-probs", _with(SPEED_JUMP, "/model/law/probs", {"0": 0.5, "2": 0.5}), "/model/law/probs"),
+    ("displaced-probs", _with(SPEED_JUMP, "/model/law", DISPLACED_PROBS), "/model/law/probs"),
     ("seed-bool", _with(SIMULATE, "/seed", True), "/seed"),
     ("replicas-fraction", _with(SIMULATE, "/params/replicas", 2.5), "/params/replicas"),
     ("replicas-negative", _with(SIMULATE, "/params/replicas", -5), "/params/replicas"),

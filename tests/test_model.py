@@ -86,7 +86,7 @@ def test_transform_at_zero_is_positive_for_supercritical_catalogue():
     for model in _all_catalogue_models():
         psi0 = log_laplace(model, 0.0)
         m = model.law.mean()
-        if model.motion.kind == "pure_jump":
+        if model.motion.kernel is not None:
             expected = model.motion.kernel.laplace(0.0) + (m - 2.0)
         else:
             expected = m - 1.0
@@ -127,6 +127,27 @@ def test_sample_offspring_binary_at_parent():
     assert sample_offspring_batch(law, np.array([3.2]), rng)[0].tolist() == [3.2, 3.2]
 
 
+def test_one_point_count_law_draws_nothing():
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    parents = np.array([1.0, -2.0])
+    for probs, n in (({2: 1.0}, 2), ({0: 1.0}, 0), ({3: 1.0}, 3)):
+        law = BranchingLaw.offspring_at_parent(probs)
+        children, litter = sample_offspring_batch(law, parents, rng)
+        assert litter == n and children.tolist() == [1.0] * n + [-2.0] * n
+    assert rng.bit_generator.state == state
+    u = np.random.default_rng(1).random(1000)
+    assert np.array_equal(BranchingLaw.binary_at_parent().generating_function(u), u * u)
+
+
+def test_binary_at_parent_is_the_binary_count_law():
+    spelled = BranchingLaw.offspring_at_parent({2: 1.0})
+    assert spelled.to_dict() == BranchingLaw.binary_at_parent().to_dict()
+    assert spelled.to_dict() == {"family": "binary_at_parent"}
+    with pytest.raises(DomainError):  # only the binary law has a displaced child
+        BranchingLaw(((0, 0.2), (2, 0.8)), Kernel.gaussian(1.0))
+
+
 def test_sample_offspring_certain_death():
     rng = np.random.default_rng(0)
     law = BranchingLaw.offspring_at_parent({0: 1.0})
@@ -163,6 +184,23 @@ def test_sample_motion_compound_poisson_variance():
     gauss = Kernel.gaussian(1.0)
     expected = quad_laplace(lambda x: x * x * gauss.density(x), 0.0)
     assert draws.var() == pytest.approx(expected, rel=0.05)
+
+
+def test_jump_diffusion_is_the_sum_of_its_parts():
+    kernel = Kernel.gaussian(1.0)
+    motion = Motion(diffusive=True, kernel=kernel)
+    for lam in (0.0, 0.8, 2.0):
+        want = Motion.brownian().exponent(lam) + Motion.pure_jump(kernel).exponent(lam)
+        assert motion.exponent(lam) == pytest.approx(want, rel=1e-15)
+    durations = np.random.default_rng(3).exponential(1.0, 500)
+    got = _displacements(motion, durations, np.random.default_rng(4))
+    rng = np.random.default_rng(4)  # the Brownian draw, then the jumps
+    want = _displacements(Motion.brownian(), durations, rng)
+    want += _displacements(Motion.pure_jump(kernel), durations, rng)
+    assert np.array_equal(got, want)
+    # variance d (1 + E J^2) = 2 d
+    draws = sample_displacements(motion, np.ones(100_000), np.random.default_rng(8))
+    assert draws.var() == pytest.approx(2.0, rel=0.03)
 
 
 def test_sampling_is_deterministic_in_rng_state():
@@ -276,10 +314,17 @@ def test_lattice_flag():
         Motion.constant(), BranchingLaw.binary_one_displaced(Kernel.gaussian(1.0))
     ).is_lattice
     assert not BranchingModel(Motion.brownian(), BranchingLaw.binary_at_parent()).is_lattice
+    jump_diffusion = Motion(diffusive=True, kernel=Kernel.gaussian(1.0))
+    assert not BranchingModel(jump_diffusion, BranchingLaw.binary_at_parent()).is_lattice
 
 
 def test_model_json_round_trip():
-    motions = [Motion.constant(), Motion.pure_jump(Kernel.gaussian(1.0)), Motion.brownian()]
+    motions = [
+        Motion.constant(),
+        Motion.pure_jump(Kernel.gaussian(1.0)),
+        Motion.brownian(),
+        Motion(diffusive=True, kernel=Kernel.gaussian(1.0)),  # jump-diffusion
+    ]
     laws = [
         BranchingLaw.binary_at_parent(),
         BranchingLaw.offspring_at_parent({2: 0.6, 3: 0.3}),  # death deficit 0.1
@@ -291,7 +336,10 @@ def test_model_json_round_trip():
             desc = model.to_dict()
             back = model_from_dict(desc)
             assert back.to_dict() == desc
-            assert back.motion.kind == motion.kind and back.law.kind == law.kind
+            assert back.motion.diffusive == motion.diffusive
+            assert (back.motion.kernel is None) == (motion.kernel is None)
+            assert back.law.offspring_probs == law.offspring_probs
+            assert (back.law.displacement is None) == (law.displacement is None)
             assert log_laplace(back, 0.5) == log_laplace(model, 0.5)
 
 

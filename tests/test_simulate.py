@@ -3,8 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from kpplab import (
+    BranchingLaw,
+    BranchingModel,
+    Kernel,
+    Motion,
     Population,
     RunConfig,
     advance,
@@ -311,3 +316,16 @@ def test_empirical_minima_marks_extinct(immobile_offspring):
     assert np.isinf(minima).any()
     finite = minima[np.isfinite(minima)]
     assert np.all(finite == 0.0)
+
+
+@pytest.mark.parametrize("motion", ["pure_jump", "jump_diffusion"])
+def test_merged_and_per_replica_minima_share_one_law(motion):
+    # one merged tagged population and independent replicas are two samplers
+    # of the same law of M_t; a two-sample KS test at fixed seeds compares them
+    kernel = Kernel.gaussian(1.0)
+    motions = {"pure_jump": Motion.pure_jump(kernel), "jump_diffusion": Motion(True, kernel)}
+    model = BranchingModel(motions[motion], BranchingLaw.binary_at_parent())
+    merged = empirical_minima(model, 3.0, 2000, 31)
+    cfg = RunConfig(t_max=3.0, record_times=(3.0,), prune_window=math.inf, seed=32)
+    per_replica = [s.m for s in run_ensemble(model, cfg, 2000).minima]
+    assert stats.ks_2samp(merged, per_replica).pvalue > 1e-3

@@ -20,6 +20,7 @@ from kpplab import (
     evolve,
     front_position,
     measure_front,
+    minimal_speed,
     pde_step,
     picard_solve,
     shift_field,
@@ -36,7 +37,7 @@ from kpplab.errors import (
 from kpplab.kernels import TAIL_MASS
 from kpplab.solve import _comoving_jacobian, _comoving_residual, _correlate, _Stencil, _Stepper
 
-from helpers import logistic_decay
+from helpers import binary_death_extinction, logistic_decay
 
 
 def small_grid(n=16, half=1.0):
@@ -47,6 +48,7 @@ MOTIONS = {
     "constant": Motion.constant(),
     "brownian": Motion.brownian(),
     "pure_jump": Motion.pure_jump(Kernel.gaussian(1.0)),
+    "jump_diffusion": Motion(diffusive=True, kernel=Kernel.gaussian(1.0)),
 }
 LAWS = {
     "binary_at_parent": BranchingLaw.binary_at_parent(),
@@ -261,14 +263,14 @@ class TestPicard:
     def test_agrees_with_strong_form(self, motion, law):
         model = BranchingModel(MOTIONS[motion], LAWS[law])
         grid = Grid(-24.0, 24.0, 512)
-        # the strong form holds its limits fixed, so the data run between the
-        # law's two constant states: extinction probability q and 1
-        q = model.law.extinction_probability()
-        f = Field(grid, q + (1.0 - q) * ndtr(grid.xs), 0.0, q, 1.0)
+        f = Field(grid, ndtr(grid.xs), 0.0, 0.0, 1.0)
         mild = picard_solve(model, f, 1.0, 129, tol=1e-10)
-        dt = min(0.05, _Stepper(model, grid, q, 1.0).stability_bound())
+        dt = min(0.05, _Stepper(model, grid).stability_bound())
         strong = evolve(model, f, 1.0, dt)
         assert np.max(np.abs(mild.values - strong.values)) < 5e-4
+        # both forms move the limits as constant states
+        assert strong.left_limit == pytest.approx(mild.left_limit, abs=5e-4)
+        assert strong.right_limit == pytest.approx(mild.right_limit, abs=5e-4)
 
     def test_wrap_around_mass_logged_below_tail_mass(self, jump_gaussian_binary, caplog):
         # by t = 1 the jumps carry more than TAIL_MASS past half the grid's
@@ -355,9 +357,9 @@ class TestTravelingWaveProfile:
         grid = Grid(-30.0, 30.0, 1024)
         c = math.exp(0.5)
         prof = traveling_wave_profile(jump_gaussian_binary, c, grid)
-        stepper = _Stepper(jump_gaussian_binary, grid, 0.0, 1.0)
+        stepper = _Stepper(jump_gaussian_binary, grid)
         du = np.gradient(prof.values, grid.dx)
-        steady = stepper.rhs(prof.values) + c * du
+        steady = stepper.rhs(prof.values, 0.0, 1.0) + c * du
         interior = slice(8, -8)
         assert np.max(np.abs(steady[interior])) < 1e-4  # gradient() is only O(dx^2)
         assert prof.values[0] < 1e-5 and prof.values[-1] > 1 - 1e-8
@@ -390,7 +392,7 @@ def _dense_band(ab):
 def test_banded_jacobian_matches_central_difference(motion, law):
     model = BranchingModel(MOTIONS[motion], LAWS[law])
     grid = Grid(-16.0, 16.0, 128)
-    stepper = _Stepper(model, grid, 0.0, 1.0)
+    stepper = _Stepper(model, grid)
     rng = np.random.default_rng(5)
     u = np.clip(ndtr(grid.xs) + 0.05 * rng.standard_normal(grid.n_points), 0.0, 1.0)
     c, eps = 1.3, 1e-6
@@ -424,6 +426,37 @@ class TestTrackFront:
         f = Field.heaviside(Grid(-40.0, 139.0, 8192))
         _, trace, _ = track_front(jump_gaussian_binary, f, 60.0, 0.1, 0.5)
         assert trace.t.size == 120
+
+
+    def test_jump_diffusion_front_speed(self):
+        # criterion 09's 2% tolerance, for Brownian motion plus gaussian jumps
+        model = BranchingModel(MOTIONS["jump_diffusion"], LAWS["binary_at_parent"])
+        speed = minimal_speed(model)
+        grid = Grid(-40.0, 160.0, 1024)
+        dt = _Stepper(model, grid).stability_bound()
+        _, trace, _ = track_front(model, Field.heaviside(grid), 40.0, dt, 0.5)
+        assert trace.t.size == 80
+        fit = measure_front(trace, speed.lambda_star, (10.0, 40.0))
+        assert abs(fit.c_est - speed.c_star) <= 0.02 * speed.c_star
+
+
+def test_limits_move_as_constant_states(immobile_offspring, jump_gaussian_binary):
+    # left limit from 0: P[extinct by t] of the law {0: 0.2, 2: 0.8}; right stays 1
+    grid = Grid(-8.0, 8.0, 64)
+    field = Field.heaviside(grid)
+    final, _, snaps = track_front(immobile_offspring, field, 1.0, 0.05, 0.5, snapshot_times=(0.5,))
+    for t, out in (
+        (0.05, pde_step(immobile_offspring, field, 0.05)),
+        (1.0, evolve(immobile_offspring, field, 1.0, 0.05)),
+        (1.0, final),
+        (0.5, snaps[0.5]),
+    ):
+        assert out.t == pytest.approx(t)
+        assert out.left_limit == pytest.approx(binary_death_extinction(0.2, t), abs=1e-8)
+        assert out.right_limit == 1.0
+    # a binary law keeps 0 and 1 exactly
+    out = evolve(jump_gaussian_binary, field, 1.0, 0.05)
+    assert (out.left_limit, out.right_limit) == (0.0, 1.0)
 
 
 def test_convergence_order_on_logistic(immobile_binary):

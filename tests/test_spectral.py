@@ -15,7 +15,6 @@ from kpplab import (
     check_assumptions,
     log_laplace,
     minimal_speed,
-    psi_per_sampling,
     second_moment_w,
 )
 from kpplab.errors import BoundaryInfimumError, NoMinimizerError
@@ -194,28 +193,6 @@ class TestAssumptions:
         d = check_assumptions(jump_gaussian_binary).to_dict()
         assert d["all_passed"] is True
         assert set(d) >= {"supercritical", "non_lattice", "w_values", "speed"}
-
-
-class TestSamplingScaling:
-    def test_identity_at_depth_zero(self, brownian_binary):
-        assert psi_per_sampling(brownian_binary, 0, 0.7) == log_laplace(brownian_binary, 0.7)
-
-    def test_halving(self, brownian_binary):
-        lam = math.sqrt(2.0)
-        assert psi_per_sampling(brownian_binary, 1, lam) == pytest.approx(1.0, rel=1e-12)
-
-    def test_depth_three_at_zero(self, jump_gaussian_binary):
-        assert psi_per_sampling(jump_gaussian_binary, 3, 0.0) == pytest.approx(0.125, rel=1e-12)
-
-    def test_scaling_identity_exact(self, jump_exponential_binary):
-        for k in range(6):
-            for lam in (0.0, 0.5, 1.2):
-                assert psi_per_sampling(jump_exponential_binary, k, lam) * (2**k) == log_laplace(
-                    jump_exponential_binary, lam
-                )
-
-    def test_infinite_transform_sentinel(self, jump_exponential_binary):
-        assert psi_per_sampling(jump_exponential_binary, 2, 3.0) == INF
 
 
 def test_speed_ratio_convexity_and_optimality_grid():
