@@ -22,6 +22,9 @@ from .simulate import MartingaleTrace, MinimumSample, empirical_minima, empirica
 from .solve import Field, Grid, evolve
 from . import solve as _solve
 
+#: bootstrap resamplings behind the martingale profile's standard errors
+N_BOOT = 1000
+
 
 @dataclass(frozen=True)
 class ProfileEstimate:
@@ -112,13 +115,12 @@ def phi_from_martingale(
     d: DInfinityEnsemble,
     lambda_star: float,
     x_grid: np.ndarray,
-    n_boot: int = 1000,
     rng: np.random.Generator | int = 0,
 ) -> ProfileEstimate:
     """Wave profile ``phi(x) = E exp(-exp(-lambda_star x) D)`` from samples.
 
-    Standard errors come from a multinomial bootstrap over the replica
-    dimension.
+    Standard errors come from a multinomial bootstrap, ``N_BOOT`` resamplings
+    over the replica dimension.
     """
     if d.samples.size == 0:
         raise DomainError("need at least one martingale sample")
@@ -129,11 +131,11 @@ def phi_from_martingale(
         weights = np.exp(-lambda_star * x)
         mat = np.exp(-weights[:, None] * d.samples[None, :])
     values = mat.mean(axis=1)
-    boot = np.empty((n_boot, x.size))
+    boot = np.empty((N_BOOT, x.size))
     chunk = 100
     p = np.full(n, 1.0 / n)
-    for lo in range(0, n_boot, chunk):
-        hi = min(lo + chunk, n_boot)
+    for lo in range(0, N_BOOT, chunk):
+        hi = min(lo + chunk, N_BOOT)
         counts = rng.multinomial(n, p, size=hi - lo).astype(float)
         boot[lo:hi] = counts @ mat.T / n
     stderr = boot.std(axis=0, ddof=1)
@@ -251,7 +253,7 @@ def sampling_consistency(
     return SamplingReport(rows, psi)
 
 
-def pde_profile(field: Field, level: float = 0.5) -> ProfileEstimate:
+def pde_profile(field: Field) -> ProfileEstimate:
     """Recenter a front field by its level crossing into profile coordinates."""
-    pos = _solve.front_position(field, level)
+    pos = _solve.front_position(field)
     return ProfileEstimate(field.grid.xs - pos, field.values, None, "pde-front")

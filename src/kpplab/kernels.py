@@ -104,16 +104,16 @@ class Kernel:
             return np.where(np.abs(xs) <= r, 0.5 / r, 0.0)
         return np.interp(xs, self.x, self.values, left=0.0, right=0.0)
 
-    def laplace(self, lam: float) -> float:
-        """Exponential moment ``int density(x) exp(-lam x) dx``.
+    def laplace(self, lam):
+        """Exponential moment ``int density(x) exp(-lam x) dx``, for real or
+        complex ``lam`` (the speed search differentiates it by a complex step).
 
         Returns the ``inf`` sentinel where the integral diverges.  Tabulated
         kernels are supported on a bounded range, so their transform is
         finite for every argument (a documented limitation of tabulation).
         """
-        lam = float(lam)
         if self.family == GAUSSIAN:
-            return math.exp(0.5 * (self.param * lam) ** 2)
+            return np.exp(0.5 * (self.param * lam) ** 2)
         if self.family == TWO_SIDED_EXPONENTIAL:
             b = self.param
             if abs(lam) >= b:
@@ -123,8 +123,8 @@ class Kernel:
             r = self.param
             if lam == 0.0:
                 return 1.0
-            return math.sinh(r * lam) / (r * lam)
-        return float(np.trapezoid(self.values * np.exp(-lam * self.x), self.x))
+            return np.sinh(r * lam) / (r * lam)
+        return np.trapezoid(self.values * np.exp(-lam * self.x), self.x)
 
     def laplace_abscissa(self) -> float:
         """Supremum of ``s`` with a finite transform on ``[0, s)``."""
@@ -132,13 +132,13 @@ class Kernel:
             return self.param
         return INF
 
-    def truncation_radius(self, tail: float = TAIL_MASS) -> float:
-        """Radius outside which the density carries less than ``tail`` mass."""
+    def truncation_radius(self) -> float:
+        """Radius outside which the density carries less than ``TAIL_MASS``."""
         if self.family == GAUSSIAN:
-            # 2*Phi(-r/sigma) <= tail; generous analytic bound
-            return self.param * math.sqrt(2.0) * float(erfcinv(tail))
+            # 2*Phi(-r/sigma) <= TAIL_MASS; generous analytic bound
+            return self.param * math.sqrt(2.0) * float(erfcinv(TAIL_MASS))
         if self.family == TWO_SIDED_EXPONENTIAL:
-            return -math.log(tail) / self.param
+            return -math.log(TAIL_MASS) / self.param
         if self.family == UNIFORM:
             return self.param
         return float(max(abs(self.x[0]), abs(self.x[-1])))

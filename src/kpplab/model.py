@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import ConfigError, DomainError, config_pointer, expect, read_number
-from .kernels import INF, Kernel
+from .kernels import Kernel
 
 CONSTANT = "constant"
 PURE_JUMP = "pure_jump"
@@ -71,8 +71,7 @@ class Motion:
         eta = 0.5 * lam * lam if self.diffusive else 0.0
         if self.kernel is None:
             return eta
-        la = self.kernel.laplace(lam)
-        return INF if la == INF else eta + (la - 1.0)
+        return eta + (self.kernel.laplace(lam) - 1.0)
 
     def to_dict(self) -> dict:
         family = BROWNIAN if self.diffusive else CONSTANT if self.kernel is None else PURE_JUMP
@@ -225,13 +224,11 @@ def log_laplace(model: BranchingModel, lam: float) -> float:
 
     ``E sum_y exp(-lam y)`` over the time-``t`` population grows like
     ``exp(t psi(lam))``; the value at ``t = 1`` defines the transform of one
-    sampling step.  Returns the ``inf`` sentinel past the finiteness edge.
+    sampling step.  Past the finiteness edge a kernel's transform is the
+    ``inf`` sentinel, and so is the sum.  ``lam`` may be complex, as for
+    ``Kernel.laplace``.
     """
-    eta = model.motion.exponent(lam)
-    gain = model.law.net_gain(lam)
-    if eta == INF or gain == INF:
-        return INF
-    return eta + gain
+    return model.motion.exponent(lam) + model.law.net_gain(lam)
 
 
 def sample_offspring_batch(

@@ -24,12 +24,11 @@ _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 
 
-def plot(csv_path, kind: str, out_path=None) -> Path:
-    """Render ``csv_path`` as an SVG of the given kind; returns the SVG path."""
+def plot(csv_path, kind: str) -> Path:
+    """Render ``csv_path`` as an SVG of the given kind next to it, with the
+    suffix ``.svg``; returns the SVG path."""
     csv_path = Path(csv_path)
-    if out_path is None:
-        out_path = csv_path.with_suffix(".svg")
-    out_path = Path(out_path)
+    out_path = csv_path.with_suffix(".svg")
     header_meta, columns, rows = _read_csv(csv_path)
     if kind == "profile":
         svg = _plot_profile(columns, rows)

@@ -56,6 +56,14 @@ logger = logging.getLogger(__name__)
 
 OVERSHOOT_CLAMP = 1e-10
 OVERSHOOT_ERROR = 1e-6
+#: the field value whose crossing is the front position
+FRONT_LEVEL = 0.5
+#: sweep limit of the mild-form successive substitution
+PICARD_MAX_ITER = 80
+#: sup-norm comoving residual at which the travelling-wave Newton stops
+WAVE_TOL = 1e-11
+#: iteration limit of the travelling-wave Newton
+WAVE_MAX_ITER = 40
 
 
 @dataclass(frozen=True)
@@ -380,14 +388,13 @@ def track_front(
     t_end: float,
     dt: float,
     record_interval: float,
-    level: float = 0.5,
     snapshot_times: tuple[float, ...] = (),
 ) -> tuple[Field, FrontTrace, dict[float, Field]]:
-    """Evolve the field while recording level-crossing positions.
+    """Evolve the field while recording ``FRONT_LEVEL`` crossing positions.
 
     Steps are aligned so that every record time is hit exactly; snapshots of
     the full field are kept at the requested times (which must be record
-    times up to rounding), whether or not the field crosses ``level`` there.
+    times up to rounding), whether or not the field crosses the level there.
     Record times without a crossing are left out of the trace and logged
     once, as a count.
     """
@@ -409,13 +416,15 @@ def track_front(
         while wanted and t >= wanted[0] - 1e-9:
             snapshots[wanted.pop(0)] = field.with_values(u.copy(), t, limits)
         try:
-            fronts.append(_front_position_values(field.grid.xs, u, level))
+            fronts.append(_front_position_values(field.grid.xs, u, FRONT_LEVEL))
         except NoFrontError:
             continue
         times.append(t)
     if len(times) < n_records:
         skipped = n_records - len(times)
-        logger.warning("level %g not crossed at %d of %d record times", level, skipped, n_records)
+        logger.warning(
+            "level %g not crossed at %d of %d record times", FRONT_LEVEL, skipped, n_records
+        )
     return field.with_values(u, t, limits), FrontTrace(np.array(times), np.array(fronts)), snapshots
 
 
@@ -427,7 +436,6 @@ def picard_solve(
     f: Field,
     t: float,
     n_time: int,
-    max_iter: int = 80,
     tol: float = 1e-10,
     return_history: bool = False,
 ):
@@ -448,7 +456,7 @@ def picard_solve(
     Each sweep applies the law's reaction to all time rows at once and
     integrates it against the semigroup by the trapezoid rule, frequency by
     frequency.  Iterates increase monotonically to the minimal solution;
-    failure to reach ``tol`` within ``max_iter`` sweeps raises
+    failure to reach ``tol`` within ``PICARD_MAX_ITER`` sweeps raises
     ``IterationLimitError`` carrying the last increment.
     """
     if np.any(f.values < 0) or np.any(f.values > 1):
@@ -492,7 +500,7 @@ def picard_solve(
     limits = np.zeros((n_time, 2))
     history = []
     last = math.inf
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         g = stepper.reaction(u, limits[:, 0], limits[:, 1])
         g_limits = model.law.generating_function(limits)
         integral = field_integral(periodic(g, g_limits))
@@ -506,7 +514,7 @@ def picard_solve(
             out = Field(f.grid, u[-1], t, float(limits[-1, 0]), float(limits[-1, 1]))
             return (out, history) if return_history else out
     raise IterationLimitError(
-        f"no convergence in {max_iter} sweeps (last increment {last:.3g})",
+        f"no convergence in {PICARD_MAX_ITER} sweeps (last increment {last:.3g})",
         last_increment=last,
     )
 
@@ -549,9 +557,10 @@ def _front_position_values(xs: np.ndarray, values: np.ndarray, level: float) -> 
     return float(x0 + (level - v0) * (x1 - x0) / (v1 - v0))
 
 
-def front_position(field: Field, level: float = 0.5) -> float:
-    """Linear interpolation of the unique level crossing of a monotone field."""
-    return _front_position_values(field.grid.xs, field.values, level)
+def front_position(field: Field) -> float:
+    """Linear interpolation of the unique ``FRONT_LEVEL`` crossing of a
+    monotone field."""
+    return _front_position_values(field.grid.xs, field.values, FRONT_LEVEL)
 
 
 def measure_front(
@@ -595,20 +604,17 @@ def wave_residual(profile: Field, c: float, model: BranchingModel, dt: float) ->
     return float(np.max(np.abs(shifted.values - profile.values)))
 
 
-def traveling_wave_profile(
-    model: BranchingModel,
-    c: float,
-    grid: Grid,
-    tol: float = 1e-11,
-    max_iter: int = 40,
-) -> Field:
+def traveling_wave_profile(model: BranchingModel, c: float, grid: Grid) -> Field:
     """Steady comoving profile at speed ``c``: solves ``rhs(u) + c u' = 0``.
 
-    A short step-and-recenter relaxation provides the initial guess, then
-    Newton iteration (banded Jacobian, central-difference transport, phase
-    pinned at the half level) drives the comoving residual below ``tol``.
-    Evolving the returned profile and shifting back by ``c dt`` leaves only
-    discretization error, so it is the right object for residual tests.
+    The wave runs between the law's two constant states, its extinction
+    probability ``q`` on the left (0 for a law without death) and 1 on the
+    right.  A short step-and-recenter relaxation provides the initial guess,
+    then Newton iteration (banded Jacobian, central-difference transport,
+    phase pinned at the level ``(q + 1)/2``) drives the comoving residual
+    below ``WAVE_TOL``.  Evolving the returned profile and shifting back by
+    ``c dt`` leaves only discretization error, so it is the right object for
+    residual tests.
 
     Finite-time evolution cannot produce this profile: the front relaxes to
     its limiting speed only algebraically, which leaves a resolution-
@@ -616,23 +622,25 @@ def traveling_wave_profile(
     """
     xs = grid.xs
     n = grid.n_points
+    q = model.law.extinction_probability()
+    mid = 0.5 * (q + 1.0)
     stepper = _Stepper(model, grid)
-    values = 1.0 / (1.0 + np.exp(-xs))
+    values = q + (1.0 - q) / (1.0 + np.exp(-xs))
     dt = 0.5 * stepper.stability_bound()
     for _ in range(int(20.0 / dt)):
-        values, _ = stepper.step(values, np.array([0.0, 1.0]), dt)
-        pos = _front_position_values(xs, values, 0.5)
-        values = np.interp(xs + pos, xs, values, left=0.0, right=1.0)
+        values, _ = stepper.step(values, np.array([q, 1.0]), dt)
+        pos = _front_position_values(xs, values, mid)
+        values = np.interp(xs + pos, xs, values, left=q, right=1.0)
 
     i0 = int(np.argmin(np.abs(xs)))
     converged = False
-    for _ in range(max_iter):
-        f = _comoving_residual(stepper, values, c)
-        f[i0] = values[i0] - 0.5  # phase pin replaces the (redundant) equation here
-        if float(np.max(np.abs(f))) < tol:
+    for _ in range(WAVE_MAX_ITER):
+        f = _comoving_residual(stepper, values, c, q)
+        f[i0] = values[i0] - mid  # phase pin replaces the (redundant) equation here
+        if float(np.max(np.abs(f))) < WAVE_TOL:
             converged = True
             break
-        ab = _comoving_jacobian(stepper, values, c)
+        ab = _comoving_jacobian(stepper, values, c, q)
         h = (ab.shape[0] - 1) // 2
         pinned = np.arange(max(0, i0 - h), min(n, i0 + h + 1))
         ab[h + i0 - pinned, pinned] = 0.0
@@ -645,23 +653,23 @@ def traveling_wave_profile(
     if not converged:
         raise IterationLimitError(
             "comoving Newton iteration did not converge",
-            last_increment=float(np.max(np.abs(_comoving_residual(stepper, values, c)))),
+            last_increment=float(np.max(np.abs(_comoving_residual(stepper, values, c, q)))),
         )
-    return Field(grid, np.clip(values, 0.0, 1.0), 0.0, 0.0, 1.0)
+    return Field(grid, np.clip(values, q, 1.0), 0.0, q, 1.0)
 
 
 #: the central difference ``u[i+1] - u[i-1]`` as a lattice stencil
 _CENTRAL = _Stencil([-1.0, 0.0, 1.0])
 
 
-def _comoving_residual(stepper: _Stepper, u: np.ndarray, c: float) -> np.ndarray:
-    """``rhs(u) + c u'`` between the wave's limits 0 and 1, ``u'`` the central
-    difference."""
-    du = _correlate(_CENTRAL, u, 0.0, 1.0)
-    return stepper.rhs(u, 0.0, 1.0) + c * du / (2.0 * stepper.grid.dx)
+def _comoving_residual(stepper: _Stepper, u: np.ndarray, c: float, q: float) -> np.ndarray:
+    """``rhs(u) + c u'`` between the wave's limits ``q`` and 1, ``u'`` the
+    central difference."""
+    du = _correlate(_CENTRAL, u, q, 1.0)
+    return stepper.rhs(u, q, 1.0) + c * du / (2.0 * stepper.grid.dx)
 
 
-def _comoving_jacobian(stepper: _Stepper, u: np.ndarray, c: float) -> np.ndarray:
+def _comoving_jacobian(stepper: _Stepper, u: np.ndarray, c: float, q: float) -> np.ndarray:
     """Jacobian of ``_comoving_residual`` at ``u``, in ``solve_banded`` form.
 
     The half-bandwidth is the largest of the motion stencils', the
@@ -675,7 +683,7 @@ def _comoving_jacobian(stepper: _Stepper, u: np.ndarray, c: float) -> np.ndarray
     for stencil in stepper.motion_stencils:
         _add_band(ab, stencil.weights)
     _add_band(ab, c / (2.0 * stepper.grid.dx) * _CENTRAL.weights)
-    diagonal, scale = stepper.reaction_derivative(u, 0.0, 1.0)
+    diagonal, scale = stepper.reaction_derivative(u, q, 1.0)
     ab[h] += diagonal - stepper.loss_rate
     if scale is not None:
         _add_band(ab, stepper.w_disp.weights, scale)

@@ -7,8 +7,10 @@ values used to certify the limit-law hypotheses.
 
 ``psi`` is convex, so ``s(lam) = lam psi'(lam) - psi(lam)`` (the numerator of
 the derivative of ``psi(lam)/lam``) is increasing and ``lambda_star`` is its one
-root: one bracketed root solve finds it.  The test suite also checks the
-convexity of ``psi(lam)/lam`` numerically on a grid.
+root: one bracketed root solve finds it, with ``psi'`` exact to rounding from
+one evaluation of ``psi`` a complex step off the real axis (Squire & Trapp,
+SIAM Rev. 40, 1998).  The second moment solves its linear ODE in closed form.
+The test suite also checks the convexity of ``psi(lam)/lam`` on a grid.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special import exprel
 
 from .errors import (
     BoundaryInfimumError,
@@ -113,7 +115,8 @@ def minimal_speed(model: BranchingModel) -> SpeedProfile:
     """Minimize the speed functional ``psi(lam)/lam`` over ``(0, lambda0)``.
 
     The minimizer is the root of the increasing stationarity function
-    ``lam psi'(lam) - psi(lam)``, solved to machine precision.
+    ``lam psi'(lam) - psi(lam)``, solved to machine precision; ``psi'``, also
+    reported at the root, is a complex step.
 
     Raises ``NoMinimizerError`` when the infimum is only approached as
     ``lam -> inf`` and ``BoundaryInfimumError`` when it is only approached at
@@ -121,10 +124,10 @@ def minimal_speed(model: BranchingModel) -> SpeedProfile:
     """
     psi0 = log_laplace(model, 0.0)
     if not 0.0 < psi0 < INF:
-        raise DomainError(f"transform at zero is {psi0!r}, expected in (0, inf)")
+        raise DomainError(f"transform at zero is {psi0}, expected in (0, inf)")
     lam0 = abscissa(model)
     lam_star = _minimize_speed(lambda l: log_laplace(model, l), lam0)
-    c_star = log_laplace(model, lam_star) / lam_star
+    c_star = float(log_laplace(model, lam_star)) / lam_star
     dpsi = _psi_prime(lambda l: log_laplace(model, l), lam_star)
     if lam0 == INF:
         delta = 1.0
@@ -137,8 +140,8 @@ def second_moment_w(model: BranchingModel, lam: float, mu: float, t: float) -> f
     """Second cross moment ``E[(sum e^{-lam y})(sum e^{-mu y})]`` at the origin.
 
     The spatially homogeneous ansatz reduces the linear second-moment
-    equation to a scalar ODE driven by the squared first moments; it is
-    integrated with adaptive Runge-Kutta at relative tolerance 1e-10.
+    equation to a scalar linear ODE driven by the squared first moments,
+    solved in closed form (``exprel`` keeps it exact when the rates agree).
     Returns the ``inf`` sentinel when any of the needed transforms diverges
     (in particular when ``lam + mu`` reaches the finiteness edge).
     """
@@ -149,19 +152,8 @@ def second_moment_w(model: BranchingModel, lam: float, mu: float, t: float) -> f
     psi_lm = log_laplace(model, lam + mu)
     if INF in (psi_l, psi_m, psi_lm):
         return INF
-    if t == 0:
-        return 1.0
     src = _pair_source(model, lam, mu)
-    if src == INF:
-        return INF
-
-    def rhs(s, w):
-        return psi_lm * w + src * math.exp(s * (psi_l + psi_m))
-
-    sol = solve_ivp(rhs, (0.0, t), [1.0], method="RK45", rtol=1e-10, atol=1e-12)
-    if not sol.success:
-        raise DomainError(f"second-moment integration failed: {sol.message}")
-    return float(sol.y[0, -1])
+    return float(math.exp(psi_lm * t) * (1.0 + src * t * exprel((psi_l + psi_m - psi_lm) * t)))
 
 
 def _pair_source(model: BranchingModel, lam: float, mu: float) -> float:
@@ -170,16 +162,12 @@ def _pair_source(model: BranchingModel, lam: float, mu: float) -> float:
     Derived from the branching law: expected sum over ordered child pairs of
     ``exp(-lam d_i - mu d_j)`` with ``i != j`` and displacements ``d`` relative
     to the parent: ``E N (N - 1)`` for an at-parent law, which is 2 for the
-    binary one.
+    binary one, and ``L(lam) + L(mu)`` for the displaced law.
     """
     law = model.law
     if law.displacement is None:
         return law.factorial_moment()
-    bl = law.displacement.laplace(lam)
-    bm = law.displacement.laplace(mu)
-    if INF in (bl, bm):
-        return INF
-    return bl + bm
+    return law.displacement.laplace(lam) + law.displacement.laplace(mu)
 
 
 def check_assumptions(model: BranchingModel) -> AssumptionReport:
@@ -246,27 +234,26 @@ def check_assumptions(model: BranchingModel) -> AssumptionReport:
 
 
 def _psi_prime(psi, lam: float) -> float:
-    h = 1e-6 * max(1.0, abs(lam))
-    return (psi(lam + h) - psi(lam - h)) / (2.0 * h)
+    """``Im psi(lam + i h) / h``: a complex step subtracts nothing, so ``h``
+    may lie far below rounding and the derivative is exact to rounding."""
+    h = 1e-100
+    return float(psi(complex(lam, h)).imag) / h
 
 
 def _minimize_speed(psi, lam0: float) -> float:
     """Root of ``s(l) = l psi'(l) - psi(l)``, increasing when ``psi`` is convex.
 
-    The bracket is ``[margin, lambda0 - max(EDGE_GAP lambda0, margin)]`` when
-    the edge is finite; otherwise its upper end doubles from 1 until ``s``
-    turns positive.
+    ``psi`` must accept a complex argument (``psi'`` is a complex step).
+    ``s(0) = -psi(0) < 0`` for a supercritical ``psi``, so the bracket is
+    ``[0, lambda0 (1 - EDGE_GAP)]`` when the edge is finite; otherwise its
+    upper end doubles from 1 until ``s`` turns positive.
     """
 
     def s(l):
         return l * _psi_prime(psi, l) - psi(l)
 
-    # twice the step of _psi_prime below 1, so every stencil stays in (0, lambda0)
-    margin = 2e-6
     if lam0 < INF:
-        hi = lam0 - max(EDGE_GAP * lam0, margin)
-        if hi <= margin:
-            raise DomainError("finiteness interval too narrow to search")
+        hi = lam0 * (1.0 - EDGE_GAP)
         if s(hi) <= 0.0:
             raise BoundaryInfimumError("speed functional decreases into the finiteness edge")
     else:
@@ -277,6 +264,4 @@ def _minimize_speed(psi, lam0: float) -> float:
                 raise NoMinimizerError(
                     "speed functional keeps decreasing; no interior minimizer"
                 )
-    if s(margin) >= 0.0:
-        raise NoMinimizerError("speed functional minimized at the origin edge")
-    return float(brentq(s, margin, hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps))
+    return float(brentq(s, 0.0, hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps))

@@ -376,6 +376,19 @@ class TestTravelingWaveProfile:
         assert res < 5 * grid.dx**2 + 5 * 0.05
         assert res < 5e-5
 
+    def test_law_with_death_runs_from_extinction_probability(self):
+        # G(0) = p0 > 0, so the wave's left constant state is q, not 0
+        from kpplab import traveling_wave_profile
+
+        law = LAWS["offspring_at_parent"]
+        model = BranchingModel(MOTIONS["pure_jump"], law)
+        grid = Grid(-30.0, 30.0, 1024)
+        c = minimal_speed(model).c_star
+        prof = traveling_wave_profile(model, c, grid)
+        q = law.extinction_probability()
+        assert prof.left_limit == q and prof.right_limit == 1.0
+        assert wave_residual(prof, c, model, 0.05) < 5e-5
+
 
 def _dense_band(ab):
     h = ab.shape[0] // 2
@@ -395,12 +408,12 @@ def test_banded_jacobian_matches_central_difference(motion, law):
     stepper = _Stepper(model, grid)
     rng = np.random.default_rng(5)
     u = np.clip(ndtr(grid.xs) + 0.05 * rng.standard_normal(grid.n_points), 0.0, 1.0)
-    c, eps = 1.3, 1e-6
-    jac = _dense_band(_comoving_jacobian(stepper, u, c))
+    c, eps, q = 1.3, 1e-6, LAWS[law].extinction_probability()
+    jac = _dense_band(_comoving_jacobian(stepper, u, c, q))
     for _ in range(3):
         v = rng.standard_normal(grid.n_points)
-        plus = _comoving_residual(stepper, u + eps * v, c)
-        minus = _comoving_residual(stepper, u - eps * v, c)
+        plus = _comoving_residual(stepper, u + eps * v, c, q)
+        minus = _comoving_residual(stepper, u - eps * v, c, q)
         want = (plus - minus) / (2.0 * eps)
         assert np.max(np.abs(jac @ v - want)) < 1e-6 * max(1.0, np.max(np.abs(want)))
 

@@ -86,32 +86,33 @@ class TestMinimalSpeed:
 
     def test_speed_equals_derivative_at_minimizer(self, jump_exponential_binary):
         sp = minimal_speed(jump_exponential_binary)
-        assert sp.psi_prime_at_star == pytest.approx(sp.c_star, rel=1e-8)
+        assert sp.psi_prime_at_star == pytest.approx(sp.c_star, rel=1e-14)
 
     def test_constant_transform_has_no_minimizer(self, immobile_offspring):
         with pytest.raises(NoMinimizerError):
             minimal_speed(immobile_offspring)
 
     @settings(max_examples=40, deadline=None)
-    @given(sigma=st.floats(0.2, 5.0), m=st.floats(1.01, 4.0))
+    @given(sigma=st.floats(0.2, 5.0), m=st.floats(1.0 + 1e-10, 4.0))
     def test_closed_forms(self, sigma, m):
         # gaussian jumps x binary: psi = exp(sigma^2 l^2 / 2), so l* = 1/sigma
         # and c* = sigma sqrt(e).  Brownian x mean m: psi = l^2/2 + m - 1, so
-        # l* = c* = sqrt(2 (m - 1)).  Means nearer 1 put l* where the
-        # finite-difference psi' resolves it only to ~1e-8.
+        # l* = c* = sqrt(2 (m - 1)).  The complex-step psi' is exact to
+        # rounding, so l* holds to 1e-12 however near 1 the mean is; m - 1 is
+        # taken as the law's net gain, free of the cancellation in mean() - 1.
         gauss = minimal_speed(
             BranchingModel(Motion.pure_jump(Kernel.gaussian(sigma)), BranchingLaw.binary_at_parent())
         )
-        assert gauss.lambda_star == pytest.approx(1.0 / sigma, rel=1e-9)
-        assert gauss.c_star == pytest.approx(sigma * math.sqrt(math.e), rel=1e-10)
+        assert gauss.lambda_star == pytest.approx(1.0 / sigma, rel=1e-12)
+        assert gauss.c_star == pytest.approx(sigma * math.sqrt(math.e), rel=1e-12)
         a = (m - 1.0) / 4.0
         law = BranchingLaw.offspring_at_parent({1: 1.0 - a, 5: a})
         bbm = minimal_speed(BranchingModel(Motion.brownian(), law))
-        root = math.sqrt(2.0 * (law.mean() - 1.0))
-        assert bbm.lambda_star == pytest.approx(root, rel=1e-9)
-        assert bbm.c_star == pytest.approx(root, rel=1e-10)
+        root = math.sqrt(2.0 * float((law.counts - 1) @ law.probs))
+        assert bbm.lambda_star == pytest.approx(root, rel=1e-12)
+        assert bbm.c_star == pytest.approx(root, rel=1e-12)
 
-    @pytest.mark.parametrize("d", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("d", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
     def test_near_critical_brownian(self, d):
         # Brownian x {1: 1 - d, 2: d}: psi = l^2/2 + d, so l* = c* = sqrt(2 d).
         # The net gain d enters psi without a cancelling "+ 1 - 1".
@@ -120,10 +121,21 @@ class TestMinimalSpeed:
         assert sp.lambda_star == pytest.approx(math.sqrt(2.0 * d), rel=1e-9)
         assert sp.c_star == pytest.approx(math.sqrt(2.0 * d), rel=1e-9)
 
+    def test_narrow_finiteness_interval(self):
+        # Brownian x displaced two-sided exponential, beta = 0.005: psi =
+        # l^2/2 + b^2/(b^2 - l^2) is finite only on (0, 0.005).  The root of
+        # l psi'(l) - psi(l), to 22 digits by mpmath:
+        root = 0.0028867486730289784513
+        law = BranchingLaw.binary_one_displaced(Kernel.two_sided_exponential(0.005))
+        sp = minimal_speed(BranchingModel(Motion.brownian(), law))
+        assert sp.lambda_star == pytest.approx(root, rel=1e-13)
+        assert sp.psi_prime_at_star == pytest.approx(sp.c_star, rel=1e-14)
+
     def test_boundary_infimum_detected(self):
-        # synthetic transform finite on (0, 2) whose speed ratio keeps falling
+        # synthetic transform finite on (0, 2) whose speed ratio keeps falling;
+        # psi receives a complex argument from the complex-step derivative
         with pytest.raises(BoundaryInfimumError):
-            _minimize_speed(lambda l: 0.1 + 0.05 * l if l < 2.0 else INF, 2.0)
+            _minimize_speed(lambda l: 0.1 + 0.05 * l if l.real < 2.0 else INF, 2.0)
 
 
 class TestSecondMoment:
@@ -133,8 +145,8 @@ class TestSecondMoment:
     def test_pair_count_second_moment(self, jump_gaussian_binary):
         # lam = mu = 0 counts ordered pairs: E N_t^2 = 2 e^{2t} - e^t
         got = second_moment_w(jump_gaussian_binary, 0.0, 0.0, 1.0)
-        assert got == pytest.approx(2.0 * math.e**2 - math.e, rel=1e-6)
-        assert got == pytest.approx(w_closed_form(1.0, 1.0, 1.0, 2.0, 1.0), rel=1e-8)
+        assert got == pytest.approx(2.0 * math.e**2 - math.e, rel=1e-14)
+        assert got == pytest.approx(w_closed_form(1.0, 1.0, 1.0, 2.0, 1.0), rel=1e-14)
 
     def test_matches_closed_form_at_generic_arguments(self, jump_gaussian_binary):
         lam, mu = 0.7, 0.2
