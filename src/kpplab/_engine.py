@@ -1,0 +1,241 @@
+"""Build, load and call the compiled segment engine, ``_engine.c``.
+
+The C source is compiled once per source text, compiler flags, numpy and
+Python version into ``__pycache__/_engine-<sha256>.so`` next to this file,
+and loaded with ``ctypes``.  It links the installed numpy's
+``libnpyrandom.a`` and draws on the caller's ``Generator`` through its
+``bitgen_t``, under the bit generator's lock; the Poisson inversion's
+``exp(-mean)`` is numpy's own float64 ``np.exp`` loop, taken from the ufunc.
+The flags keep IEEE arithmetic as numpy's loops do it: no contraction into
+fused multiply-adds, no ``-ffast-math``, no ``-march=native``.  A missing or
+failing C compiler makes the import raise ``ImportError`` with the
+compiler's message.
+"""
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import subprocess
+import sys
+import sysconfig
+import tempfile
+from ctypes import POINTER, byref, c_double, c_int, c_int64, c_void_p
+from pathlib import Path
+
+import numpy as np
+
+from .errors import CapacityError
+
+SOURCE = Path(__file__).with_name("_engine.c")
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: kernel families in the order of ``enum family`` in ``_engine.c``
+_FAMILY_CODES = {"gaussian": 0, "two_sided_exponential": 1, "uniform": 2, "tabulated": 3}
+_NONE = -1
+_OK, _CAPACITY = 0, 1
+
+
+def _build(out_dir: Path) -> Path:
+    """Compile ``_engine.c`` into ``out_dir`` unless it is already there.
+
+    The library is written to a temporary file and moved into place, so
+    concurrent builds never load a partial file.
+    """
+    source = SOURCE.read_bytes()
+    key = hashlib.sha256(
+        b"\0".join([source, " ".join(FLAGS).encode(), np.__version__.encode(), sys.version.encode()])
+    ).hexdigest()
+    target = out_dir / f"_engine-{key}.so"
+    if target.exists():
+        return target
+    paths = sysconfig.get_paths()
+    includes = dict.fromkeys([paths["include"], paths["platinclude"], np.get_include()])
+    npyrandom = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f"{target.stem}.", suffix=".tmp", dir=out_dir)
+        os.close(fd)
+    except OSError as exc:
+        raise ImportError(f"cannot write the compiled engine to {out_dir}: {exc}") from exc
+    cmd = ["cc", *FLAGS, *(f"-I{d}" for d in includes), "-o", tmp, str(SOURCE), str(npyrandom), "-lm"]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise ImportError(f"compiling {SOURCE.name} failed:\n{proc.stderr}")
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise ImportError(f"compiling {SOURCE.name} failed: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+class _Kernel(ctypes.Structure):
+    _fields_ = [
+        ("family", c_int64),
+        ("param", c_double),
+        ("x", c_void_p),
+        ("cdf", c_void_p),
+        ("size", c_int64),
+    ]
+
+
+class _Motion(ctypes.Structure):
+    _fields_ = [
+        ("diffusive", c_int64),
+        ("jumps", _Kernel),
+        ("exp_loop", c_void_p),
+        ("exp_data", c_void_p),
+    ]
+
+
+class _Law(ctypes.Structure):
+    _fields_ = [
+        ("litter", c_int64),
+        ("cdf", c_void_p),
+        ("counts", c_void_p),
+        ("size", c_int64),
+        ("displacement", _Kernel),
+    ]
+
+
+class _Result(ctypes.Structure):
+    _fields_ = [
+        ("pos", c_void_p),
+        ("tag", c_void_p),
+        ("n", c_int64),
+        ("pos_bytes", c_int64),
+        ("tag_bytes", c_int64),
+        ("time", c_double),
+        ("count", c_int64),
+    ]
+
+
+_path = str(_build(Path(__file__).parent / "__pycache__"))
+_lib = ctypes.CDLL(_path)
+_lib.kpp_kernel_draws.argtypes = [c_void_p, POINTER(_Kernel), c_int64, c_void_p]
+_lib.kpp_kernel_draws.restype = None
+_lib.kpp_displacements.argtypes = [c_void_p, POINTER(_Motion), c_int64, c_void_p, c_void_p]
+_lib.kpp_displacements.restype = c_int
+_lib.kpp_litters.argtypes = [c_void_p, POINTER(_Law), c_int64, c_void_p, c_void_p, c_void_p]
+_lib.kpp_litters.restype = c_int64
+_lib.kpp_segment.argtypes = [
+    c_void_p, POINTER(_Motion), POINTER(_Law), c_int64, c_void_p, c_void_p,
+    c_double, c_double, c_int64, POINTER(_Result),
+]
+_lib.kpp_segment.restype = c_int
+_lib.kpp_release.argtypes = [c_void_p, c_int64]
+_lib.kpp_release.restype = None
+# reads a ufunc object, so it is called holding the interpreter lock
+_double_loop = ctypes.PyDLL(_path).kpp_double_loop
+_double_loop.argtypes = [ctypes.py_object, POINTER(c_void_p), POINTER(c_void_p)]
+_double_loop.restype = c_int
+
+#: numpy's own float64 ``np.exp`` loop, for the Poisson inversion's exp(-mean)
+_EXP_LOOP, _EXP_DATA = c_void_p(), c_void_p()
+if not _double_loop(np.exp, byref(_EXP_LOOP), byref(_EXP_DATA)):
+    raise ImportError("numpy's exp has no float64 loop")
+
+#: Poisson means from here on go to ``random_poisson``; smaller ones are inverted
+POISSON_INVERSION_LIMIT = c_double.in_dll(_lib, "kpp_poisson_inversion_limit").value
+
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+_capsule_pointer.restype = c_void_p
+
+
+def _bitgen(rng: np.random.Generator) -> int:
+    return _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
+
+
+def _kernel(kernel) -> _Kernel:
+    if kernel is None:
+        return _Kernel(_NONE)
+    if kernel.x is None:
+        return _Kernel(_FAMILY_CODES[kernel.family], kernel.param)
+    return _Kernel(_FAMILY_CODES[kernel.family], 0.0, kernel.x.ctypes.data,
+                   kernel.cdf.ctypes.data, kernel.x.size)
+
+
+def _motion(motion) -> _Motion:
+    return _Motion(int(motion.diffusive), _kernel(motion.kernel), _EXP_LOOP, _EXP_DATA)
+
+
+def _law(law) -> _Law:
+    if law.litter is not None:
+        return _Law(law.litter, None, None, 0, _kernel(law.displacement))
+    return _Law(-1, law.cdf.ctypes.data, law.counts.ctypes.data, law.counts.size, _Kernel(_NONE))
+
+
+def _check(ok: bool) -> None:
+    if not ok:
+        raise MemoryError("the segment engine ran out of memory")
+
+
+def _take(address: int | None, nbytes: int, n: int, dtype) -> np.ndarray:
+    """Copy ``n`` items from an engine buffer of ``nbytes`` into a new array
+    and release the buffer."""
+    out = np.empty(n, dtype=dtype)
+    if n:
+        ctypes.memmove(out.ctypes.data, address, out.nbytes)
+    _lib.kpp_release(address, nbytes)
+    return out
+
+
+def kernel_draws(kernel, rng: np.random.Generator, size: int) -> np.ndarray:
+    out = np.empty(int(size))
+    k = _kernel(kernel)
+    with rng.bit_generator.lock:
+        _lib.kpp_kernel_draws(_bitgen(rng), byref(k), out.size, out.ctypes.data)
+    return out
+
+
+def displacements(motion, durations: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    dur = np.ascontiguousarray(durations, dtype=float)
+    out = np.empty_like(dur)
+    m = _motion(motion)
+    with rng.bit_generator.lock:
+        status = _lib.kpp_displacements(_bitgen(rng), byref(m), dur.size, dur.ctypes.data,
+                                        out.ctypes.data)
+    _check(status == _OK)
+    return out
+
+
+def litters(law, parents: np.ndarray, rng: np.random.Generator):
+    """Children of each parent, grouped by parent in order, and the
+    per-parent litter sizes (``None`` when the law fixes one size)."""
+    parents = np.ascontiguousarray(parents, dtype=float)
+    # the parents are copied in first, so there is room for them too
+    children = np.empty(parents.size * max(int(law.counts.max()), 1))
+    sizes = np.empty(parents.size, dtype=np.int64) if law.litter is None else None
+    lw = _law(law)
+    with rng.bit_generator.lock:
+        m = _lib.kpp_litters(_bitgen(rng), byref(lw), parents.size, parents.ctypes.data,
+                             children.ctypes.data, None if sizes is None else sizes.ctypes.data)
+    _check(m >= 0)
+    return children[:m], sizes
+
+
+def segment(positions, tags, t_start: float, t_end: float, model, rng: np.random.Generator,
+            max_particles: int):
+    """``kpp_segment`` on a population; raises ``CapacityError``."""
+    pos = np.ascontiguousarray(positions, dtype=float)
+    tag = None if tags is None else np.ascontiguousarray(tags, dtype=np.int64)
+    m, lw, res = _motion(model.motion), _law(model.law), _Result()
+    with rng.bit_generator.lock:
+        status = _lib.kpp_segment(
+            _bitgen(rng), byref(m), byref(lw), pos.size, pos.ctypes.data,
+            None if tag is None else tag.ctypes.data, t_start, t_end, max_particles, byref(res),
+        )
+    if status == _CAPACITY:
+        raise CapacityError(
+            f"population exceeded {max_particles} particles", time=res.time, count=res.count
+        )
+    _check(status == _OK)
+    # the positions are copied and freed before the tags are, so that the
+    # engine's buffers and the returned arrays never exceed one copy
+    out_pos = _take(res.pos, res.pos_bytes, res.n, np.float64)
+    out_tag = None if tag is None else _take(res.tag, res.tag_bytes, res.n, np.int64)
+    return out_pos, out_tag

@@ -10,11 +10,12 @@ finiteness decision, never by floating-point overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erfcinv
 
+from . import _engine
 from .errors import InvalidKernelError, config_pointer, expect, read_number, read_numbers
 
 INF = math.inf
@@ -67,6 +68,9 @@ class Kernel:
             mass = np.trapezoid(v, x)
             if abs(mass - 1.0) > _MASS_TOL:
                 raise InvalidKernelError(f"tabulated density has mass {mass!r}, expected 1")
+            segments = 0.5 * (v[1:] + v[:-1]) * np.diff(x)
+            cdf = np.concatenate([[0.0], np.cumsum(segments)])
+            object.__setattr__(self, "cdf", cdf / cdf[-1])
         else:
             if not (np.isfinite(self.param) and self.param > 0):
                 raise InvalidKernelError(f"{self.family} parameter must be positive")
@@ -110,7 +114,10 @@ class Kernel:
 
         Returns the ``inf`` sentinel where the integral diverges.  Tabulated
         kernels are supported on a bounded range, so their transform is
-        finite for every argument (a documented limitation of tabulation).
+        finite for every argument (a documented limitation of tabulation);
+        ``exp(-lam x)`` is taken only where the density is positive, so a
+        zero-density point contributes 0 even where the exponential
+        overflows.
         """
         if self.family == GAUSSIAN:
             return np.exp(0.5 * (self.param * lam) ** 2)
@@ -124,7 +131,9 @@ class Kernel:
             if lam == 0.0:
                 return 1.0
             return np.sinh(r * lam) / (r * lam)
-        return np.trapezoid(self.values * np.exp(-lam * self.x), self.x)
+        weights = np.zeros(self.x.shape, dtype=np.result_type(lam, float))
+        np.exp(-lam * self.x, out=weights, where=self.values > 0.0)
+        return np.trapezoid(self.values * weights, self.x)
 
     def laplace_abscissa(self) -> float:
         """Supremum of ``s`` with a finite transform on ``[0, s)``."""
@@ -146,15 +155,10 @@ class Kernel:
     # -- sampling -----------------------------------------------------------
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.family == GAUSSIAN:
-            return rng.normal(0.0, self.param, size)
-        if self.family == TWO_SIDED_EXPONENTIAL:
-            return rng.laplace(0.0, 1.0 / self.param, size)
-        if self.family == UNIFORM:
-            return rng.uniform(-self.param, self.param, size)
-        u = rng.random(size)
-        cdf = _tabulated_cdf(self)
-        return np.interp(u, cdf, self.x)
+        """``size`` independent draws, bit for bit ``rng.normal(0, sigma)``,
+        ``rng.laplace(0, 1/beta)``, ``rng.uniform(-r, r)``, or
+        ``np.interp(rng.random(size), cdf, x)`` for a tabulated kernel."""
+        return _engine.kernel_draws(self, rng, size)
 
     # -- discretization -----------------------------------------------------
 
@@ -200,9 +204,3 @@ class Kernel:
         with config_pointer(f"{pointer}/{key}"):
             return Kernel(family, param)
 
-
-def _tabulated_cdf(kernel: Kernel) -> np.ndarray:
-    x, v = kernel.x, kernel.values
-    segments = 0.5 * (v[1:] + v[:-1]) * np.diff(x)
-    cdf = np.concatenate([[0.0], np.cumsum(segments)])
-    return cdf / cdf[-1]

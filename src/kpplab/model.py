@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
+from . import _engine
+from ._engine import POISSON_INVERSION_LIMIT  # noqa: F401 (kept public here)
 from .errors import ConfigError, DomainError, config_pointer, expect, read_number
 from .kernels import Kernel
 
@@ -89,7 +91,9 @@ class BranchingLaw:
     deficit assigned to zero offspring (death), every child at the parent;
     a ``displacement`` kernel moves the second of two children.
     ``counts``/``probs`` is the count law with the deficit folded into n = 0,
-    and ``litter`` its one count if it has only one (else ``None``).
+    and ``litter`` its one count if it has only one (else ``None``, and
+    ``cdf`` is the normalized cumulative sum of ``probs`` that
+    ``Generator.choice`` forms).
     """
 
     offspring_probs: tuple[tuple[int, float], ...] = BINARY
@@ -97,6 +101,7 @@ class BranchingLaw:
     counts: np.ndarray = field(init=False, repr=False)
     probs: np.ndarray = field(init=False, repr=False)
     litter: int | None = field(init=False, repr=False)
+    cdf: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.offspring_probs:
@@ -121,6 +126,11 @@ class BranchingLaw:
         object.__setattr__(self, "counts", np.array(counts, dtype=np.int64))
         object.__setattr__(self, "probs", weights / weights.sum())
         object.__setattr__(self, "litter", counts[0] if len(counts) == 1 else None)
+        cdf = None
+        if self.litter is None:
+            cdf = self.probs.cumsum()
+            cdf /= cdf[-1]
+        object.__setattr__(self, "cdf", cdf)
 
     @staticmethod
     def binary_at_parent() -> "BranchingLaw":
@@ -234,100 +244,34 @@ def log_laplace(model: BranchingModel, lam: float) -> float:
 def sample_offspring_batch(
     law: BranchingLaw, parents: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray | int]:
-    """Vectorized litter sampling.
+    """Litters of the given parents, bit for bit those of numpy's
+    ``rng.choice(law.counts, size, p=law.probs)`` and ``np.repeat``, or of
+    the displacement kernel's ``sample``.
 
     Returns the concatenated child positions, children grouped by parent in
-    order, and the litter sizes: per-parent sizes, or one size shared by
-    every parent.
+    order (a displaced child second), and the litter sizes: per-parent
+    sizes, or one size shared by every parent.
     """
-    parents = np.asarray(parents, dtype=float)
-    if law.litter is None:
-        counts = rng.choice(law.counts, size=parents.size, p=law.probs)
-        return np.repeat(parents, counts), counts
-    if law.displacement is None:
-        return np.repeat(parents, law.litter), law.litter
-    children = np.empty(2 * parents.size, dtype=float)
-    children[0::2] = parents
-    children[1::2] = parents + law.displacement.sample(rng, parents.size)
-    return children, 2
+    children, sizes = _engine.litters(law, parents, rng)
+    return children, (law.litter if sizes is None else sizes)
 
 
 def sample_displacements(
     motion: Motion, durations: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Independent displacements over the given durations (exact laws)."""
+    """Independent displacements over the given durations (exact laws).
+
+    The Brownian part is one standard normal per duration, scaled by its
+    root.  The jump part draws a Poisson jump count per duration, exactly:
+    means from ``POISSON_INVERSION_LIMIT`` on by ``rng.poisson``, smaller
+    ones by sequential-search inversion of one uniform each (Devroye,
+    Non-Uniform Random Variate Generation, 1986), then every jump, and sums
+    each duration's jumps.  A motion with neither part draws nothing.
+    """
     durations = np.asarray(durations, dtype=float)
     if np.any(durations < 0):
         raise DomainError("durations must be nonnegative")
-    return _displacements(motion, durations, rng)
-
-
-#: Poisson means from here on go to ``rng.poisson``; smaller ones are inverted
-POISSON_INVERSION_LIMIT = 10.0
-
-
-def _displacements(motion: Motion, durations: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """``sample_displacements`` on nonnegative float durations, unchecked.
-
-    The Brownian part is one standard normal per duration, scaled by its
-    root; the jump part draws its Poisson jump counts, then all jumps in one
-    ``Kernel.sample`` call, and sums each duration's jumps.  A motion with
-    neither part draws nothing.
-    """
-    moved = None
-    if motion.diffusive:
-        moved = rng.standard_normal(durations.shape)
-        moved *= np.sqrt(durations)
-    if motion.kernel is not None:
-        owners = _poisson_owners(durations, rng)
-        if owners.size:
-            jumps = motion.kernel.sample(rng, owners.size)
-            sums = np.bincount(owners, weights=jumps, minlength=durations.size)
-            moved = sums if moved is None else np.add(moved, sums, out=moved)
-    return np.zeros_like(durations) if moved is None else moved
-
-
-def _poisson_owners(means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Independent Poisson counts ``N_i`` with the given means, exact in law,
-    as an owner list: each index ``i`` appears ``N_i`` times, in no set order.
-
-    Means below ``POISSON_INVERSION_LIMIT`` invert one uniform ``u`` each by
-    sequential search (Devroye, Non-Uniform Random Variate Generation, 1986):
-    ``N`` is the first ``k`` at which ``u - P(N <= k)`` turns negative.  Each
-    pass moves every unresolved entry on by one ``k``, lists it once more and
-    drops the resolved ones.  Larger means go to ``rng.poisson``, which
-    switches its own algorithm at 10 too: the search takes about ``mean``
-    passes, and past about 745 ``exp(-mean)`` underflows to 0.
-    """
-    owners = []
-    small = means < POISSON_INVERSION_LIMIT
-    if small.all():
-        at, lam = None, means
-    else:
-        large = np.flatnonzero(~small)
-        owners.append(np.repeat(large, rng.poisson(means[large])))
-        at = np.flatnonzero(small)
-        lam = means[at]
-    residual = rng.random(lam.size)
-    pmf = np.negative(lam)
-    np.exp(pmf, out=pmf)
-    residual -= pmf
-    more = residual >= 0.0
-    k = 0
-    while True:
-        sel = np.flatnonzero(more)
-        if sel.size == 0:
-            return np.concatenate(owners) if owners else sel
-        at = sel if at is None else at.take(sel)
-        owners.append(at)
-        k += 1
-        lam, pmf, residual = lam.take(sel), pmf.take(sel), residual.take(sel)
-        pmf *= lam
-        pmf /= k
-        residual -= pmf
-        # rounding can leave u above every partial sum of the pmf; such an
-        # entry stops where its pmf underflows to 0
-        more = (residual >= 0.0) & (pmf > 0.0)
+    return _engine.displacements(motion, durations, rng)
 
 
 def model_from_dict(d, pointer: str = "") -> BranchingModel:

@@ -3,14 +3,30 @@
 Each particle carries an exponential rate-one branching clock and moves
 according to the model's motion law between events; at a branching event the
 particle is replaced by a litter drawn from the branching law.  Exponential
-clocks are memoryless, so lifelines are advanced in vectorized "rounds":
-every pending lifeline draws its next branching wait, then one exact motion
-increment over its own duration, to the horizon for a finisher and to its
-event for a brancher, all in one sampler call.  No time discretization error
-enters anywhere: Brownian increments are one scaled normal each, and a
-compound-Poisson displacement draws its jump count by exact inversion of
-one uniform (``rng.poisson`` for means of 10 and more) and sums its jumps by
-``bincount``.
+clocks are memoryless, so lifelines are advanced in rounds: every pending
+lifeline draws its next branching wait, then one exact motion increment over
+its own duration, to the horizon for a finisher and to its event for a
+brancher.  No time discretization error enters anywhere: Brownian increments
+are one scaled normal each, and a compound-Poisson displacement draws its
+jump count by exact inversion of one uniform (``random_poisson`` for means
+of 10 and more) and sums its jumps.
+
+The rounds run in one compiled engine, ``_engine.c``, which ``_engine``
+compiles once per source, compiler flags, numpy and Python version (``cc
+-O2 -ffp-contract=off``, the Python and numpy headers, numpy's
+``libnpyrandom.a``) into ``__pycache__`` and loads with ``ctypes``.  It
+draws on the caller's ``Generator`` through its ``bitgen_t``, under the bit
+generator's lock, with numpy's own distribution functions, and forms every
+value with numpy's arithmetic in numpy's order: the waits
+(``standard_exponential(n)``), the Brownian normals (``standard_normal(n)``),
+``poisson`` for the large means, ``random(k)`` for the small ones, whose
+``exp(-mean)`` is numpy's own float64 ``exp`` loop, the jumps in the owner
+order of the inversion's passes, summed per lifeline from 0.0, and the
+litters (``choice`` by ``random`` against the count law's cdf, or the
+displaced child's kernel draws).  So a run is bit for bit the run of the
+numpy engine kept as the test oracle ``tests/reference_engine.py``: the
+same positions, tags and ``CapacityError``, and the same Generator state
+afterwards.
 
 An ensemble replica is a ``Population`` run through the public
 single-population operations: at each checkpoint ``advance`` moves it on,
@@ -30,8 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import _engine
 from .errors import CapacityError, DomainError, KppLabError
-from .model import BranchingModel, _displacements, sample_offspring_batch
+from .model import BranchingModel
 from .spectral import minimal_speed
 
 logger = logging.getLogger(__name__)
@@ -314,55 +331,15 @@ def _evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles):
     """Advance all lifelines from ``t_start`` to ``t_end``; exact in law.
 
     Returns the positions (and tags, when given) of the population at
-    ``t_end``.  Raises ``CapacityError`` when the live count passes
-    ``max_particles``.
+    ``t_end``, finishers in round order.  Raises ``CapacityError`` when the
+    live count passes ``max_particles``.
     """
     if t_end < t_start:
         raise DomainError("segment must not run backwards")
     pos = np.asarray(positions, dtype=float)
     if t_end == t_start or pos.size == 0:
         return pos, tags
-    tag = None if tags is None else np.asarray(tags)
-    t = np.full(pos.size, float(t_start))
-    done_pos: list[np.ndarray] = []
-    done_tag: list[np.ndarray] = []
-    n_done = 0
-    law, motion = model.law, model.motion
-    while pos.size:
-        waits = rng.standard_exponential(pos.size)
-        t_branch = t + waits
-        # decided on the sum, so no child starts at or past t_end
-        crosses = t_branch >= t_end
-        # each lifeline moves for its wait, or to t_end if it crosses
-        durations = np.subtract(t_end, t, out=waits, where=crosses)
-        moved = _displacements(motion, durations, rng)
-        moved += pos
-        pos = moved
-        finished = np.flatnonzero(crosses)
-        branching = np.flatnonzero(~crosses)
-        done_pos.append(pos.take(finished))
-        if tag is not None:
-            done_tag.append(tag.take(finished))
-        n_done += finished.size
-        if branching.size == 0:
-            break
-        children, litter = sample_offspring_batch(law, pos.take(branching), rng)
-        pos = children
-        t = np.repeat(t_branch.take(branching), litter)
-        if tag is not None:
-            tag = np.repeat(tag.take(branching), litter)
-        if n_done + pos.size > max_particles:
-            raise CapacityError(
-                f"population exceeded {max_particles} particles",
-                time=float(t.min()) if pos.size else t_end,
-                count=n_done + pos.size,
-            )
-    # free the position chunks before joining the tags, so that both chunk
-    # lists and both outputs are never held at once
-    out_pos = np.concatenate(done_pos) if done_pos else np.empty(0)
-    del done_pos
-    out_tag = np.concatenate(done_tag) if tag is not None and done_tag else None
-    return out_pos, (out_tag if tags is not None else None)
+    return _engine.segment(pos, tags, float(t_start), float(t_end), model, rng, max_particles)
 
 
 def _run_replica_chunk(args, lo: int, hi: int):

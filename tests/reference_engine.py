@@ -1,0 +1,138 @@
+"""The simulator's segment engine in numpy: a test oracle for ``_engine.c``.
+
+These functions draw what the compiled engine draws, in numpy's vectorized
+calls, so that the compiled engine's outputs and the Generator's state after
+a call can be checked against them bit for bit.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from kpplab.errors import CapacityError
+from kpplab.kernels import GAUSSIAN, TWO_SIDED_EXPONENTIAL, UNIFORM
+
+#: Poisson means from here on go to ``rng.poisson``; smaller ones are inverted
+POISSON_INVERSION_LIMIT = 10.0
+
+
+def kernel_sample(kernel, rng: np.random.Generator, size: int) -> np.ndarray:
+    if kernel.family == GAUSSIAN:
+        return rng.normal(0.0, kernel.param, size)
+    if kernel.family == TWO_SIDED_EXPONENTIAL:
+        return rng.laplace(0.0, 1.0 / kernel.param, size)
+    if kernel.family == UNIFORM:
+        return rng.uniform(-kernel.param, kernel.param, size)
+    u = rng.random(size)
+    return np.interp(u, _tabulated_cdf(kernel), kernel.x)
+
+
+def _tabulated_cdf(kernel) -> np.ndarray:
+    x, v = kernel.x, kernel.values
+    segments = 0.5 * (v[1:] + v[:-1]) * np.diff(x)
+    cdf = np.concatenate([[0.0], np.cumsum(segments)])
+    return cdf / cdf[-1]
+
+
+def sample_offspring_batch(law, parents: np.ndarray, rng: np.random.Generator):
+    parents = np.asarray(parents, dtype=float)
+    if law.litter is None:
+        counts = rng.choice(law.counts, size=parents.size, p=law.probs)
+        return np.repeat(parents, counts), counts
+    if law.displacement is None:
+        return np.repeat(parents, law.litter), law.litter
+    children = np.empty(2 * parents.size, dtype=float)
+    children[0::2] = parents
+    children[1::2] = parents + kernel_sample(law.displacement, rng, parents.size)
+    return children, 2
+
+
+def displacements(motion, durations: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The Brownian part is one standard normal per duration, scaled by its
+    root; the jump part draws its Poisson jump counts, then all jumps in one
+    kernel call, and sums each duration's jumps by ``bincount``."""
+    moved = None
+    if motion.diffusive:
+        moved = rng.standard_normal(durations.shape)
+        moved *= np.sqrt(durations)
+    if motion.kernel is not None:
+        owners = poisson_owners(durations, rng)
+        if owners.size:
+            jumps = kernel_sample(motion.kernel, rng, owners.size)
+            sums = np.bincount(owners, weights=jumps, minlength=durations.size)
+            moved = sums if moved is None else np.add(moved, sums, out=moved)
+    return np.zeros_like(durations) if moved is None else moved
+
+
+def poisson_owners(means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Poisson counts ``N_i`` as an owner list: the large means' owners
+    (``rng.poisson``) first, then one inversion pass after another, each
+    listing its unresolved entries in index order."""
+    owners = []
+    small = means < POISSON_INVERSION_LIMIT
+    if small.all():
+        at, lam = None, means
+    else:
+        large = np.flatnonzero(~small)
+        owners.append(np.repeat(large, rng.poisson(means[large])))
+        at = np.flatnonzero(small)
+        lam = means[at]
+    residual = rng.random(lam.size)
+    pmf = np.negative(lam)
+    np.exp(pmf, out=pmf)
+    residual -= pmf
+    more = residual >= 0.0
+    k = 0
+    while True:
+        sel = np.flatnonzero(more)
+        if sel.size == 0:
+            return np.concatenate(owners) if owners else sel
+        at = sel if at is None else at.take(sel)
+        owners.append(at)
+        k += 1
+        lam, pmf, residual = lam.take(sel), pmf.take(sel), residual.take(sel)
+        pmf *= lam
+        pmf /= k
+        residual -= pmf
+        more = (residual >= 0.0) & (pmf > 0.0)
+
+
+def evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles):
+    pos = np.asarray(positions, dtype=float)
+    if t_end == t_start or pos.size == 0:
+        return pos, tags
+    tag = None if tags is None else np.asarray(tags)
+    t = np.full(pos.size, float(t_start))
+    done_pos: list[np.ndarray] = []
+    done_tag: list[np.ndarray] = []
+    n_done = 0
+    law, motion = model.law, model.motion
+    while pos.size:
+        waits = rng.standard_exponential(pos.size)
+        t_branch = t + waits
+        crosses = t_branch >= t_end
+        durations = np.subtract(t_end, t, out=waits, where=crosses)
+        moved = displacements(motion, durations, rng)
+        moved += pos
+        pos = moved
+        finished = np.flatnonzero(crosses)
+        branching = np.flatnonzero(~crosses)
+        done_pos.append(pos.take(finished))
+        if tag is not None:
+            done_tag.append(tag.take(finished))
+        n_done += finished.size
+        if branching.size == 0:
+            break
+        children, litter = sample_offspring_batch(law, pos.take(branching), rng)
+        pos = children
+        t = np.repeat(t_branch.take(branching), litter)
+        if tag is not None:
+            tag = np.repeat(tag.take(branching), litter)
+        if n_done + pos.size > max_particles:
+            raise CapacityError(
+                f"population exceeded {max_particles} particles",
+                time=float(t.min()) if pos.size else t_end,
+                count=n_done + pos.size,
+            )
+    out_pos = np.concatenate(done_pos) if done_pos else np.empty(0)
+    out_tag = np.concatenate(done_tag) if tag is not None and done_tag else None
+    return out_pos, (out_tag if tags is not None else None)

@@ -349,3 +349,16 @@ def test_late_failure_leaves_no_directory(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not out_dir.exists()
+
+
+def test_tabulated_kernel_with_zero_density_ends_has_no_minimizer(tmp_path, capsys):
+    # the 3-point trapezoid of this density makes psi constant; exp(-lam x)
+    # overflows at its zero-density ends for large lam, where it must not
+    # enter the transform as 0 * inf = nan
+    kernel = {"family": "tabulated", "x": [-1.0, 0.0, 1.0], "density": [0.0, 1.0, 0.0]}
+    config = {"command": "speed", "model": _with(JUMP_GAUSSIAN, "/motion/kernel", kernel)}
+    code, out_dir = _run_cli(tmp_path, config)
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "minimizer" in lines[0]
+    assert not out_dir.exists()

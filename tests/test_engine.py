@@ -1,0 +1,229 @@
+"""The compiled segment engine against the numpy oracle, bit for bit, and
+its build."""
+import ctypes
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kpplab import BranchingLaw, BranchingModel, Kernel, Motion, RunConfig, _engine, run_ensemble
+from kpplab.errors import CapacityError
+from kpplab.model import sample_displacements, sample_offspring_batch
+from kpplab.simulate import _evolve_segment
+
+import reference_engine as ref
+
+_X = np.linspace(-1.0, 1.5, 26)
+_DENSITY = np.maximum(1.0 - np.abs(_X), 0.0)
+_DENSITY[6:9] = 0.0  # a zero-density stretch inside the support
+_DENSITY /= np.trapezoid(_DENSITY, _X)
+KERNELS = {
+    "gaussian": Kernel.gaussian(1.3),
+    "two_sided_exponential": Kernel.two_sided_exponential(2.0),
+    "uniform": Kernel.uniform(1.5),
+    "tabulated": Kernel.tabulated(_X, _DENSITY),
+}
+MOTIONS = {"constant": Motion.constant(), "brownian": Motion.brownian()}
+MOTIONS.update({f"jump_{name}": Motion.pure_jump(k) for name, k in KERNELS.items()})
+MOTIONS.update({f"diffusive_jump_{name}": Motion(True, k) for name, k in KERNELS.items()})
+LAWS = {
+    "binary": BranchingLaw.binary_at_parent(),
+    "offspring": BranchingLaw.offspring_at_parent({0: 0.1, 1: 0.2, 3: 0.7}),
+}
+LAWS.update({f"displaced_{name}": BranchingLaw.binary_one_displaced(k) for name, k in KERNELS.items()})
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def _same_state(a, b):
+    """Equal bit generator states (nested dicts holding arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _both_calls(oracle, engine, seed):
+    out = []
+    for call in (oracle, engine):
+        rng = _philox(seed)
+        try:
+            result = call(rng)
+        except CapacityError as err:
+            result = ("capacity", err.time, err.count)
+        out.append((result, rng.bit_generator.state))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    motion=st.sampled_from(sorted(MOTIONS)),
+    law=st.sampled_from(sorted(LAWS)),
+    tagged=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    positions=st.lists(st.floats(-5.0, 5.0), min_size=0, max_size=4),
+    t_start=st.floats(0.0, 3.0),
+    length=st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(10.0, 12.0)),
+    cap=st.integers(1, 3000),
+)
+def test_segment_matches_the_numpy_engine(motion, law, tagged, seed, positions, t_start, length, cap):
+    model = BranchingModel(MOTIONS[motion], LAWS[law])
+    pos = np.array(positions, dtype=float)
+    tags = np.arange(pos.size, dtype=np.int64) * 7 if tagged else None
+    t_end = t_start + length
+    (want, want_state), (got, got_state) = _both_calls(
+        lambda rng: ref.evolve_segment(pos, tags, t_start, t_end, model, rng, cap),
+        lambda rng: _evolve_segment(pos, tags, t_start, t_end, model, rng, cap),
+        seed,
+    )
+    assert _same_state(want_state, got_state)
+    if isinstance(want[0], str) or isinstance(got[0], str):
+        assert want == got
+        return
+    assert np.array_equal(want[0], got[0])
+    assert (want[1] is None) == (got[1] is None) == (not tagged)
+    if tagged:
+        assert np.array_equal(want[1], got[1])
+
+
+def test_segment_with_waits_past_the_inversion_limit():
+    # 100000 lifelines die at their first event after 10.5 time units; a wait
+    # of 10 or more gives a Poisson mean that goes to random_poisson
+    model = BranchingModel(Motion(True, KERNELS["tabulated"]), BranchingLaw.offspring_at_parent({0: 1.0}))
+    pos = np.zeros(100_000)
+    assert _philox(3).standard_exponential(pos.size).max() >= 10.0
+    (want, want_state), (got, got_state) = _both_calls(
+        lambda rng: ref.evolve_segment(pos, None, 0.0, 10.5, model, rng, 10**6),
+        lambda rng: _evolve_segment(pos, None, 0.0, 10.5, model, rng, 10**6),
+        3,
+    )
+    assert np.array_equal(want[0], got[0]) and got[0].size > 0
+    assert _same_state(want_state, got_state)
+
+
+def test_capacity_error_carries_the_numpy_engine_time_and_count():
+    model = BranchingModel(MOTIONS["jump_gaussian"], LAWS["offspring"])
+    (want, want_state), (got, got_state) = _both_calls(
+        lambda rng: ref.evolve_segment(np.zeros(3), None, 0.0, 9.0, model, rng, 500),
+        lambda rng: _evolve_segment(np.zeros(3), None, 0.0, 9.0, model, rng, 500),
+        11,
+    )
+    assert isinstance(want[0], str) and want == got
+    assert _same_state(want_state, got_state)
+
+
+@pytest.mark.parametrize("tagged", [False, True])
+def test_empty_and_zero_length_segments_draw_nothing(tagged):
+    model = BranchingModel(MOTIONS["diffusive_jump_gaussian"], LAWS["offspring"])
+    for pos, t_end in ((np.empty(0), 5.0), (np.array([1.0, -2.0]), 1.0)):
+        tags = np.arange(pos.size) if tagged else None
+        rng = _philox(4)
+        state = rng.bit_generator.state
+        out, out_tags = _evolve_segment(pos, tags, 1.0, t_end, model, rng, 10)
+        assert np.array_equal(out, pos) and (out_tags is tags)
+        assert _same_state(rng.bit_generator.state, state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    motion=st.sampled_from(sorted(MOTIONS)),
+    seed=st.integers(0, 2**32 - 1),
+    durations=st.lists(
+        st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 9.99, 10.0, 25.0, 800.0])),
+        max_size=30,
+    ),
+)
+def test_displacements_match_the_numpy_engine(motion, seed, durations):
+    d = np.array(durations, dtype=float)
+    (want, want_state), (got, got_state) = _both_calls(
+        lambda rng: ref.displacements(MOTIONS[motion], d, rng),
+        lambda rng: sample_displacements(MOTIONS[motion], d, rng),
+        seed,
+    )
+    assert np.array_equal(want, got)
+    assert _same_state(want_state, got_state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kernel=st.sampled_from(sorted(KERNELS)),
+    law=st.sampled_from(sorted(LAWS)),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 50),
+)
+def test_kernel_draws_and_litters_match_numpy(kernel, law, seed, size):
+    k = KERNELS[kernel]
+    (want, want_state), (got, got_state) = _both_calls(
+        lambda rng: ref.kernel_sample(k, rng, size), lambda rng: k.sample(rng, size), seed
+    )
+    assert np.array_equal(want, got) and _same_state(want_state, got_state)
+    parents = np.linspace(-1.0, 1.0, size)
+    (want, want_state), (got, got_state) = _both_calls(
+        lambda rng: ref.sample_offspring_batch(LAWS[law], parents, rng),
+        lambda rng: sample_offspring_batch(LAWS[law], parents, rng),
+        seed,
+    )
+    assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
+    assert _same_state(want_state, got_state)
+
+
+class _BitGen(ctypes.Structure):
+    """numpy's ``bitgen_t``"""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in
+                ("state", "next_uint64", "next_uint32", "next_double", "next_raw")]
+
+
+def test_tabulated_inverse_matches_interp_on_exact_hits():
+    # uniforms on every cdf value (a zero-density stretch repeats some), at
+    # 0 and just below 1, fed to the engine by a bit generator that replays
+    # them
+    k = KERNELS["tabulated"]
+    us = np.concatenate([k.cdf, [0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(0).random(50)])
+    replay = iter(us.tolist())
+    next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(lambda state: next(replay))
+    bitgen = _BitGen(next_double=ctypes.cast(next_double, ctypes.c_void_p))
+    out = np.empty(us.size)
+    _engine._lib.kpp_kernel_draws(
+        ctypes.addressof(bitgen), ctypes.byref(_engine._kernel(k)), us.size, out.ctypes.data
+    )
+    assert np.array_equal(out, np.interp(us, k.cdf, k.x))
+
+
+def test_failed_build_raises_import_error_and_leaves_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", "")
+    with pytest.raises(ImportError, match="cc"):
+        _engine._build(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_concurrent_builds_into_one_directory_both_load(tmp_path):
+    built = [None, None]
+
+    def build(i):
+        built[i] = _engine._build(tmp_path)
+
+    threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=300)
+    assert not any(t.is_alive() for t in threads)
+    assert built[0] == built[1] and built[0].parent == tmp_path
+    assert [p.name for p in tmp_path.iterdir()] == [built[0].name]
+    for path in built:
+        assert ctypes.CDLL(str(path)).kpp_segment
+
+
+def test_worker_count_does_not_change_an_ensemble():
+    model = BranchingModel(Motion(True, KERNELS["tabulated"]), LAWS["displaced_uniform"])
+    cfg = RunConfig(t_max=3.0, record_times=(1.5, 3.0), seed=5)
+    a = run_ensemble(model, cfg, 12, n_workers=1)
+    b = run_ensemble(model, cfg, 12, n_workers=2)
+    assert [(s.t, s.m, s.replica) for s in a.minima] == [(s.t, s.m, s.replica) for s in b.minima]
+    for x, y in zip(a.traces, b.traces, strict=True):
+        assert np.array_equal(x.w, y.w) and np.array_equal(x.d, y.d)
+        assert x.pruned_mass_bound == y.pruned_mass_bound

@@ -16,8 +16,6 @@ from kpplab import (
 from kpplab.errors import ConfigError, DomainError
 from kpplab.model import (
     POISSON_INVERSION_LIMIT,
-    _displacements,
-    _poisson_owners,
     sample_displacements,
     sample_offspring_batch,
 )
@@ -186,6 +184,17 @@ def test_sample_motion_compound_poisson_variance():
     assert draws.var() == pytest.approx(expected, rel=0.05)
 
 
+#: jumps within 1e-6 of 1, so that a displacement rounds to its jump count
+_UNIT_JUMPS = Motion.pure_jump(Kernel.tabulated([1.0 - 1e-6, 1.0 + 1e-6], [5e5, 5e5]))
+
+
+def _jump_counts(means, rng):
+    """Poisson jump counts with the given means, read off unit jumps.  The
+    counts are drawn before any jump, so they are the counts that every
+    jump kernel gets from the same stream."""
+    return np.rint(sample_displacements(_UNIT_JUMPS, means, rng)).astype(np.int64)
+
+
 def test_jump_diffusion_is_the_sum_of_its_parts():
     kernel = Kernel.gaussian(1.0)
     motion = Motion(diffusive=True, kernel=kernel)
@@ -193,10 +202,10 @@ def test_jump_diffusion_is_the_sum_of_its_parts():
         want = Motion.brownian().exponent(lam) + Motion.pure_jump(kernel).exponent(lam)
         assert motion.exponent(lam) == pytest.approx(want, rel=1e-15)
     durations = np.random.default_rng(3).exponential(1.0, 500)
-    got = _displacements(motion, durations, np.random.default_rng(4))
+    got = sample_displacements(motion, durations, np.random.default_rng(4))
     rng = np.random.default_rng(4)  # the Brownian draw, then the jumps
-    want = _displacements(Motion.brownian(), durations, rng)
-    want += _displacements(Motion.pure_jump(kernel), durations, rng)
+    want = sample_displacements(Motion.brownian(), durations, rng)
+    want += sample_displacements(Motion.pure_jump(kernel), durations, rng)
     assert np.array_equal(got, want)
     # variance d (1 + E J^2) = 2 d
     draws = sample_displacements(motion, np.ones(100_000), np.random.default_rng(8))
@@ -221,7 +230,7 @@ def test_sampling_is_deterministic_in_rng_state():
 def test_poisson_counts_follow_the_pmf(mean):
     n = 20_000
     rng = np.random.default_rng(2024)
-    counts = np.bincount(_poisson_owners(np.full(n, mean), rng), minlength=n)
+    counts = _jump_counts(np.full(n, mean), rng)
     if mean == 0.0:
         assert not counts.any()
         return
@@ -250,7 +259,7 @@ def test_poisson_means_split_at_the_inversion_limit():
     # entries on either side of the limit in one call keep their own means
     rng = np.random.default_rng(11)
     means = np.tile([0.5, POISSON_INVERSION_LIMIT, 2.0, 800.0], 5000)
-    counts = np.bincount(_poisson_owners(means, rng), minlength=means.size)
+    counts = _jump_counts(means, rng)
     for j, mean in enumerate((0.5, POISSON_INVERSION_LIMIT, 2.0, 800.0)):
         got = counts[j::4]
         assert abs(got.mean() - mean) <= 5 * math.sqrt(mean / got.size)
@@ -287,9 +296,14 @@ def test_jump_sums_match_a_loop_over_lifelines():
     motion = Motion.pure_jump(Kernel.two_sided_exponential(1.5))
     durations = np.random.default_rng(3).exponential(1.0, 400)
     durations[::50] = 0.0
-    got = _displacements(motion, durations, np.random.default_rng(9))
+    assert durations.max() < POISSON_INVERSION_LIMIT
+    got = sample_displacements(motion, durations, np.random.default_rng(9))
+    # every mean is inverted, so the owner list is one pass per k, each
+    # listing the lifelines with at least k jumps in index order
+    counts = _jump_counts(durations, np.random.default_rng(9))
+    owners = np.concatenate([np.flatnonzero(counts >= k) for k in range(1, counts.max() + 1)])
     rng = np.random.default_rng(9)
-    owners = _poisson_owners(durations, rng)
+    rng.random(durations.size)  # the inversion's uniforms
     jumps = motion.kernel.sample(rng, owners.size)
     want = []
     for i in range(durations.size):
