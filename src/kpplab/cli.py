@@ -9,7 +9,10 @@ Exit codes: 0 success, 2 for failed scientific verdicts (assumption checks,
 comparisons, or a report with a failed or incomplete run), 1 for operational
 errors.  Every run writes ``manifest.json`` with the echoed config, code
 version, thread count and a checksum per artifact, so identical configs are
-bit-reproducible.
+bit-reproducible.  A run holds its artifacts in memory, each SVG drawn from
+the same columns as its CSV, and writes them, the manifest last, only once
+its command has finished, so a run that fails at any point leaves no output
+directory.
 
 Config layout (JSON): ``command`` selects the action, ``model`` describes the
 process (read by ``model_from_dict``, its kernels by ``Kernel.from_dict``),
@@ -46,7 +49,7 @@ from .spectral import check_assumptions, minimal_speed
 
 def _window(v, pointer: str) -> tuple[float, float]:
     lo_hi = read_numbers(v, pointer)
-    expect(len(lo_hi) == 2, pointer, "expected [lo, hi]")
+    expect(len(lo_hi) == 2 and lo_hi[0] < lo_hi[1], pointer, "expected [lo, hi] with lo < hi")
     return tuple(lo_hi)
 
 
@@ -186,42 +189,36 @@ def _fmt(v) -> str:
 
 
 class _Artifacts:
-    """Collects written files and their checksums for the manifest.
+    """A run's files as bytes, held until the command has returned.
 
-    The output directory is made by the first write, so a run that fails
-    before writing anything leaves no directory behind.
+    ``write`` then makes the output directory, so a run that fails at any
+    point leaves no directory behind.
     """
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.files: list[Path] = []
+    def __init__(self):
+        self.files: dict[str, bytes] = {}
 
-    def text(self, name: str, text: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / name
-        path.write_text(text)
-        self.files.append(path)
-        return path
+    def text(self, name: str, text: str) -> None:
+        self.files[name] = text.encode()
 
-    def json(self, name: str, obj) -> Path:
-        return self.text(name, _json_text(obj))
+    def json(self, name: str, obj) -> None:
+        self.text(name, _json_text(obj))
 
-    def csv(self, name: str, columns, rows, meta=None) -> Path:
+    def csv(self, name: str, columns, rows, meta=None) -> None:
         lines = [] if meta is None else ["# " + json.dumps(meta, sort_keys=True, default=float)]
         lines.append(",".join(columns))
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        return self.text(name, "\n".join(lines) + "\n")
-
-    def svg_from(self, csv_path: Path, kind: str) -> Path | None:
-        try:
-            path = plot(csv_path, kind)
-        except KppLabError:
-            return None
-        self.files.append(path)
-        return path
+        self.text(name, "\n".join(lines) + "\n")
 
     def checksums(self) -> dict:
-        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(self.files)}
+        return {name: hashlib.sha256(data).hexdigest() for name, data in sorted(self.files.items())}
+
+    def write(self, out_dir: Path, manifest: dict) -> None:
+        """Write every file, then ``manifest.json``."""
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, data in self.files.items():
+            (out_dir / name).write_bytes(data)
+        (out_dir / "manifest.json").write_text(_json_text(manifest))
 
 
 # -- command implementations ------------------------------------------------------
@@ -252,8 +249,8 @@ def _cmd_simulate(cfg: ExperimentConfig, art: _Artifacts, threads: int) -> tuple
         for n, w, d in zip(tr.n, tr.w, tr.d)
     ]
     if mart_rows:
-        mart_csv = art.csv("martingales.csv", ["replica", "n", "W_n", "D_n"], mart_rows)
-        art.svg_from(mart_csv, "martingale")
+        art.csv("martingales.csv", ["replica", "n", "W_n", "D_n"], mart_rows)
+        art.text("martingales.svg", plot("martingale", mart_rows))
     ok = not result.invalid_replicas
     return ok, {
         "replicas": p["replicas"],
@@ -269,10 +266,11 @@ def _cmd_solve(cfg: ExperimentConfig, art: _Artifacts) -> tuple[bool, dict]:
         cfg.model, Field.heaviside(grid), p["t_max"], p["dt"], p["front_interval"]
     )
     meta = {"t": field.t, "grid": grid.to_dict(), "model": cfg.model.to_dict()}
-    field_csv = art.csv("field.csv", ["x", "value"], zip(grid.xs, field.values), meta)
-    art.svg_from(field_csv, "profile")
+    art.csv("field.csv", ["x", "value"], zip(grid.xs, field.values), meta)
+    art.text("field.svg", plot("profile", grid.xs, {"profile": field.values}))
     summary: dict = {"t_final": field.t}
     front_meta = {"model": cfg.model.to_dict()}
+    fit = None
     if "fit_window" in p and trace.t.size:
         speed = minimal_speed(cfg.model)
         fit = measure_front(trace, speed.lambda_star, p["fit_window"])
@@ -283,8 +281,9 @@ def _cmd_solve(cfg: ExperimentConfig, art: _Artifacts) -> tuple[bool, dict]:
         }
         summary["fit"] = front_meta["fit"]
         summary["c_star"] = speed.c_star
-    front_csv = art.csv("front.csv", ["t", "m_half"], zip(trace.t, trace.m), front_meta)
-    art.svg_from(front_csv, "front")
+    art.csv("front.csv", ["t", "m_half"], zip(trace.t, trace.m), front_meta)
+    if trace.t.size:
+        art.text("front.svg", plot("front", trace.t, trace.m, fit))
     return True, summary
 
 
@@ -298,8 +297,9 @@ def _cmd_compare(cfg: ExperimentConfig, art: _Artifacts) -> tuple[bool, dict]:
     for x, uv, mv, se in zip(result.x, result.pde_values, result.mc_values, result.mc_stderr):
         rows.append((x, uv, 0.0, "pde"))
         rows.append((x, mv, se, "monte-carlo"))
-    csv_path = art.csv("profiles.csv", ["x", "value", "stderr", "source"], rows)
-    art.svg_from(csv_path, "profile")
+    art.csv("profiles.csv", ["x", "value", "stderr", "source"], rows)
+    series = {"pde": result.pde_values, "monte-carlo": result.mc_values}
+    art.text("profiles.svg", plot("profile", result.x, series))
     passed = result.sup_dist <= threshold
     art.json(
         "compare.json",
@@ -338,8 +338,7 @@ def run(raw_config: dict, output_dir, seed: int | None = None, threads: int = 1)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
     wall_start = time.monotonic()
     cfg = parse_config(raw_config, seed_override=seed)
-    out_dir = Path(output_dir)
-    art = _Artifacts(out_dir)
+    art = _Artifacts()
     if cfg.command == "speed":
         passed, summary = _cmd_speed(cfg, art)
     elif cfg.command == "assumptions":
@@ -365,7 +364,7 @@ def run(raw_config: dict, output_dir, seed: int | None = None, threads: int = 1)
         "threads": threads,
         "outputs": art.checksums(),
     }
-    (out_dir / "manifest.json").write_text(_json_text(manifest))
+    art.write(Path(output_dir), manifest)
     return 0 if passed else 2
 
 

@@ -82,10 +82,6 @@ class ConfigError(KppLabError):
         self.pointer = pointer
 
 
-class PlotFormatError(KppLabError):
-    """CSV file does not match the column contract of the plot kind."""
-
-
 def expect(cond: bool, pointer: str, message: str) -> None:
     """Raise ``ConfigError(pointer, message)`` unless ``cond`` holds."""
     if not cond:

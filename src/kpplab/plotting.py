@@ -1,22 +1,20 @@
-"""Self-contained SVG renderings of the CSV artifacts.
+"""Self-contained SVG renderings of the CLI's artifacts, drawn from the same
+columns the CLI writes to their CSVs.
 
-Three kinds are supported, matching the CSV column contracts:
+Three kinds are supported:
 
-``profile``     x,value[,stderr,source]  one polyline per source, y in [0, 1]
-``front``       t,m_half                 scatter, plus the fitted curve when
-                                         the JSON header carries fit values
-``martingale``  replica,n,W_n,D_n        per-generation ensemble means
+``profile``     x, {source: values}      one polyline per source, in name
+                                         order, y in [0, 1]
+``front``       t, m_half[, fit]         scatter, plus the curve
+                                         ``c_est t + log_slope ln t + intercept``
+                                         of a ``FrontFit``
+``martingale``  rows (replica, n, W_n, D_n)  per-generation ensemble means
 
 The output is deterministic: fixed canvas, fixed precision, no timestamps.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
-from pathlib import Path
-
-from .errors import PlotFormatError
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -24,53 +22,10 @@ _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 
 
-def plot(csv_path, kind: str) -> Path:
-    """Render ``csv_path`` as an SVG of the given kind next to it, with the
-    suffix ``.svg``; returns the SVG path."""
-    csv_path = Path(csv_path)
-    out_path = csv_path.with_suffix(".svg")
-    header_meta, columns, rows = _read_csv(csv_path)
-    if kind == "profile":
-        svg = _plot_profile(columns, rows)
-    elif kind == "front":
-        svg = _plot_front(columns, rows, header_meta)
-    elif kind == "martingale":
-        svg = _plot_martingale(columns, rows)
-    else:
-        raise PlotFormatError(f"unknown plot kind {kind!r}")
-    out_path.write_text(svg)
-    return out_path
-
-
-def _read_csv(path: Path):
-    meta = {}
-    rows = []
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        if first.startswith("#"):
-            try:
-                meta = json.loads(first[1:])
-            except json.JSONDecodeError:
-                meta = {}
-            header_line = fh.readline()
-        else:
-            header_line = first
-        if not header_line.strip():
-            raise PlotFormatError(f"{path} has no header row")
-        columns = [c.strip() for c in header_line.strip().split(",")]
-        for rec in csv.reader(fh):
-            if rec:
-                rows.append(rec)
-    if not rows:
-        raise PlotFormatError(f"{path} has no data rows")
-    return meta, columns, rows
-
-
-def _require(columns, needed):
-    missing = [c for c in needed if c not in columns]
-    if missing:
-        raise PlotFormatError(f"missing columns {missing}; found {columns}")
-    return [columns.index(c) for c in needed]
+def plot(kind: str, *columns) -> str:
+    """The SVG text of one artifact of the given kind, from its columns."""
+    render = {"profile": _plot_profile, "front": _plot_front, "martingale": _plot_martingale}
+    return render[kind](*columns)
 
 
 def _scale(lo, hi):
@@ -136,48 +91,33 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"])
 
 
-def _plot_profile(columns, rows):
-    ix, iv = _require(columns, ["x", "value"])
-    isrc = columns.index("source") if "source" in columns else None
-    series: dict[str, tuple[list, list]] = {}
-    for rec in rows:
-        name = rec[isrc] if isrc is not None else "profile"
-        xs, ys = series.setdefault(name, ([], []))
-        xs.append(float(rec[ix]))
-        ys.append(float(rec[iv]))
-    all_x = [x for xs, _ in series.values() for x in xs]
-    canvas = _Canvas(_scale(min(all_x), max(all_x)), (0.0, 1.0), "x", "value")
+def _plot_profile(xs, series: dict):
+    canvas = _Canvas(_scale(min(xs), max(xs)), (0.0, 1.0), "x", "value")
     entries = []
-    for (name, (xs, ys)), color in zip(sorted(series.items()), _COLORS):
+    for (name, ys), color in zip(sorted(series.items()), _COLORS):
         canvas.polyline(xs, ys, color)
         entries.append((name, color))
     canvas.legend(entries)
     return canvas.render()
 
 
-def _plot_front(columns, rows, meta):
-    it, im = _require(columns, ["t", "m_half"])
-    ts = [float(r[it]) for r in rows]
-    ms = [float(r[im]) for r in rows]
+def _plot_front(ts, ms, fit=None):
     canvas = _Canvas(_scale(min(ts), max(ts)), _scale(min(ms), max(ms)), "t", "m_half")
     canvas.dots(ts, ms, _COLORS[0])
     entries = [("front", _COLORS[0])]
-    fit = meta.get("fit") if isinstance(meta, dict) else None
-    if fit and all(k in fit for k in ("c_est", "log_slope", "intercept")):
-        ys = [fit["c_est"] * t + fit["log_slope"] * math.log(t) + fit["intercept"] for t in ts if t > 0]
+    if fit is not None:
         xs = [t for t in ts if t > 0]
+        ys = [fit.c_est * t + fit.log_slope * math.log(t) + fit.intercept for t in xs]
         canvas.polyline(xs, ys, _COLORS[1])
         entries.append(("fit", _COLORS[1]))
     canvas.legend(entries)
     return canvas.render()
 
 
-def _plot_martingale(columns, rows):
-    ir, in_, iw, id_ = _require(columns, ["replica", "n", "W_n", "D_n"])
+def _plot_martingale(rows):
+    # summed in row order, replica by replica, as the CSV lists them
     sums: dict[int, list] = {}
-    for rec in rows:
-        n = int(float(rec[in_]))
-        w, d = float(rec[iw]), float(rec[id_])
+    for _, n, w, d in rows:
         acc = sums.setdefault(n, [0.0, 0.0, 0])
         acc[0] += w
         acc[1] += d

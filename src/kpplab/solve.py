@@ -289,6 +289,7 @@ class _Stepper:
         return bound if motion.kernel is None else min(bound, 0.1)
 
     def check_step(self, dt: float) -> None:
+        _check_positive("dt", dt)
         bound = self.stability_bound()
         if dt > bound * (1.0 + 1e-12):
             raise StepSizeError(f"dt = {dt:.3g} exceeds the stability bound {bound:.3g}")
@@ -342,6 +343,11 @@ class _Stepper:
         )
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} = {value!r} must be positive and finite")
+
+
 def _check_range(values: np.ndarray) -> np.ndarray:
     overshoot = max(float(-values.min()), float(values.max() - 1.0), 0.0)
     if overshoot > OVERSHOOT_ERROR:
@@ -364,10 +370,14 @@ def pde_step(model: BranchingModel, field: Field, dt: float) -> Field:
     return evolve(model, field, field.t + dt, dt)
 
 
+def _check_horizon(field: Field, t_end: float) -> None:
+    if not (math.isfinite(t_end) and t_end >= field.t):
+        raise DomainError(f"t_end = {t_end!r} must be finite and not precede the field time")
+
+
 def evolve(model: BranchingModel, field: Field, t_end: float, dt: float) -> Field:
     """March the strong form to ``t_end`` in uniform steps of at most ``dt``."""
-    if t_end < field.t:
-        raise DomainError("t_end must not precede the field time")
+    _check_horizon(field, t_end)
     stepper = _Stepper(model, field.grid)
     stepper.check_step(dt)
     span = t_end - field.t
@@ -396,13 +406,22 @@ def track_front(
     the full field are kept at the requested times (which must be record
     times up to rounding), whether or not the field crosses the level there.
     Record times without a crossing are left out of the trace and logged
-    once, as a count.
+    once, as a count.  The span ``t_end - field.t`` must be a whole number of
+    record intervals, to 1e-9 of an interval.
     """
+    _check_horizon(field, t_end)
+    _check_positive("record_interval", record_interval)
     stepper = _Stepper(model, field.grid)
     stepper.check_step(dt)
+    intervals = (t_end - field.t) / record_interval
+    n_records = round(intervals)
+    if abs(intervals - n_records) > 1e-9:
+        raise DomainError(
+            f"the span {t_end - field.t:g} is not a whole number of record intervals "
+            f"{record_interval:g}"
+        )
     per = max(1, int(math.ceil(record_interval / dt - 1e-12)))
     h = record_interval / per
-    n_records = int(round((t_end - field.t) / record_interval))
     u, limits = field.values, np.array([field.left_limit, field.right_limit])
     t = field.t
     times, fronts = [], []

@@ -61,10 +61,19 @@ def front_run():
             60.0,
             0.1,
             0.5,
-            snapshot_times=(12.0, 40.0),
+            snapshot_times=(6.0, 12.0, 24.0, 40.0, 60.0),
         )
         _cache["front"] = (trace, snaps)
     return _cache["front"]
+
+
+def newton_wave(n_points):
+    """Newton travelling wave at c* on [-30, 30], shared by the wave criteria."""
+    key = ("wave", n_points)
+    if key not in _cache:
+        grid = k.Grid(-30.0, 30.0, n_points)
+        _cache[key] = k.traveling_wave_profile(jump_gaussian(), C_STAR_GAUSS, grid)
+    return _cache[key]
 
 
 def gaussian_ensemble():
@@ -305,13 +314,18 @@ def test_criterion_10_log_correction_trend():
     late = k.measure_front(trace, 1.0, (30.0, 60.0))
     in_band = 1.5 * expected <= fit.log_slope <= 0.4 * expected
     trend = abs(late.log_slope - expected) < abs(early.log_slope - expected)
+    # reported only: the ln t slope with c fixed at the exact c*
+    window = (trace.t >= 10.0) & (trace.t <= 60.0)
+    t = trace.t[window]
+    fixed_c = np.polyfit(np.log(t), trace.m[window] - C_STAR_GAUSS * t, 1)[0]
     _report(
         10,
         "logarithmic correction trend",
         time.monotonic() - start,
         600.0,
         fit.log_slope < 0.0 and in_band and trend,
-        f"slope={fit.log_slope:.3f} early={early.log_slope:.3f} late={late.log_slope:.3f}",
+        f"slope={fit.log_slope:.3f} early={early.log_slope:.3f} late={late.log_slope:.3f} "
+        f"fixed-c* slope={fixed_c:.3f}",
     )
 
 
@@ -361,9 +375,7 @@ def test_criterion_12_traveling_wave_residual():
     model = jump_gaussian()
     residuals = []
     for n, dt in ((2048, 0.05), (4096, 0.025)):
-        grid = k.Grid(-30.0, 30.0, n)
-        profile = k.traveling_wave_profile(model, C_STAR_GAUSS, grid)
-        residuals.append(k.wave_residual(profile, C_STAR_GAUSS, model, dt))
+        residuals.append(k.wave_residual(newton_wave(n), C_STAR_GAUSS, model, dt))
     ratio = residuals[0] / residuals[1]
     _report(
         12,
@@ -392,4 +404,24 @@ def test_criterion_13_sampling_consistency():
         300.0,
         ok,
         " ".join(rows),
+    )
+
+
+def test_criterion_14_traveling_wave_stability():
+    # the paper's headline: the evolved front approaches the wave at c*
+    start = time.monotonic()
+    _, snaps = front_run()
+    wave = k.pde_profile(newton_wave(2048))
+    times = sorted(snaps)
+    dists = [k.align_shift(k.pde_profile(snaps[t]), wave)[1] for t in times]
+    decreasing = all(later < earlier for earlier, later in zip(dists, dists[1:]))
+    # reported only: the decay exponent past the early transient, t = 12 to 60
+    exponent = np.polyfit(np.log(times[1:]), np.log(dists[1:]), 1)[0]
+    _report(
+        14,
+        "traveling-wave stability",
+        time.monotonic() - start,
+        120.0,
+        decreasing and dists[-1] <= 0.05,
+        " ".join(f"t={t:g}:{d:.4f}" for t, d in zip(times, dists)) + f" exponent={exponent:.2f}",
     )

@@ -1,13 +1,15 @@
 import copy
+import csv
+import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from kpplab import cli
+from kpplab import FrontFit, cli
 from kpplab.cli import main, parse_config, run
-from kpplab.errors import ConfigError, PlotFormatError
+from kpplab.errors import ConfigError
 from kpplab.kernels import KERNEL_FAMILIES, PARAM_KEYS
 from kpplab.model import LAW_FAMILIES, MOTION_FAMILIES
 from kpplab.plotting import plot
@@ -202,43 +204,108 @@ class TestReportCommand:
 
 
 class TestPlot:
-    def test_profile_polyline(self, tmp_path):
-        csv = tmp_path / "p.csv"
-        csv.write_text("x,value\n0.0,0.1\n1.0,0.6\n2.0,0.9\n")
-        svg = plot(csv, "profile").read_text()
+    def test_profile_polyline(self):
+        svg = plot("profile", [0.0, 1.0, 2.0], {"profile": [0.1, 0.6, 0.9]})
         assert svg.count("<polyline") == 1
         assert "</svg>" in svg
 
-    def test_empty_csv_rejected(self, tmp_path):
-        csv = tmp_path / "empty.csv"
-        csv.write_text("x,value\n")
-        with pytest.raises(PlotFormatError):
-            plot(csv, "profile")
-
-    def test_column_mismatch_rejected(self, tmp_path):
-        csv = tmp_path / "bad.csv"
-        csv.write_text("a,b\n1,2\n")
-        with pytest.raises(PlotFormatError):
-            plot(csv, "front")
-
-    def test_front_with_fit_overlay(self, tmp_path):
-        csv = tmp_path / "front.csv"
-        meta = {"fit": {"c_est": 1.5, "log_slope": -1.0, "intercept": 0.5}}
-        rows = "\n".join(f"{t},{1.5 * t - math.log(t) + 0.5}" for t in range(1, 21))
-        csv.write_text(f"# {json.dumps(meta)}\nt,m_half\n{rows}\n")
-        svg = plot(csv, "front").read_text()
+    def test_front_with_fit_overlay(self):
+        ts = [float(t) for t in range(1, 21)]
+        ms = [1.5 * t - math.log(t) + 0.5 for t in ts]
+        svg = plot("front", ts, ms, FrontFit(1.5, -1.0, 0.5, -1.5))
         assert "<circle" in svg
         assert svg.count("<polyline") == 1  # the fit overlay
 
-    def test_martingale_means(self, tmp_path):
-        csv = tmp_path / "m.csv"
-        lines = ["replica,n,W_n,D_n"]
-        for rep in range(3):
-            for n in range(4):
-                lines.append(f"{rep},{n},{1.0 + 0.1 * rep},{0.2 * n}")
-        csv.write_text("\n".join(lines) + "\n")
-        svg = plot(csv, "martingale").read_text()
+    def test_martingale_means(self):
+        rows = [(rep, n, 1.0 + 0.1 * rep, 0.2 * n) for rep in range(3) for n in range(4)]
+        svg = plot("martingale", rows)
         assert svg.count("<polyline") == 2
+
+
+def _svg_from_csv(path: Path) -> str:
+    """Draw a CSV artifact again from its columns, read back with ``csv``."""
+    lines = path.read_text().splitlines()
+    meta = json.loads(lines.pop(0)[1:]) if lines[0].startswith("#") else {}
+    records = list(csv.DictReader(lines))
+
+    def col(key):
+        return [float(r[key]) for r in records]
+
+    if path.name == "field.csv":
+        return plot("profile", col("x"), {"profile": col("value")})
+    if path.name == "front.csv":
+        fit = FrontFit(**meta["fit"], expected_log_slope=math.nan) if "fit" in meta else None
+        return plot("front", col("t"), col("m_half"), fit)
+    if path.name == "profiles.csv":
+        series = {}
+        for r in records:
+            series.setdefault(r["source"], []).append(float(r["value"]))
+        return plot("profile", [float(r["x"]) for r in records if r["source"] == "pde"], series)
+    rows = [(int(r["replica"]), int(r["n"]), float(r["W_n"]), float(r["D_n"])) for r in records]
+    return plot("martingale", rows)
+
+
+ARTIFACT_RUNS = {
+    "simulate": (
+        {
+            "command": "simulate",
+            "model": JUMP_GAUSSIAN,
+            "seed": 7,
+            "params": {"t_max": 2.0, "record_times": [1.0, 2.0], "replicas": 20},
+        },
+        ["martingales.csv"],
+    ),
+    "solve-fit": (
+        {
+            "command": "solve",
+            "model": JUMP_GAUSSIAN,
+            "params": {
+                "grid": {"x_min": -16.0, "x_max": 24.0, "n_points": 256},
+                "t_max": 6.0,
+                "dt": 0.1,
+                "fit_window": [1.0, 6.0],
+            },
+        },
+        ["field.csv", "front.csv"],
+    ),
+    "compare": (
+        {
+            "command": "compare",
+            "model": JUMP_GAUSSIAN,
+            "seed": 3,
+            "params": {
+                "grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 64},
+                "t": 1.0,
+                "replicas": 500,
+                "threshold": 1.0,
+            },
+        },
+        ["profiles.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("config,csvs", ARTIFACT_RUNS.values(), ids=list(ARTIFACT_RUNS))
+def test_svgs_are_their_csv_columns_and_checksums_their_files(tmp_path, config, csvs):
+    code, out = _run_cli(tmp_path, config)
+    assert code == 0
+    for name in csvs:
+        csv_path = out / name
+        assert csv_path.with_suffix(".svg").read_text() == _svg_from_csv(csv_path)
+    if config["command"] == "solve":
+        assert "fit" in json.loads((out / "front.csv").read_text().splitlines()[0][1:])
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert sorted(outputs) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    for name, digest in outputs.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+def test_solve_without_front_records_writes_no_front_svg(tmp_path):
+    code, out = _run_cli(tmp_path, _with(SOLVE, "/params/t_max", 0.0))
+    assert code == 0
+    assert (out / "front.csv").read_text().splitlines()[1:] == ["t,m_half"]
+    assert not (out / "front.svg").exists()
+    assert (out / "field.svg").exists()
 
 
 def test_run_accepts_parsed_config(tmp_path, jump_gaussian_binary):
@@ -322,6 +389,7 @@ MALFORMED = [
     ("prune-window", _with(SIMULATE, "/params/prune_window", "x"), "/params/prune_window"),
     ("solve-dt", _with(SOLVE, "/params/dt", "x"), "/params/dt"),
     ("fit-window", _with(SOLVE, "/params/fit_window", [1, 2, 3]), "/params/fit_window"),
+    ("fit-window-order", _with(SOLVE, "/params/fit_window", [2, 2]), "/params/fit_window"),
     ("grid-x-min", _with(COMPARE, "/params/grid/x_min", _ABSENT), "/params/grid/x_min"),
     ("n-points", _with(SOLVE, "/params/grid/n_points", 100), "/params/grid"),
     ("run-dirs", {"command": "report", "run_dirs": [1]}, "/run_dirs/0"),
@@ -340,15 +408,39 @@ def test_malformed_config_rejected_at_pointer_before_writing(tmp_path, capsys, c
     assert not out_dir.exists()
 
 
-def test_late_failure_leaves_no_directory(tmp_path, capsys):
+LATE_FAILURES = [
     # the stability bound needs the model and the grid, so dt is checked
     # only when stepping starts, after the config has been read
-    config = _with(_with(SOLVE, "/model", BROWNIAN_OFFSPRING), "/params/dt", 1.0)
-    code, out_dir = _run_cli(tmp_path, config)
-    assert code == 1
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert not out_dir.exists()
+    ("brownian-dt", _with(_with(SOLVE, "/model", BROWNIAN_OFFSPRING), "/params/dt", 1.0)),
+    # the fit window holds no record: the field is solved before the fit fails
+    (
+        "empty-fit-window",
+        {
+            **SOLVE,
+            "params": {
+                "grid": {"x_min": -10.0, "x_max": 20.0, "n_points": 256},
+                "t_max": 2.0,
+                "fit_window": [50, 60],
+            },
+        },
+    ),
+    # time arguments the strong form would otherwise misuse
+    ("dt-negative", _with(SOLVE, "/params/dt", -1.0)),
+    ("dt-zero", _with(SOLVE, "/params/dt", 0.0)),
+    ("interval-zero", _with(SOLVE, "/params/front_interval", 0.0)),
+    ("interval-negative", _with(SOLVE, "/params/front_interval", -0.5)),
+    ("span-fraction", _with(SOLVE, "/params/t_max", 1.2)),
+    ("span-below-interval", _with(SOLVE, "/params/t_max", 0.2)),
+]
+
+
+def test_late_failure_leaves_no_directory(tmp_path, capsys):
+    for name, config in LATE_FAILURES:
+        code, out_dir = _run_cli(tmp_path, config, name)
+        assert code == 1, name
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (name, lines)
+        assert not out_dir.exists(), name
 
 
 def test_tabulated_kernel_with_zero_density_ends_has_no_minimizer(tmp_path, capsys):

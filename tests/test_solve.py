@@ -178,6 +178,15 @@ class TestPdeStep:
         u = evolve(immobile_binary, u, 1.0, 1e-3)
         assert np.max(np.abs(u.values - logistic_decay(0.5, 1.0))) < 1e-8
 
+    @pytest.mark.parametrize(
+        "t_end,dt",
+        [(1.0, -1.0), (1.0, 0.0), (1.0, math.inf), (1.0, math.nan), (math.inf, 0.1), (math.nan, 0.1)],
+    )
+    def test_time_arguments_rejected(self, jump_gaussian_binary, t_end, dt):
+        # dt = -1 took one step of 1.0, ten times the bound; dt = 0 divided by zero
+        with pytest.raises(DomainError):
+            evolve(jump_gaussian_binary, Field.heaviside(Grid(-8.0, 8.0, 64)), t_end, dt)
+
     def test_stability_bound_enforced(self, brownian_binary):
         grid = Grid(-8.0, 8.0, 1024)
         with pytest.raises(StepSizeError):
@@ -432,6 +441,25 @@ class TestTrackFront:
         assert trace.t.size == 0
         (record,) = [r for r in caplog.records if r.name == "kpplab.solve"]
         assert "2 of 2 record times" in record.getMessage()
+
+    @pytest.mark.parametrize(
+        "t_end,dt,interval",
+        [
+            (1.0, -1.0, 0.5),
+            (1.0, 0.0, 0.5),
+            (1.0, 0.1, 0.0),
+            (1.0, 0.1, -0.5),
+            (1.0, 0.1, math.nan),
+            (1.2, 0.1, 0.5),
+            (0.2, 0.1, 0.5),
+            (-1.0, 0.1, 0.5),
+        ],
+    )
+    def test_time_arguments_rejected(self, jump_gaussian_binary, t_end, dt, interval):
+        # an interval of -0.5 recorded nothing, and a span that is not a whole
+        # number of intervals was rounded: 1.2 stopped at 1.0, 0.2 at 0.0
+        with pytest.raises(DomainError):
+            track_front(jump_gaussian_binary, Field.heaviside(Grid(-8.0, 8.0, 64)), t_end, dt, interval)
 
     def test_benchmark_front_keeps_every_record(self, jump_gaussian_binary):
         # u = 1 is unstable: the front survives only while the transform's
