@@ -242,7 +242,7 @@ def _cmd_simulate(cfg: ExperimentConfig, art: _Artifacts, threads: int) -> tuple
     minima_rows = [
         (s.replica, s.t, s.m, int(not math.isfinite(s.m))) for s in result.minima
     ]
-    minima_csv = art.csv("minima.csv", ["replica", "t", "m_t", "extinct"], minima_rows)
+    art.csv("minima.csv", ["replica", "t", "m_t", "extinct"], minima_rows)
     mart_rows = [
         (tr.replica, int(n), float(w), float(d))
         for tr in result.traces

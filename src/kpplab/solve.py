@@ -403,11 +403,12 @@ def track_front(
     """Evolve the field while recording ``FRONT_LEVEL`` crossing positions.
 
     Steps are aligned so that every record time is hit exactly; snapshots of
-    the full field are kept at the requested times (which must be record
-    times up to rounding), whether or not the field crosses the level there.
-    Record times without a crossing are left out of the trace and logged
-    once, as a count.  The span ``t_end - field.t`` must be a whole number of
-    record intervals, to 1e-9 of an interval.
+    the full field are kept at the requested times, whether or not the field
+    crosses the level there.  Record times without a crossing are left out
+    of the trace and logged once, as a count.  The span ``t_end - field.t``
+    must be a whole number of record intervals, and each snapshot time a
+    record time, ``field.t`` plus one to that many intervals, both to 1e-9
+    of an interval.
     """
     _check_horizon(field, t_end)
     _check_positive("record_interval", record_interval)
@@ -420,6 +421,10 @@ def track_front(
             f"the span {t_end - field.t:g} is not a whole number of record intervals "
             f"{record_interval:g}"
         )
+    for time in snapshot_times:
+        k = (time - field.t) / record_interval
+        if not (0.5 < k < n_records + 0.5 and abs(k - round(k)) <= 1e-9):
+            raise DomainError(f"snapshot {time!r} is not a record time in ({field.t:g}, {t_end:g}]")
     per = max(1, int(math.ceil(record_interval / dt - 1e-12)))
     h = record_interval / per
     u, limits = field.values, np.array([field.left_limit, field.right_limit])
@@ -432,10 +437,10 @@ def track_front(
             u, limits = stepper.step(u, limits, h)
         u = _check_range(u)
         t += record_interval
-        while wanted and t >= wanted[0] - 1e-9:
+        while wanted and t > wanted[0] - 0.5 * record_interval:
             snapshots[wanted.pop(0)] = field.with_values(u.copy(), t, limits)
         try:
-            fronts.append(_front_position_values(field.grid.xs, u, FRONT_LEVEL))
+            fronts.append(front_position(field.with_values(u, t, limits)))
         except NoFrontError:
             continue
         times.append(t)
@@ -562,24 +567,22 @@ def _causal_time_integral(coeff: np.ndarray, dt: float):
 # -- front measurement -------------------------------------------------------------
 
 
-def _front_position_values(xs: np.ndarray, values: np.ndarray, level: float) -> float:
-    above = values >= level
+def front_position(field: Field) -> float:
+    """Linear interpolation of the unique ``FRONT_LEVEL`` crossing of a
+    monotone field."""
+    values = field.values
+    above = values >= FRONT_LEVEL
     if above.all() or not above.any():
-        raise NoFrontError(f"field does not cross level {level}")
+        raise NoFrontError(f"field does not cross level {FRONT_LEVEL}")
     i = int(np.argmax(above))
     if i == 0:
         raise NoFrontError("level crossing lies on the grid edge")
+    xs = field.grid.xs
     x0, x1 = xs[i - 1], xs[i]
     v0, v1 = values[i - 1], values[i]
     if v1 == v0:
         return float(x1)
-    return float(x0 + (level - v0) * (x1 - x0) / (v1 - v0))
-
-
-def front_position(field: Field) -> float:
-    """Linear interpolation of the unique ``FRONT_LEVEL`` crossing of a
-    monotone field."""
-    return _front_position_values(field.grid.xs, field.values, FRONT_LEVEL)
+    return float(x0 + (FRONT_LEVEL - v0) * (x1 - x0) / (v1 - v0))
 
 
 def measure_front(
@@ -628,12 +631,13 @@ def traveling_wave_profile(model: BranchingModel, c: float, grid: Grid) -> Field
 
     The wave runs between the law's two constant states, its extinction
     probability ``q`` on the left (0 for a law without death) and 1 on the
-    right.  A short step-and-recenter relaxation provides the initial guess,
-    then Newton iteration (banded Jacobian, central-difference transport,
-    phase pinned at the level ``(q + 1)/2``) drives the comoving residual
-    below ``WAVE_TOL``.  Evolving the returned profile and shifting back by
-    ``c dt`` leaves only discretization error, so it is the right object for
-    residual tests.
+    right.  Newton iteration starts from the logistic between them,
+    ``q + (1 - q)/(1 + exp(-x))``, and (banded Jacobian, central-difference
+    transport, phase pinned at the level ``(q + 1)/2``) drives the comoving
+    residual below ``WAVE_TOL``.  An iterate that overflows, like running out
+    of iterations, raises ``IterationLimitError``.  Evolving the returned
+    profile and shifting back by ``c dt`` leaves only discretization error,
+    so it is the right object for residual tests.
 
     Finite-time evolution cannot produce this profile: the front relaxes to
     its limiting speed only algebraically, which leaves a resolution-
@@ -645,35 +649,30 @@ def traveling_wave_profile(model: BranchingModel, c: float, grid: Grid) -> Field
     mid = 0.5 * (q + 1.0)
     stepper = _Stepper(model, grid)
     values = q + (1.0 - q) / (1.0 + np.exp(-xs))
-    dt = 0.5 * stepper.stability_bound()
-    for _ in range(int(20.0 / dt)):
-        values, _ = stepper.step(values, np.array([q, 1.0]), dt)
-        pos = _front_position_values(xs, values, mid)
-        values = np.interp(xs + pos, xs, values, left=q, right=1.0)
-
     i0 = int(np.argmin(np.abs(xs)))
-    converged = False
-    for _ in range(WAVE_MAX_ITER):
-        f = _comoving_residual(stepper, values, c, q)
-        f[i0] = values[i0] - mid  # phase pin replaces the (redundant) equation here
-        if float(np.max(np.abs(f))) < WAVE_TOL:
-            converged = True
-            break
-        ab = _comoving_jacobian(stepper, values, c, q)
-        h = (ab.shape[0] - 1) // 2
-        pinned = np.arange(max(0, i0 - h), min(n, i0 + h + 1))
-        ab[h + i0 - pinned, pinned] = 0.0
-        ab[h, i0] = 1.0
-        step = solve_banded((h, h), ab, f)
-        values = values - step
-        if float(np.max(np.abs(step))) < 1e-13:
-            converged = True
-            break
-    if not converged:
-        raise IterationLimitError(
-            "comoving Newton iteration did not converge",
-            last_increment=float(np.max(np.abs(_comoving_residual(stepper, values, c, q)))),
-        )
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for _ in range(WAVE_MAX_ITER):
+                f = _comoving_residual(stepper, values, c, q)
+                f[i0] = values[i0] - mid  # phase pin replaces the (redundant) equation here
+                if float(np.max(np.abs(f))) < WAVE_TOL:
+                    break
+                ab = _comoving_jacobian(stepper, values, c, q)
+                h = (ab.shape[0] - 1) // 2
+                pinned = np.arange(max(0, i0 - h), min(n, i0 + h + 1))
+                ab[h + i0 - pinned, pinned] = 0.0
+                ab[h, i0] = 1.0
+                step = solve_banded((h, h), ab, f)
+                values = values - step
+                if float(np.max(np.abs(step))) < 1e-13:
+                    break
+            else:
+                raise IterationLimitError(
+                    "comoving Newton iteration did not converge",
+                    last_increment=float(np.max(np.abs(_comoving_residual(stepper, values, c, q)))),
+                )
+        except FloatingPointError as exc:
+            raise IterationLimitError(f"comoving Newton iteration diverged ({exc})") from exc
     return Field(grid, np.clip(values, q, 1.0), 0.0, q, 1.0)
 
 

@@ -25,12 +25,14 @@ from kpplab import (
     picard_solve,
     shift_field,
     track_front,
+    traveling_wave_profile,
     wave_residual,
 )
 from kpplab.errors import (
     DomainError,
     FitError,
     GridTooSmallError,
+    IterationLimitError,
     NoFrontError,
     StepSizeError,
 )
@@ -55,6 +57,21 @@ LAWS = {
     "offspring_at_parent": BranchingLaw.offspring_at_parent({0: 0.1, 1: 0.2, 3: 0.7}),
     "binary_one_displaced": BranchingLaw.binary_one_displaced(Kernel.gaussian(0.5)),
 }
+
+
+#: the families with a speed: an immobile particle whose children stay at
+#: the parent spreads nowhere
+SPREADING = [
+    (motion, law)
+    for motion in sorted(MOTIONS)
+    for law in sorted(LAWS)
+    if motion != "constant" or law == "binary_one_displaced"
+]
+#: every spreading family above c*, and at c* all but the Brownian ones, whose
+#: pinned Newton iteration does not converge there
+WAVE_CASES = [(m, law, 0.2) for m, law in SPREADING] + [
+    (m, law, 0.0) for m, law in SPREADING if m != "brownian"
+]
 
 
 class TestGrid:
@@ -361,8 +378,6 @@ def test_monotone_data_stays_monotone(jump_gaussian_binary, brownian_binary):
 
 class TestTravelingWaveProfile:
     def test_comoving_residual_vanishes(self, jump_gaussian_binary):
-        from kpplab import traveling_wave_profile
-
         grid = Grid(-30.0, 30.0, 1024)
         c = math.exp(0.5)
         prof = traveling_wave_profile(jump_gaussian_binary, c, grid)
@@ -376,8 +391,6 @@ class TestTravelingWaveProfile:
         assert np.all(np.diff(prof.values) >= -1e-6)
 
     def test_small_wave_residual_at_minimal_speed(self, jump_gaussian_binary):
-        from kpplab import traveling_wave_profile
-
         grid = Grid(-30.0, 30.0, 1024)
         c = math.exp(0.5)
         prof = traveling_wave_profile(jump_gaussian_binary, c, grid)
@@ -387,8 +400,6 @@ class TestTravelingWaveProfile:
 
     def test_law_with_death_runs_from_extinction_probability(self):
         # G(0) = p0 > 0, so the wave's left constant state is q, not 0
-        from kpplab import traveling_wave_profile
-
         law = LAWS["offspring_at_parent"]
         model = BranchingModel(MOTIONS["pure_jump"], law)
         grid = Grid(-30.0, 30.0, 1024)
@@ -397,6 +408,27 @@ class TestTravelingWaveProfile:
         q = law.extinction_probability()
         assert prof.left_limit == q and prof.right_limit == 1.0
         assert wave_residual(prof, c, model, 0.05) < 5e-5
+
+    @pytest.mark.parametrize("motion,law,offset", WAVE_CASES)
+    def test_every_row_but_the_pin_solved(self, motion, law, offset):
+        model = BranchingModel(MOTIONS[motion], LAWS[law])
+        grid = Grid(-30.0, 30.0, 1024)
+        c = minimal_speed(model).c_star + offset
+        prof = traveling_wave_profile(model, c, grid)
+        q = LAWS[law].extinction_probability()
+        assert prof.left_limit == q and prof.right_limit == 1.0
+        assert np.all((prof.values >= q) & (prof.values <= 1.0))
+        rows = np.abs(_comoving_residual(_Stepper(model, grid), prof.values, c, q))
+        rows[np.argmin(np.abs(grid.xs))] = 0.0  # the phase pin replaces this row
+        assert rows.max() <= 1e-7
+
+    def test_divergence_raises_iteration_limit(self):
+        # from the logistic start, u**10 overflows within a few iterates
+        law = BranchingLaw.offspring_at_parent({2: 0.5, 10: 0.5})
+        model = BranchingModel(MOTIONS["brownian"], law)
+        c = minimal_speed(model).c_star + 0.2
+        with pytest.raises(IterationLimitError):
+            traveling_wave_profile(model, c, Grid(-30.0, 30.0, 1024))
 
 
 def _dense_band(ab):
@@ -460,6 +492,28 @@ class TestTrackFront:
         # number of intervals was rounded: 1.2 stopped at 1.0, 0.2 at 0.0
         with pytest.raises(DomainError):
             track_front(jump_gaussian_binary, Field.heaviside(Grid(-8.0, 8.0, 64)), t_end, dt, interval)
+
+    @pytest.mark.parametrize(
+        "times", [(0.7,), (3.0,), (-1.0,), (0.0,), (0.7, 3.0), (0.5, math.nan), (math.inf,)]
+    )
+    def test_snapshot_times_off_the_records_rejected(self, jump_gaussian_binary, times):
+        # records fall at 0.5 and 1.0 only: any other time has no field to keep
+        with pytest.raises(DomainError):
+            track_front(
+                jump_gaussian_binary, Field.heaviside(Grid(-8.0, 8.0, 64)), 1.0, 0.1, 0.5,
+                snapshot_times=times,
+            )
+
+    def test_snapshot_times_are_record_times_up_to_rounding(self, jump_gaussian_binary):
+        # a record time off by 1e-10 of a long interval is still that record
+        field = Field.heaviside(Grid(-8.0, 8.0, 64))
+        late = 100.0 + 1e-8
+        final, _, snaps = track_front(
+            jump_gaussian_binary, field, 200.0, 0.1, 100.0, snapshot_times=(200.0, late)
+        )
+        assert sorted(snaps) == [late, 200.0]
+        assert snaps[late].t == 100.0
+        assert np.array_equal(snaps[200.0].values, final.values)
 
     def test_benchmark_front_keeps_every_record(self, jump_gaussian_binary):
         # u = 1 is unstable: the front survives only while the transform's
