@@ -32,9 +32,10 @@ An ensemble replica is a ``Population`` run through the public
 single-population operations: at each checkpoint ``advance`` moves it on,
 ``leftmost`` and ``martingales`` record it, and ``prune`` trims its right
 tail, so every replica's pruning bound ends up on its ``MartingaleTrace``.
-Replicas derive one independent stream each by splitting a counter-based
-generator with the replica index, so results do not depend on scheduling or
-worker count.
+Replica ``r`` of an ensemble draws from its own SFC64 generator, seeded by
+``SeedSequence(seed, spawn_key=(r,))``, so results do not depend on
+scheduling or worker count.  An int ``rng`` given to ``empirical_v`` or
+``empirical_minima`` means ``Generator(SFC64(rng))``.
 """
 from __future__ import annotations
 
@@ -312,12 +313,12 @@ def empirical_minima(
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(rng)))
+    return np.random.Generator(np.random.SFC64(rng))
 
 
 def _replica_rng(seed: int, replica: int) -> np.random.Generator:
     seq = np.random.SeedSequence(seed, spawn_key=(replica,))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _merged(model, t, replicas, rng, max_particles):

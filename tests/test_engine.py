@@ -35,8 +35,14 @@ LAWS = {
 LAWS.update({f"displaced_{name}": BranchingLaw.binary_one_displaced(k) for name, k in KERNELS.items()})
 
 
-def _philox(seed):
-    return np.random.Generator(np.random.Philox(seed))
+# the engine draws through any caller's bitgen_t: SFC64 is the simulator's own
+# stream, PCG64 arrives through default_rng (sampling_consistency), and Philox
+# is a counter-based generator, unlike the other two
+BIT_GENERATORS = {"pcg64": np.random.PCG64, "philox": np.random.Philox, "sfc64": np.random.SFC64}
+
+
+def _generator(bit_generator, seed):
+    return np.random.Generator(BIT_GENERATORS[bit_generator](seed))
 
 
 def _same_state(a, b):
@@ -46,10 +52,10 @@ def _same_state(a, b):
     return np.array_equal(a, b)
 
 
-def _both_calls(oracle, engine, seed):
+def _both_calls(oracle, engine, bit_generator, seed):
     out = []
     for call in (oracle, engine):
-        rng = _philox(seed)
+        rng = _generator(bit_generator, seed)
         try:
             result = call(rng)
         except CapacityError as err:
@@ -63,13 +69,16 @@ def _both_calls(oracle, engine, seed):
     motion=st.sampled_from(sorted(MOTIONS)),
     law=st.sampled_from(sorted(LAWS)),
     tagged=st.booleans(),
+    bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
     seed=st.integers(0, 2**32 - 1),
     positions=st.lists(st.floats(-5.0, 5.0), min_size=0, max_size=4),
     t_start=st.floats(0.0, 3.0),
     length=st.one_of(st.just(0.0), st.floats(0.0, 3.0), st.floats(10.0, 12.0)),
     cap=st.integers(1, 3000),
 )
-def test_segment_matches_the_numpy_engine(motion, law, tagged, seed, positions, t_start, length, cap):
+def test_segment_matches_the_numpy_engine(
+    motion, law, tagged, bit_generator, seed, positions, t_start, length, cap
+):
     model = BranchingModel(MOTIONS[motion], LAWS[law])
     pos = np.array(positions, dtype=float)
     tags = np.arange(pos.size, dtype=np.int64) * 7 if tagged else None
@@ -77,6 +86,7 @@ def test_segment_matches_the_numpy_engine(motion, law, tagged, seed, positions, 
     (want, want_state), (got, got_state) = _both_calls(
         lambda rng: ref.evolve_segment(pos, tags, t_start, t_end, model, rng, cap),
         lambda rng: _evolve_segment(pos, tags, t_start, t_end, model, rng, cap),
+        bit_generator,
         seed,
     )
     assert _same_state(want_state, got_state)
@@ -94,25 +104,29 @@ def test_segment_with_waits_past_the_inversion_limit():
     # of 10 or more gives a Poisson mean that goes to random_poisson
     model = BranchingModel(Motion(True, KERNELS["tabulated"]), BranchingLaw.offspring_at_parent({0: 1.0}))
     pos = np.zeros(100_000)
-    assert _philox(3).standard_exponential(pos.size).max() >= 10.0
-    (want, want_state), (got, got_state) = _both_calls(
-        lambda rng: ref.evolve_segment(pos, None, 0.0, 10.5, model, rng, 10**6),
-        lambda rng: _evolve_segment(pos, None, 0.0, 10.5, model, rng, 10**6),
-        3,
-    )
-    assert np.array_equal(want[0], got[0]) and got[0].size > 0
-    assert _same_state(want_state, got_state)
+    for bit_generator in BIT_GENERATORS:
+        assert _generator(bit_generator, 3).standard_exponential(pos.size).max() >= 10.0
+        (want, want_state), (got, got_state) = _both_calls(
+            lambda rng: ref.evolve_segment(pos, None, 0.0, 10.5, model, rng, 10**6),
+            lambda rng: _evolve_segment(pos, None, 0.0, 10.5, model, rng, 10**6),
+            bit_generator,
+            3,
+        )
+        assert np.array_equal(want[0], got[0]) and got[0].size > 0
+        assert _same_state(want_state, got_state)
 
 
 def test_capacity_error_carries_the_numpy_engine_time_and_count():
     model = BranchingModel(MOTIONS["jump_gaussian"], LAWS["offspring"])
-    (want, want_state), (got, got_state) = _both_calls(
-        lambda rng: ref.evolve_segment(np.zeros(3), None, 0.0, 9.0, model, rng, 500),
-        lambda rng: _evolve_segment(np.zeros(3), None, 0.0, 9.0, model, rng, 500),
-        11,
-    )
-    assert isinstance(want[0], str) and want == got
-    assert _same_state(want_state, got_state)
+    for bit_generator in BIT_GENERATORS:
+        (want, want_state), (got, got_state) = _both_calls(
+            lambda rng: ref.evolve_segment(np.zeros(3), None, 0.0, 9.0, model, rng, 500),
+            lambda rng: _evolve_segment(np.zeros(3), None, 0.0, 9.0, model, rng, 500),
+            bit_generator,
+            11,
+        )
+        assert isinstance(want[0], str) and want == got
+        assert _same_state(want_state, got_state)
 
 
 @pytest.mark.parametrize("tagged", [False, True])
@@ -120,7 +134,7 @@ def test_empty_and_zero_length_segments_draw_nothing(tagged):
     model = BranchingModel(MOTIONS["diffusive_jump_gaussian"], LAWS["offspring"])
     for pos, t_end in ((np.empty(0), 5.0), (np.array([1.0, -2.0]), 1.0)):
         tags = np.arange(pos.size) if tagged else None
-        rng = _philox(4)
+        rng = _generator("sfc64", 4)
         state = rng.bit_generator.state
         out, out_tags = _evolve_segment(pos, tags, 1.0, t_end, model, rng, 10)
         assert np.array_equal(out, pos) and (out_tags is tags)
@@ -130,17 +144,19 @@ def test_empty_and_zero_length_segments_draw_nothing(tagged):
 @settings(max_examples=60, deadline=None)
 @given(
     motion=st.sampled_from(sorted(MOTIONS)),
+    bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
     seed=st.integers(0, 2**32 - 1),
     durations=st.lists(
         st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 9.99, 10.0, 25.0, 800.0])),
         max_size=30,
     ),
 )
-def test_displacements_match_the_numpy_engine(motion, seed, durations):
+def test_displacements_match_the_numpy_engine(motion, bit_generator, seed, durations):
     d = np.array(durations, dtype=float)
     (want, want_state), (got, got_state) = _both_calls(
         lambda rng: ref.displacements(MOTIONS[motion], d, rng),
         lambda rng: sample_displacements(MOTIONS[motion], d, rng),
+        bit_generator,
         seed,
     )
     assert np.array_equal(want, got)
@@ -151,19 +167,24 @@ def test_displacements_match_the_numpy_engine(motion, seed, durations):
 @given(
     kernel=st.sampled_from(sorted(KERNELS)),
     law=st.sampled_from(sorted(LAWS)),
+    bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
     seed=st.integers(0, 2**32 - 1),
     size=st.integers(0, 50),
 )
-def test_kernel_draws_and_litters_match_numpy(kernel, law, seed, size):
+def test_kernel_draws_and_litters_match_numpy(kernel, law, bit_generator, seed, size):
     k = KERNELS[kernel]
     (want, want_state), (got, got_state) = _both_calls(
-        lambda rng: ref.kernel_sample(k, rng, size), lambda rng: k.sample(rng, size), seed
+        lambda rng: ref.kernel_sample(k, rng, size),
+        lambda rng: k.sample(rng, size),
+        bit_generator,
+        seed,
     )
     assert np.array_equal(want, got) and _same_state(want_state, got_state)
     parents = np.linspace(-1.0, 1.0, size)
     (want, want_state), (got, got_state) = _both_calls(
         lambda rng: ref.sample_offspring_batch(LAWS[law], parents, rng),
         lambda rng: sample_offspring_batch(LAWS[law], parents, rng),
+        bit_generator,
         seed,
     )
     assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])

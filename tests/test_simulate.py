@@ -190,7 +190,7 @@ class TestRunEnsemble:
         checkpoints = (0.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0)
         for tr in res.traces:
             seq = np.random.SeedSequence(cfg.seed, spawn_key=(tr.replica,))
-            rng = np.random.Generator(np.random.Philox(seq))
+            rng = np.random.Generator(np.random.SFC64(seq))
             pop = Population.single(0.0)
             ns, ws, ds, ms = [], [], [], []
             for t in checkpoints:
@@ -316,6 +316,13 @@ def test_empirical_minima_marks_extinct(immobile_offspring):
     assert np.isinf(minima).any()
     finite = minima[np.isfinite(minima)]
     assert np.all(finite == 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 31, 2**40 + 3])
+def test_int_rng_is_the_sfc64_stream(jump_gaussian_binary, seed):
+    # the CLI's integer seed reaches the simulator as Generator(SFC64(seed))
+    want = empirical_minima(jump_gaussian_binary, 2.0, 50, np.random.Generator(np.random.SFC64(seed)))
+    assert np.array_equal(empirical_minima(jump_gaussian_binary, 2.0, 50, seed), want)
 
 
 @pytest.mark.parametrize("motion", ["pure_jump", "jump_diffusion"])
