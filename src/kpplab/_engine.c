@@ -180,7 +180,9 @@ static double tabulated_inverse(const kernel_t *k, double u)
     return v;
 }
 
-/* One draw of Kernel.sample; n of them in a row are Kernel.sample(rng, n). */
+/* One kernel draw, bit for bit numpy's rng.normal(0, sigma),
+ * rng.laplace(0, 1/beta), rng.uniform(-r, r), or np.interp(rng.random(),
+ * cdf, x) for a tabulated kernel; n of them in a row are numpy's size-n call. */
 static inline double draw(bitgen_t *bg, const kernel_t *k)
 {
     switch (k->family) {
@@ -193,12 +195,6 @@ static inline double draw(bitgen_t *bg, const kernel_t *k)
     default:
         return tabulated_inverse(k, random_standard_uniform(bg));
     }
-}
-
-void kpp_kernel_draws(bitgen_t *bg, const kernel_t *k, int64_t n, double *out)
-{
-    for (int64_t i = 0; i < n; i++)
-        out[i] = draw(bg, k);
 }
 
 /* -- displacements ------------------------------------------------------------- */
@@ -313,11 +309,6 @@ done:
     return ok;
 }
 
-int kpp_displacements(bitgen_t *bg, const motion_t *m, int64_t n, const double *dur, double *out)
-{
-    return displace(bg, m, n, dur, out) ? OK : NO_MEMORY;
-}
-
 /* -- litters --------------------------------------------------------------------- */
 
 /* Draw the litters of nb parents: the sizes, when the law draws them (nb
@@ -328,8 +319,10 @@ static int64_t draw_litters(bitgen_t *bg, const law_t *law, int64_t nb, int64_t 
                             double *draws)
 {
     if (law->litter >= 0) {
-        if (law->displacement.family != NONE)
-            kpp_kernel_draws(bg, &law->displacement, nb, draws);
+        if (law->displacement.family != NONE) {
+            for (int64_t i = 0; i < nb; i++)
+                draws[i] = draw(bg, &law->displacement);
+        }
         return nb * law->litter;
     }
     int64_t total = 0;
@@ -344,7 +337,7 @@ static int64_t draw_litters(bitgen_t *bg, const law_t *law, int64_t nb, int64_t 
     return total;
 }
 
-/* Replace the nb parents at the front of pos (and of t and tag, when given)
+/* Replace the nb parents at the front of pos and t (and of tag, when given)
  * by their m children, grouped by parent in order: each child at its
  * parent, but the displaced child of a displaced law (the second of two) at
  * parent + draw, with its parent's time and tag.  The arrays have room for
@@ -361,8 +354,7 @@ static void spawn(const law_t *law, int64_t nb, int64_t *sizes, const double *dr
         int64_t kept = 0;
         for (int64_t i = 0; i < nb; i++) {
             pos[kept] = pos[i];
-            if (t != NULL)
-                t[kept] = t[i];
+            t[kept] = t[i];
             if (tag != NULL)
                 tag[kept] = tag[i];
             sizes[kept] = sizes[i];
@@ -379,38 +371,15 @@ static void spawn(const law_t *law, int64_t nb, int64_t *sizes, const double *dr
             pos[o + r] = p;
         if (displaced)
             pos[o + 1] = p + draws[i];
-        if (t != NULL) {
-            double ti = t[i];
-            for (int64_t r = 0; r < c; r++)
-                t[o + r] = ti;
-        }
+        double ti = t[i];
+        for (int64_t r = 0; r < c; r++)
+            t[o + r] = ti;
         if (tag != NULL) {
             int64_t gi = tag[i];
             for (int64_t r = 0; r < c; r++)
                 tag[o + r] = gi;
         }
     }
-}
-
-/* Litters of nb parents into children (room for nb times the largest
- * litter) and, for a law that draws them, the per-parent sizes; returns the
- * number of children, or -1 when out of memory. */
-int64_t kpp_litters(bitgen_t *bg, const law_t *law, int64_t nb, const double *parents,
-                    double *children, int64_t *sizes)
-{
-    double *draws = get((size_t)nb * sizeof *draws);
-    int64_t *work = law->litter < 0 ? get((size_t)nb * sizeof *work) : NULL;
-    int64_t m = -1;
-    if (draws != NULL && (law->litter >= 0 || work != NULL)) {
-        m = draw_litters(bg, law, nb, sizes, draws);
-        if (work != NULL)
-            memcpy(work, sizes, (size_t)nb * sizeof *work);
-        memcpy(children, parents, (size_t)nb * sizeof *children);
-        spawn(law, nb, work, draws, m, children, NULL, NULL);
-    }
-    put(draws, (size_t)nb * sizeof *draws);
-    put(work, (size_t)nb * sizeof *work);
-    return m;
 }
 
 /* -- segments -------------------------------------------------------------------- */

@@ -115,12 +115,6 @@ class _Result(ctypes.Structure):
 
 _path = str(_build(Path(__file__).parent / "__pycache__"))
 _lib = ctypes.CDLL(_path)
-_lib.kpp_kernel_draws.argtypes = [c_void_p, POINTER(_Kernel), c_int64, c_void_p]
-_lib.kpp_kernel_draws.restype = None
-_lib.kpp_displacements.argtypes = [c_void_p, POINTER(_Motion), c_int64, c_void_p, c_void_p]
-_lib.kpp_displacements.restype = c_int
-_lib.kpp_litters.argtypes = [c_void_p, POINTER(_Law), c_int64, c_void_p, c_void_p, c_void_p]
-_lib.kpp_litters.restype = c_int64
 _lib.kpp_segment.argtypes = [
     c_void_p, POINTER(_Motion), POINTER(_Law), c_int64, c_void_p, c_void_p,
     c_double, c_double, c_int64, POINTER(_Result),
@@ -169,11 +163,6 @@ def _law(law) -> _Law:
     return _Law(-1, law.cdf.ctypes.data, law.counts.ctypes.data, law.counts.size, _Kernel(_NONE))
 
 
-def _check(ok: bool) -> None:
-    if not ok:
-        raise MemoryError("the segment engine ran out of memory")
-
-
 def _take(address: int | None, nbytes: int, n: int, dtype) -> np.ndarray:
     """Copy ``n`` items from an engine buffer of ``nbytes`` into a new array
     and release the buffer."""
@@ -182,40 +171,6 @@ def _take(address: int | None, nbytes: int, n: int, dtype) -> np.ndarray:
         ctypes.memmove(out.ctypes.data, address, out.nbytes)
     _lib.kpp_release(address, nbytes)
     return out
-
-
-def kernel_draws(kernel, rng: np.random.Generator, size: int) -> np.ndarray:
-    out = np.empty(int(size))
-    k = _kernel(kernel)
-    with rng.bit_generator.lock:
-        _lib.kpp_kernel_draws(_bitgen(rng), byref(k), out.size, out.ctypes.data)
-    return out
-
-
-def displacements(motion, durations: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    dur = np.ascontiguousarray(durations, dtype=float)
-    out = np.empty_like(dur)
-    m = _motion(motion)
-    with rng.bit_generator.lock:
-        status = _lib.kpp_displacements(_bitgen(rng), byref(m), dur.size, dur.ctypes.data,
-                                        out.ctypes.data)
-    _check(status == _OK)
-    return out
-
-
-def litters(law, parents: np.ndarray, rng: np.random.Generator):
-    """Children of each parent, grouped by parent in order, and the
-    per-parent litter sizes (``None`` when the law fixes one size)."""
-    parents = np.ascontiguousarray(parents, dtype=float)
-    # the parents are copied in first, so there is room for them too
-    children = np.empty(parents.size * max(int(law.counts.max()), 1))
-    sizes = np.empty(parents.size, dtype=np.int64) if law.litter is None else None
-    lw = _law(law)
-    with rng.bit_generator.lock:
-        m = _lib.kpp_litters(_bitgen(rng), byref(lw), parents.size, parents.ctypes.data,
-                             children.ctypes.data, None if sizes is None else sizes.ctypes.data)
-    _check(m >= 0)
-    return children[:m], sizes
 
 
 def segment(positions, tags, t_start: float, t_end: float, model, rng: np.random.Generator,
@@ -233,7 +188,8 @@ def segment(positions, tags, t_start: float, t_end: float, model, rng: np.random
         raise CapacityError(
             f"population exceeded {max_particles} particles", time=res.time, count=res.count
         )
-    _check(status == _OK)
+    if status != _OK:
+        raise MemoryError("the segment engine ran out of memory")
     # the positions are copied and freed before the tags are, so that the
     # engine's buffers and the returned arrays never exceed one copy
     out_pos = _take(res.pos, res.pos_bytes, res.n, np.float64)

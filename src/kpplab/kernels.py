@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfcinv
 
-from . import _engine
 from .errors import InvalidKernelError, config_pointer, expect, read_number, read_numbers
 
 INF = math.inf
@@ -151,14 +150,6 @@ class Kernel:
         if self.family == UNIFORM:
             return self.param
         return float(max(abs(self.x[0]), abs(self.x[-1])))
-
-    # -- sampling -----------------------------------------------------------
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` independent draws, bit for bit ``rng.normal(0, sigma)``,
-        ``rng.laplace(0, 1/beta)``, ``rng.uniform(-r, r)``, or
-        ``np.interp(rng.random(size), cdf, x)`` for a tabulated kernel."""
-        return _engine.kernel_draws(self, rng, size)
 
     # -- discretization -----------------------------------------------------
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from . import _engine
-from ._engine import POISSON_INVERSION_LIMIT  # noqa: F401 (kept public here)
 from .errors import ConfigError, DomainError, config_pointer, expect, read_number
 from .kernels import Kernel
 
@@ -239,39 +237,6 @@ def log_laplace(model: BranchingModel, lam: float) -> float:
     ``Kernel.laplace``.
     """
     return model.motion.exponent(lam) + model.law.net_gain(lam)
-
-
-def sample_offspring_batch(
-    law: BranchingLaw, parents: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray | int]:
-    """Litters of the given parents, bit for bit those of numpy's
-    ``rng.choice(law.counts, size, p=law.probs)`` and ``np.repeat``, or of
-    the displacement kernel's ``sample``.
-
-    Returns the concatenated child positions, children grouped by parent in
-    order (a displaced child second), and the litter sizes: per-parent
-    sizes, or one size shared by every parent.
-    """
-    children, sizes = _engine.litters(law, parents, rng)
-    return children, (law.litter if sizes is None else sizes)
-
-
-def sample_displacements(
-    motion: Motion, durations: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Independent displacements over the given durations (exact laws).
-
-    The Brownian part is one standard normal per duration, scaled by its
-    root.  The jump part draws a Poisson jump count per duration, exactly:
-    means from ``POISSON_INVERSION_LIMIT`` on by ``rng.poisson``, smaller
-    ones by sequential-search inversion of one uniform each (Devroye,
-    Non-Uniform Random Variate Generation, 1986), then every jump, and sums
-    each duration's jumps.  A motion with neither part draws nothing.
-    """
-    durations = np.asarray(durations, dtype=float)
-    if np.any(durations < 0):
-        raise DomainError("durations must be nonnegative")
-    return _engine.displacements(motion, durations, rng)
 
 
 def model_from_dict(d, pointer: str = "") -> BranchingModel:

@@ -664,8 +664,6 @@ def traveling_wave_profile(model: BranchingModel, c: float, grid: Grid) -> Field
                 ab[h, i0] = 1.0
                 step = solve_banded((h, h), ab, f)
                 values = values - step
-                if float(np.max(np.abs(step))) < 1e-13:
-                    break
             else:
                 raise IterationLimitError(
                     "comoving Newton iteration did not converge",

@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from kpplab._engine import POISSON_INVERSION_LIMIT
 from kpplab.errors import CapacityError
 from kpplab.kernels import GAUSSIAN, TWO_SIDED_EXPONENTIAL, UNIFORM
-
-#: Poisson means from here on go to ``rng.poisson``; smaller ones are inverted
-POISSON_INVERSION_LIMIT = 10.0
 
 
 def kernel_sample(kernel, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -33,7 +31,9 @@ def _tabulated_cdf(kernel) -> np.ndarray:
     return cdf / cdf[-1]
 
 
-def sample_offspring_batch(law, parents: np.ndarray, rng: np.random.Generator):
+def litters(law, parents: np.ndarray, rng: np.random.Generator):
+    """Children of each parent, grouped by parent in order (a displaced child
+    second), and the litter sizes: per parent, or one size for all."""
     parents = np.asarray(parents, dtype=float)
     if law.litter is None:
         counts = rng.choice(law.counts, size=parents.size, p=law.probs)
@@ -65,7 +65,7 @@ def displacements(motion, durations: np.ndarray, rng: np.random.Generator) -> np
 
 def poisson_owners(means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Poisson counts ``N_i`` as an owner list: the large means' owners
-    (``rng.poisson``) first, then one inversion pass after another, each
+    (``rng.poisson``, from ``POISSON_INVERSION_LIMIT`` on) first, then one inversion pass after another, each
     listing its unresolved entries in index order."""
     owners = []
     small = means < POISSON_INVERSION_LIMIT
@@ -122,7 +122,7 @@ def evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles):
         n_done += finished.size
         if branching.size == 0:
             break
-        children, litter = sample_offspring_batch(law, pos.take(branching), rng)
+        children, litter = litters(law, pos.take(branching), rng)
         pos = children
         t = np.repeat(t_branch.take(branching), litter)
         if tag is not None:

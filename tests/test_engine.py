@@ -1,6 +1,7 @@
 """The compiled segment engine against the numpy oracle, bit for bit, and
 its build."""
 import ctypes
+import itertools
 import threading
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from kpplab import BranchingLaw, BranchingModel, Kernel, Motion, RunConfig, _engine, run_ensemble
 from kpplab.errors import CapacityError
-from kpplab.model import sample_displacements, sample_offspring_batch
 from kpplab.simulate import _evolve_segment
 
 import reference_engine as ref
@@ -31,6 +31,9 @@ MOTIONS.update({f"diffusive_jump_{name}": Motion(True, k) for name, k in KERNELS
 LAWS = {
     "binary": BranchingLaw.binary_at_parent(),
     "offspring": BranchingLaw.offspring_at_parent({0: 0.1, 1: 0.2, 3: 0.7}),
+    # one-point laws fix the litter, so their litters draw nothing
+    "death": BranchingLaw.offspring_at_parent({0: 1.0}),
+    "ternary": BranchingLaw.offspring_at_parent({3: 1.0}),
 }
 LAWS.update({f"displaced_{name}": BranchingLaw.binary_one_displaced(k) for name, k in KERNELS.items()})
 
@@ -100,15 +103,16 @@ def test_segment_matches_the_numpy_engine(
 
 
 def test_segment_with_waits_past_the_inversion_limit():
-    # 100000 lifelines die at their first event after 10.5 time units; a wait
-    # of 10 or more gives a Poisson mean that goes to random_poisson
-    model = BranchingModel(Motion(True, KERNELS["tabulated"]), BranchingLaw.offspring_at_parent({0: 1.0}))
+    # 100000 lifelines die at their first event; those that wait past t_end
+    # move for exactly t_end, a Poisson mean just below the limit, on it
+    # (the first that goes to random_poisson) or past it
+    model = BranchingModel(Motion(True, KERNELS["tabulated"]), LAWS["death"])
     pos = np.zeros(100_000)
-    for bit_generator in BIT_GENERATORS:
-        assert _generator(bit_generator, 3).standard_exponential(pos.size).max() >= 10.0
+    for t_end, bit_generator in itertools.product((9.99, 10.0, 10.5), BIT_GENERATORS):
+        assert _generator(bit_generator, 3).standard_exponential(pos.size).max() >= t_end
         (want, want_state), (got, got_state) = _both_calls(
-            lambda rng: ref.evolve_segment(pos, None, 0.0, 10.5, model, rng, 10**6),
-            lambda rng: _evolve_segment(pos, None, 0.0, 10.5, model, rng, 10**6),
+            lambda rng: ref.evolve_segment(pos, None, 0.0, t_end, model, rng, 10**6),
+            lambda rng: _evolve_segment(pos, None, 0.0, t_end, model, rng, 10**6),
             bit_generator,
             3,
         )
@@ -146,20 +150,22 @@ def test_empty_and_zero_length_segments_draw_nothing(tagged):
     motion=st.sampled_from(sorted(MOTIONS)),
     bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
     seed=st.integers(0, 2**32 - 1),
-    durations=st.lists(
-        st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 9.99, 10.0, 25.0, 800.0])),
-        max_size=30,
-    ),
+    size=st.integers(0, 30),
+    length=st.one_of(st.floats(0.0, 3.0), st.sampled_from([0.0, 9.99, 10.0, 25.0])),
 )
-def test_displacements_match_the_numpy_engine(motion, bit_generator, seed, durations):
-    d = np.array(durations, dtype=float)
+def test_displacements_match_the_numpy_engine(motion, bit_generator, seed, size, length):
+    # under the one-child law a lifeline is one particle of the motion and its
+    # litters draw nothing, so the segment is a chain of displacements over
+    # its waits
+    model = BranchingModel(MOTIONS[motion], BranchingLaw.offspring_at_parent({1: 1.0}))
+    pos = np.linspace(-2.0, 2.0, size)
     (want, want_state), (got, got_state) = _both_calls(
-        lambda rng: ref.displacements(MOTIONS[motion], d, rng),
-        lambda rng: sample_displacements(MOTIONS[motion], d, rng),
+        lambda rng: ref.evolve_segment(pos, None, 0.0, length, model, rng, max(size, 1)),
+        lambda rng: _evolve_segment(pos, None, 0.0, length, model, rng, max(size, 1)),
         bit_generator,
         seed,
     )
-    assert np.array_equal(want, got)
+    assert np.array_equal(want[0], got[0]) and got[0].size == size
     assert _same_state(want_state, got_state)
 
 
@@ -172,23 +178,19 @@ def test_displacements_match_the_numpy_engine(motion, bit_generator, seed, durat
     size=st.integers(0, 50),
 )
 def test_kernel_draws_and_litters_match_numpy(kernel, law, bit_generator, seed, size):
-    k = KERNELS[kernel]
-    (want, want_state), (got, got_state) = _both_calls(
-        lambda rng: ref.kernel_sample(k, rng, size),
-        lambda rng: k.sample(rng, size),
-        bit_generator,
-        seed,
-    )
-    assert np.array_equal(want, got) and _same_state(want_state, got_state)
+    # under constant motion a segment draws only its waits, its litters and
+    # the displaced children's kernel draws
     parents = np.linspace(-1.0, 1.0, size)
-    (want, want_state), (got, got_state) = _both_calls(
-        lambda rng: ref.sample_offspring_batch(LAWS[law], parents, rng),
-        lambda rng: sample_offspring_batch(LAWS[law], parents, rng),
-        bit_generator,
-        seed,
-    )
-    assert np.array_equal(want[0], got[0]) and np.array_equal(want[1], got[1])
-    assert _same_state(want_state, got_state)
+    for branching in (BranchingLaw.binary_one_displaced(KERNELS[kernel]), LAWS[law]):
+        model = BranchingModel(Motion.constant(), branching)
+        (want, want_state), (got, got_state) = _both_calls(
+            lambda rng: ref.evolve_segment(parents, None, 0.0, 1.0, model, rng, 10**6),
+            lambda rng: _evolve_segment(parents, None, 0.0, 1.0, model, rng, 10**6),
+            bit_generator,
+            seed,
+        )
+        assert np.array_equal(want[0], got[0])
+        assert _same_state(want_state, got_state)
 
 
 class _BitGen(ctypes.Structure):
@@ -200,18 +202,31 @@ class _BitGen(ctypes.Structure):
 
 def test_tabulated_inverse_matches_interp_on_exact_hits():
     # uniforms on every cdf value (a zero-density stretch repeats some), at
-    # 0 and just below 1, fed to the engine by a bit generator that replays
-    # them
+    # 0 and just below 1, fed to a segment by a bit generator that replays
+    # them as the displaced children's draws.  Its 64-bit words make the
+    # first m waits about 1e-16, so every lifeline branches, and the next 2m
+    # waits run past t_end, so the children finish in their litters' order.
     k = KERNELS["tabulated"]
     us = np.concatenate([k.cdf, [0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(0).random(50)])
-    replay = iter(us.tolist())
-    next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(lambda state: next(replay))
-    bitgen = _BitGen(next_double=ctypes.cast(next_double, ctypes.c_void_p))
-    out = np.empty(us.size)
-    _engine._lib.kpp_kernel_draws(
-        ctypes.addressof(bitgen), ctypes.byref(_engine._kernel(k)), us.size, out.ctypes.data
+    m = us.size
+    uniforms = iter(us.tolist())
+    words = iter([1 << 11] * m + [1 << 62] * (2 * m))
+    next_double = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)(lambda state: next(uniforms))
+    next_uint64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)(lambda state: next(words))
+    bitgen = _BitGen(next_uint64=ctypes.cast(next_uint64, ctypes.c_void_p),
+                     next_double=ctypes.cast(next_double, ctypes.c_void_p))
+    model = BranchingModel(Motion.constant(), BranchingLaw.binary_one_displaced(k))
+    pos, res = np.zeros(m), _engine._Result()
+    status = _engine._lib.kpp_segment(
+        ctypes.addressof(bitgen), ctypes.byref(_engine._motion(model.motion)),
+        ctypes.byref(_engine._law(model.law)), m, pos.ctypes.data, None, 0.0, 1.0, 2 * m,
+        ctypes.byref(res),
     )
-    assert np.array_equal(out, np.interp(us, k.cdf, k.x))
+    assert status == _engine._OK
+    out = _engine._take(res.pos, res.pos_bytes, res.n, np.float64)
+    assert out.size == 2 * m and not out[0::2].any()
+    assert np.array_equal(out[1::2], np.interp(us, k.cdf, k.x))
+    assert next(uniforms, None) is None and next(words, None) is None
 
 
 def test_failed_build_raises_import_error_and_leaves_nothing(tmp_path, monkeypatch):

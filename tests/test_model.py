@@ -13,14 +13,12 @@ from kpplab import (
     log_laplace,
     model_from_dict,
 )
+from kpplab._engine import POISSON_INVERSION_LIMIT
 from kpplab.errors import ConfigError, DomainError
-from kpplab.model import (
-    POISSON_INVERSION_LIMIT,
-    sample_displacements,
-    sample_offspring_batch,
-)
+from kpplab.simulate import _evolve_segment
 
 from helpers import quad_laplace
+import reference_engine as ref
 
 
 def _all_catalogue_models():
@@ -119,21 +117,38 @@ def test_offspring_probability_validation():
         BranchingLaw.offspring_at_parent({1: 0.7, 2: 0.7})
 
 
+def _fixed_litter_segment(law, parents, t_end, seed):
+    """A segment from t = 0 under constant motion and a one-point law, and
+    the same segment replayed on its waits alone, each branching lifeline
+    replaced by ``law.litter`` children at its parent.  Returns both
+    populations at ``t_end`` and whether the two streams end in one state:
+    the segment then drew nothing but its waits."""
+    model = BranchingModel(Motion.constant(), law)
+    rng, waits = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, _ = _evolve_segment(parents, None, 0.0, t_end, model, rng, 10**6)
+    pos, t, want = parents, np.zeros(parents.size), []
+    while pos.size:
+        t = t + waits.standard_exponential(t.size)
+        want.append(pos[t >= t_end])
+        pos, t = np.repeat(pos[t < t_end], law.litter), np.repeat(t[t < t_end], law.litter)
+    return got, np.concatenate(want), rng.bit_generator.state == waits.bit_generator.state
+
+
 def test_sample_offspring_binary_at_parent():
-    rng = np.random.default_rng(0)
-    law = BranchingLaw.binary_at_parent()
-    assert sample_offspring_batch(law, np.array([3.2]), rng)[0].tolist() == [3.2, 3.2]
+    got, want, waits_only = _fixed_litter_segment(
+        BranchingLaw.binary_at_parent(), np.array([3.2]), 1.0, 0
+    )
+    assert np.array_equal(got, want) and waits_only
+    assert got.size > 1 and np.all(got == 3.2)
 
 
 def test_one_point_count_law_draws_nothing():
-    rng = np.random.default_rng(5)
-    state = rng.bit_generator.state
     parents = np.array([1.0, -2.0])
     for probs, n in (({2: 1.0}, 2), ({0: 1.0}, 0), ({3: 1.0}, 3)):
         law = BranchingLaw.offspring_at_parent(probs)
-        children, litter = sample_offspring_batch(law, parents, rng)
-        assert litter == n and children.tolist() == [1.0] * n + [-2.0] * n
-    assert rng.bit_generator.state == state
+        assert law.litter == n and law.cdf is None
+        got, want, waits_only = _fixed_litter_segment(law, parents, 1.0, 5)
+        assert np.array_equal(got, want) and waits_only
     u = np.random.default_rng(1).random(1000)
     assert np.array_equal(BranchingLaw.binary_at_parent().generating_function(u), u * u)
 
@@ -147,17 +162,19 @@ def test_binary_at_parent_is_the_binary_count_law():
 
 
 def test_sample_offspring_certain_death():
-    rng = np.random.default_rng(0)
+    # ten lifelines, each gone at its first event: only those that wait
+    # past t_end remain
     law = BranchingLaw.offspring_at_parent({0: 1.0})
-    for _ in range(10):
-        assert sample_offspring_batch(law, np.array([0.0]), rng)[0].size == 0
+    got, want, waits_only = _fixed_litter_segment(law, np.zeros(10), 1.0, 0)
+    assert np.array_equal(got, want) and waits_only
+    assert got.size == np.count_nonzero(np.random.default_rng(0).standard_exponential(10) >= 1.0)
 
 
 def test_sample_offspring_displaced_statistics():
     rng = np.random.default_rng(42)
     law = BranchingLaw.binary_one_displaced(Kernel.gaussian(1.0))
     n = 100_000
-    children, litter = sample_offspring_batch(law, np.zeros(n), rng)
+    children, litter = ref.litters(law, np.zeros(n), rng)
     assert np.all(litter == 2)
     firsts = children[0::2]
     seconds = children[1::2]
@@ -166,19 +183,28 @@ def test_sample_offspring_displaced_statistics():
     assert seconds.var() == pytest.approx(1.0, rel=0.05)
 
 
+def _lifelines(motion, n, d, rng):
+    """Positions at time ``d`` of ``n`` particles started at 0 under the
+    one-child law.  A lifeline is then one particle of the motion, so by
+    independent increments these are ``n`` draws of the motion's law at
+    ``d``, in the segment's finishing order."""
+    model = BranchingModel(motion, BranchingLaw.offspring_at_parent({1: 1.0}))
+    return _evolve_segment(np.zeros(n), None, 0.0, d, model, rng, n)[0]
+
+
 def test_sample_motion_constant_and_trivial():
     rng = np.random.default_rng(0)
-    assert sample_displacements(Motion.constant(), np.array([5.0]), rng).tolist() == [0.0]
-    assert sample_displacements(Motion.brownian(), np.array([0.0]), rng).tolist() == [0.0]
+    assert _lifelines(Motion.constant(), 1, 5.0, rng).tolist() == [0.0]
+    assert _lifelines(Motion.brownian(), 1, 0.0, rng).tolist() == [0.0]
     with pytest.raises(DomainError):
-        sample_displacements(Motion.brownian(), np.array([-1.0]), rng)
+        _lifelines(Motion.brownian(), 1, -1.0, rng)
 
 
 def test_sample_motion_compound_poisson_variance():
     # one unit of time at rate 1: Var = E[N] Var[J] = integral x^2 a(x) dx = 1
     rng = np.random.default_rng(7)
     motion = Motion.pure_jump(Kernel.gaussian(1.0))
-    draws = sample_displacements(motion, np.ones(100_000), rng)
+    draws = _lifelines(motion, 100_000, 1.0, rng)
     gauss = Kernel.gaussian(1.0)
     expected = quad_laplace(lambda x: x * x * gauss.density(x), 0.0)
     assert draws.var() == pytest.approx(expected, rel=0.05)
@@ -189,10 +215,10 @@ _UNIT_JUMPS = Motion.pure_jump(Kernel.tabulated([1.0 - 1e-6, 1.0 + 1e-6], [5e5, 
 
 
 def _jump_counts(means, rng):
-    """Poisson jump counts with the given means, read off unit jumps.  The
-    counts are drawn before any jump, so they are the counts that every
-    jump kernel gets from the same stream."""
-    return np.rint(sample_displacements(_UNIT_JUMPS, means, rng)).astype(np.int64)
+    """Poisson jump counts with the given means, read off the oracle's unit
+    jumps.  The counts are drawn before any jump, so they are the counts
+    that every jump kernel gets from the same stream."""
+    return np.rint(ref.displacements(_UNIT_JUMPS, means, rng)).astype(np.int64)
 
 
 def test_jump_diffusion_is_the_sum_of_its_parts():
@@ -202,57 +228,63 @@ def test_jump_diffusion_is_the_sum_of_its_parts():
         want = Motion.brownian().exponent(lam) + Motion.pure_jump(kernel).exponent(lam)
         assert motion.exponent(lam) == pytest.approx(want, rel=1e-15)
     durations = np.random.default_rng(3).exponential(1.0, 500)
-    got = sample_displacements(motion, durations, np.random.default_rng(4))
+    got = ref.displacements(motion, durations, np.random.default_rng(4))
     rng = np.random.default_rng(4)  # the Brownian draw, then the jumps
-    want = sample_displacements(Motion.brownian(), durations, rng)
-    want += sample_displacements(Motion.pure_jump(kernel), durations, rng)
+    want = ref.displacements(Motion.brownian(), durations, rng)
+    want += ref.displacements(Motion.pure_jump(kernel), durations, rng)
     assert np.array_equal(got, want)
     # variance d (1 + E J^2) = 2 d
-    draws = sample_displacements(motion, np.ones(100_000), np.random.default_rng(8))
+    draws = _lifelines(motion, 100_000, 1.0, np.random.default_rng(8))
     assert draws.var() == pytest.approx(2.0, rel=0.03)
 
 
 def test_sampling_is_deterministic_in_rng_state():
     law = BranchingLaw.offspring_at_parent({0: 0.3, 1: 0.2, 2: 0.5})
     motion = Motion.pure_jump(Kernel.gaussian(1.0))
+    model = BranchingModel(motion, law)
     a = np.random.default_rng(123)
     b = np.random.default_rng(123)
-    one, two = np.array([1.0]), np.array([2.0])
+    one = np.array([1.0])
     for _ in range(5):
         assert (
-            sample_offspring_batch(law, one, a)[0].tolist()
-            == sample_offspring_batch(law, one, b)[0].tolist()
+            _evolve_segment(one, None, 0.0, 1.0, model, a, 10**6)[0].tolist()
+            == _evolve_segment(one, None, 0.0, 1.0, model, b, 10**6)[0].tolist()
         )
-        assert sample_displacements(motion, two, a) == sample_displacements(motion, two, b)
+        assert _lifelines(motion, 1, 2.0, a) == _lifelines(motion, 1, 2.0, b)
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 @pytest.mark.parametrize("mean", [0.0, 1e-3, 0.5, 1.0, 3.0, 9.99, 10.01, 800.0])
 def test_poisson_counts_follow_the_pmf(mean):
     n = 20_000
-    rng = np.random.default_rng(2024)
-    counts = _jump_counts(np.full(n, mean), rng)
-    if mean == 0.0:
-        assert not counts.any()
-        return
-    # chi-square over the support, pooled into bins of expected count >= 20
-    k = np.arange(int(mean + 12 * math.sqrt(mean) + 12))
-    pmf = stats.poisson.pmf(k, mean)
-    edges, acc = [0], 0.0
-    for i, p in enumerate(pmf):
-        acc += p * n
-        if acc >= 20.0:
-            edges.append(i + 1)
-            acc = 0.0
-    edges[-1] = k.size  # the short last bin joins its neighbour
-    bins = np.append(edges[:-1], np.inf)
-    observed = np.histogram(counts, bins=bins - 0.5)[0]
-    expected = n * np.diff(np.append(stats.poisson.cdf(bins[:-1] - 1, mean), 1.0))
-    if observed.size == 1:  # mean 1e-3 and below pool to one bin: compare the zero class
-        observed = np.array([np.count_nonzero(counts == 0), np.count_nonzero(counts)])
-        expected = n * np.array([math.exp(-mean), -math.expm1(-mean)])
-    p_value = stats.chisquare(observed, expected).pvalue
-    assert p_value > 1e-3, (mean, observed, expected)
-    assert abs(counts.mean() - mean) <= 5 * math.sqrt(mean / n)
+    # the oracle's counts at each mean, and the engine's over a segment of
+    # length mean, which are Poisson(mean) by independent increments
+    for counts in (
+        _jump_counts(np.full(n, mean), np.random.default_rng(2024)),
+        np.rint(_lifelines(_UNIT_JUMPS, n, mean, np.random.default_rng(2024))).astype(np.int64),
+    ):
+        if mean == 0.0:
+            assert not counts.any()
+            continue
+        # chi-square over the support, pooled into bins of expected count >= 20
+        k = np.arange(int(mean + 12 * math.sqrt(mean) + 12))
+        pmf = stats.poisson.pmf(k, mean)
+        edges, acc = [0], 0.0
+        for i, p in enumerate(pmf):
+            acc += p * n
+            if acc >= 20.0:
+                edges.append(i + 1)
+                acc = 0.0
+        edges[-1] = k.size  # the short last bin joins its neighbour
+        bins = np.append(edges[:-1], np.inf)
+        observed = np.histogram(counts, bins=bins - 0.5)[0]
+        expected = n * np.diff(np.append(stats.poisson.cdf(bins[:-1] - 1, mean), 1.0))
+        if observed.size == 1:  # mean 1e-3 and below pool to one bin: compare the zero class
+            observed = np.array([np.count_nonzero(counts == 0), np.count_nonzero(counts)])
+            expected = n * np.array([math.exp(-mean), -math.expm1(-mean)])
+        p_value = stats.chisquare(observed, expected).pvalue
+        assert p_value > 1e-3, (mean, observed, expected)
+        assert abs(counts.mean() - mean) <= 5 * math.sqrt(mean / n)
 
 
 def test_poisson_means_split_at_the_inversion_limit():
@@ -275,7 +307,7 @@ _KERNELS = {
 
 
 @pytest.mark.parametrize("family", sorted(_KERNELS))
-def test_sample_displacements_moments(family):
+def test_compound_poisson_moments(family):
     # compound Poisson over d: mean d E J = 0, variance d E J^2, and fourth
     # central moment d E J^4 + 3 (d E J^2)^2 gives the variance estimate's SE
     kernel = _KERNELS[family]
@@ -285,7 +317,7 @@ def test_sample_displacements_moments(family):
     n = 100_000
     rng = np.random.default_rng(31)
     for d in (0.3, 1.0, 3.0):
-        draws = sample_displacements(Motion.pure_jump(kernel), np.full(n, d), rng)
+        draws = _lifelines(Motion.pure_jump(kernel), n, d, rng)
         var = d * m2
         mu4 = d * m4 + 3.0 * var**2
         assert abs(draws.mean()) <= 5.0 * math.sqrt(var / n), (family, d)
@@ -297,14 +329,14 @@ def test_jump_sums_match_a_loop_over_lifelines():
     durations = np.random.default_rng(3).exponential(1.0, 400)
     durations[::50] = 0.0
     assert durations.max() < POISSON_INVERSION_LIMIT
-    got = sample_displacements(motion, durations, np.random.default_rng(9))
+    got = ref.displacements(motion, durations, np.random.default_rng(9))
     # every mean is inverted, so the owner list is one pass per k, each
     # listing the lifelines with at least k jumps in index order
     counts = _jump_counts(durations, np.random.default_rng(9))
     owners = np.concatenate([np.flatnonzero(counts >= k) for k in range(1, counts.max() + 1)])
     rng = np.random.default_rng(9)
     rng.random(durations.size)  # the inversion's uniforms
-    jumps = motion.kernel.sample(rng, owners.size)
+    jumps = ref.kernel_sample(motion.kernel, rng, owners.size)
     want = []
     for i in range(durations.size):
         total = 0.0
@@ -315,7 +347,7 @@ def test_jump_sums_match_a_loop_over_lifelines():
     assert got.tolist() == want
     assert not got[::50].any()
     # a call with no jumps at all still returns float displacements
-    none = sample_displacements(motion, np.zeros(3), np.random.default_rng(9))
+    none = ref.displacements(motion, np.zeros(3), np.random.default_rng(9))
     assert none.dtype == np.float64 and not none.any()
 
 
