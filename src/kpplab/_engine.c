@@ -1,5 +1,5 @@
 /*
- * Compiled segment engine of kpplab's event-driven simulator.
+ * Compiled engine of kpplab's event-driven simulator.
  *
  * Every draw goes through numpy's own distribution functions on the
  * Generator's bitgen_t, in the order in which numpy's vectorized calls make
@@ -23,8 +23,17 @@
  *
  * A lifeline's jump sum starts at 0.0 and adds its jumps in list order (as
  * numpy's bincount), and is added to the Brownian part only in a round that
- * has jumps at all.  The engine keeps no state between calls: each call
- * allocates its buffers and frees them before it returns.
+ * has jumps at all.
+ *
+ * kpp_replica runs a whole ensemble replica, segment after segment, and at
+ * its checkpoints the minimum, the martingales W and D and the right-tail
+ * prune, which kpp_martingales and kpp_prune also give the public
+ * single-population operations.  Their terms are formed in numpy's order,
+ * exp is numpy's loop again, and their sums are numpy's pairwise sums, so
+ * they too are bit for bit numpy's.  The engine keeps no state between
+ * calls: kpp_replica works on buffers that its caller keeps from replica to
+ * replica (kpp_work_new), and every other call allocates its buffers and
+ * frees them before it returns.
  */
 #include "numpy/random/distributions.h"
 #include "numpy/ndarraytypes.h"
@@ -54,11 +63,16 @@ typedef struct {
     int64_t size;
 } kernel_t;
 
+/* numpy's float64 inner loop of np.exp, and its data */
+typedef struct {
+    PyUFuncGenericFunction loop;
+    void *data;
+} exp_t;
+
 typedef struct {
     int64_t diffusive;
-    kernel_t jumps;                  /* family NONE: no jump part */
-    PyUFuncGenericFunction exp_loop; /* numpy's float64 inner loop of np.exp */
-    void *exp_data;
+    kernel_t jumps; /* family NONE: no jump part */
+    exp_t exp;
 } motion_t;
 
 typedef struct {
@@ -77,6 +91,16 @@ typedef struct {
     double time;                  /* CapacityError.time */
     int64_t count;                /* CapacityError.count */
 } result_t;
+
+typedef struct {
+    double bound;            /* the prune bound, summed over the checkpoints */
+    int64_t rounds;          /* segment rounds */
+    int64_t lifelines;       /* lifelines over those rounds */
+    int64_t peak_population; /* largest count at a checkpoint, before pruning */
+    int64_t pruned;          /* particles pruned */
+    double time;             /* CapacityError.time */
+    int64_t count;           /* CapacityError.count */
+} replica_t;
 
 /* -- memory ------------------------------------------------------------------- */
 
@@ -135,8 +159,62 @@ static int grow(void **buf, int64_t *cap, int64_t need, size_t size, int keep)
     return 1;
 }
 
-#define GROW(buf, cap, need, keep) grow((void **)&(buf), &(cap), (need), sizeof *(buf), (keep))
-#define PUT(buf, cap) put((buf), (size_t)(cap) * sizeof *(buf))
+/* A segment's buffers, each with its capacity in items.  Between segments
+ * a replica uses dur for its martingale and prune terms. */
+typedef struct {
+    double *pos, *time, *dur, *moved, *draws; /* the round's lifelines and draws */
+    int64_t *tag, *sizes;
+    double *out_pos; /* the population at the segment's end */
+    int64_t *out_tag;
+    double *u, *pmf, *sums; /* the jump inversion's scratch */
+    int64_t *active, *large;
+    int64_t pos_cap, time_cap, dur_cap, moved_cap, draws_cap, tag_cap, sizes_cap;
+    int64_t out_pos_cap, out_tag_cap, u_cap, pmf_cap, sums_cap, active_cap, large_cap;
+    /* replicas keep the scratch from round to round, and from one replica
+     * to the next; a lone segment's lives only while it draws */
+    int replica;
+    int64_t rounds, lifelines; /* counters */
+} work_t;
+
+/* grow or free the buffer w->field */
+#define GROW(w, field, need, keep)                                                           \
+    grow((void **)&(w)->field, &(w)->field##_cap, (need), sizeof *(w)->field, (keep))
+#define PUT(w, field)                                                                        \
+    (put((w)->field, (size_t)(w)->field##_cap * sizeof *(w)->field), (w)->field = NULL,      \
+     (w)->field##_cap = 0)
+
+static void drop_scratch(work_t *w)
+{
+    PUT(w, u);
+    PUT(w, pmf);
+    PUT(w, sums);
+    PUT(w, active);
+    PUT(w, large);
+}
+
+static void drop_work(work_t *w)
+{
+    drop_scratch(w);
+    PUT(w, pos);
+    PUT(w, time);
+    PUT(w, dur);
+    PUT(w, moved);
+    PUT(w, draws);
+    PUT(w, tag);
+    PUT(w, sizes);
+    PUT(w, out_pos);
+    PUT(w, out_tag);
+}
+
+/* out[i] = exp(in[i]) by numpy's own float64 exp loop, which is SIMD code;
+ * out may be in, which the loop computes alike */
+static void exp_fill(const exp_t *e, int64_t n, const double *in, double *out)
+{
+    char *args[2] = {(char *)in, (char *)out};
+    npy_intp len = n, steps[2] = {sizeof *in, sizeof *out};
+    if (n > 0)
+        e->loop(args, &len, steps, e->data);
+}
 
 /* a if pick, else b, without a branch (pick is random half the time) */
 static inline double pick_double(int pick, double a, double b)
@@ -207,9 +285,9 @@ static inline double draw(bitgen_t *bg, const kernel_t *k)
  * lifelines whose count is at least k, as numpy's owner list has them, and
  * each pass draws those lifelines' k-th jumps.  Rounding can leave u above
  * every partial sum; such a search stops where the pmf underflows to 0.
- * The search's buffers live only for the call, so that a segment holds
- * them only while it draws. */
-static int displace(bitgen_t *bg, const motion_t *m, int64_t n, const double *dur, double *out)
+ * The search's buffers are w's scratch. */
+static int displace(bitgen_t *bg, const motion_t *m, work_t *w, int64_t n, const double *dur,
+                    double *out)
 {
     const kernel_t *k = &m->jumps;
     if (m->diffusive) {
@@ -222,26 +300,23 @@ static int displace(bitgen_t *bg, const motion_t *m, int64_t n, const double *du
             memset(out, 0, (size_t)n * sizeof *out);
         return 1;
     }
-    size_t bytes = (size_t)n * sizeof(double);
-    double *u = get(bytes);       /* the small means' uniforms, then residuals */
-    double *pmf = get(bytes);     /* their exp(-mean), then the current term */
-    int64_t *active = get(bytes); /* lifelines whose search goes on, in order */
-    double *sums = NULL;          /* jump sums beside a Brownian part */
-    int64_t *large = NULL;        /* (lifeline, count) pairs of the large means */
-    int64_t large_cap = 0;
-    int ok = 0;
-    if (u == NULL || pmf == NULL || active == NULL)
-        goto done;
+    /* u: the small means' uniforms, then residuals; pmf: their exp(-mean),
+     * then the current term; active: lifelines whose search goes on, in
+     * order; large: (lifeline, count) pairs of the large means */
+    if (!GROW(w, u, n, 0) || !GROW(w, pmf, n, 0) || !GROW(w, active, n, 0))
+        return 0;
+    double *u = w->u, *pmf = w->pmf;
+    int64_t *active = w->active;
 
     /* the large means' counts, in index order, and the small means' -mean */
     int64_t n_small = 0, n_large = 0, total = 0;
     for (int64_t i = 0; i < n; i++) {
         if (dur[i] >= POISSON_INVERSION_LIMIT) {
-            if (!GROW(large, large_cap, 2 * n_large + 2, 1))
-                goto done;
-            large[2 * n_large] = i;
-            large[2 * n_large + 1] = random_poisson(bg, dur[i]);
-            total += large[2 * n_large + 1];
+            if (!GROW(w, large, 2 * n_large + 2, 1))
+                return 0;
+            w->large[2 * n_large] = i;
+            w->large[2 * n_large + 1] = random_poisson(bg, dur[i]);
+            total += w->large[2 * n_large + 1];
             n_large++;
         } else {
             pmf[n_small] = -dur[i];
@@ -249,10 +324,7 @@ static int displace(bitgen_t *bg, const motion_t *m, int64_t n, const double *du
         }
     }
     random_standard_uniform_fill(bg, n_small, u);
-    /* exp(-mean) by numpy's own float64 exp loop, which is SIMD code */
-    char *args[2] = {(char *)pmf, (char *)pmf};
-    npy_intp len = n_small, steps[2] = {sizeof *pmf, sizeof *pmf};
-    m->exp_loop(args, &len, steps, m->exp_data);
+    exp_fill(&m->exp, n_small, pmf, pmf);
     int64_t n_active = 0;
     for (int64_t j = 0; j < n_small; j++) {
         double residual = u[j] - pmf[j];
@@ -264,19 +336,18 @@ static int displace(bitgen_t *bg, const motion_t *m, int64_t n, const double *du
     if (total == 0 && n_active == 0) {
         if (!m->diffusive)
             memset(out, 0, (size_t)n * sizeof *out);
-        ok = 1;
-        goto done;
+        return 1;
     }
 
     /* the jumps in owner-list order, each added to its lifeline's sum; a
      * pure-jump displacement is that sum itself */
-    if (m->diffusive && (sums = get(bytes)) == NULL)
-        goto done;
-    double *sum = m->diffusive ? sums : out;
+    if (m->diffusive && !GROW(w, sums, n, 0))
+        return 0;
+    double *sum = m->diffusive ? w->sums : out;
     memset(sum, 0, (size_t)n * sizeof *sum);
     for (int64_t l = 0; l < n_large; l++) {
-        for (int64_t c = 0; c < large[2 * l + 1]; c++)
-            sum[large[2 * l]] += draw(bg, k);
+        for (int64_t c = 0; c < w->large[2 * l + 1]; c++)
+            sum[w->large[2 * l]] += draw(bg, k);
     }
     for (int64_t pass = 1; n_active > 0; pass++) {
         int64_t kept = 0;
@@ -295,18 +366,9 @@ static int displace(bitgen_t *bg, const motion_t *m, int64_t n, const double *du
     }
     if (m->diffusive) {
         for (int64_t i = 0; i < n; i++)
-            out[i] += sums[i];
+            out[i] += w->sums[i];
     }
-    ok = 1;
-
-done:
-    put(u, bytes);
-    put(pmf, bytes);
-    put(active, bytes);
-    if (sums != NULL)
-        put(sums, bytes);
-    PUT(large, large_cap);
-    return ok;
+    return 1;
 }
 
 /* -- litters --------------------------------------------------------------------- */
@@ -384,58 +446,60 @@ static void spawn(const law_t *law, int64_t nb, int64_t *sizes, const double *dr
 
 /* -- segments -------------------------------------------------------------------- */
 
-/* Advance n lifelines (tags may be NULL) from t_start to t_end.  On OK the
- * population at t_end is in res, finishers in round order, in buffers for
- * kpp_release; on CAPACITY res carries the time and count of the round that
- * passed max_particles. */
-int kpp_segment(bitgen_t *bg, const motion_t *motion, const law_t *law, int64_t n,
-                const double *pos0, const int64_t *tag0, double t_start, double t_end,
-                int64_t max_particles, result_t *res)
+/* Advance n lifelines (tags may be NULL) from t_start to t_end on w's
+ * buffers.  On OK the *n_out particles at t_end are in w->out_pos (and
+ * w->out_tag), finishers in round order; pos0 may be w->out_pos itself.  On
+ * CAPACITY *time and *count are those of the round that passed
+ * max_particles. */
+static int segment(bitgen_t *bg, const motion_t *motion, const law_t *law, work_t *w, int64_t n,
+                   const double *pos0, const int64_t *tag0, double t_start, double t_end,
+                   int64_t max_particles, int64_t *n_out, double *time, int64_t *count)
 {
     int tagged = tag0 != NULL, draws_needed = law->litter < 0 || law->displacement.family != NONE;
-    double *pos = NULL, *time = NULL, *dur = NULL, *moved = NULL, *draws = NULL, *out_pos = NULL;
-    int64_t *tag = NULL, *sizes = NULL, *out_tag = NULL;
-    int64_t pos_cap = 0, time_cap = 0, tag_cap = 0, dur_cap = 0, moved_cap = 0, draws_cap = 0;
-    int64_t sizes_cap = 0, out_pos_cap = 0, out_tag_cap = 0, n_done = 0;
-    int status = NO_MEMORY;
+    int64_t n_done = 0;
 
-    if (!GROW(pos, pos_cap, n, 0) || !GROW(time, time_cap, n, 0)
-        || (tagged && !GROW(tag, tag_cap, n, 0)))
-        goto done;
+    if (!GROW(w, pos, n, 0) || !GROW(w, time, n, 0) || (tagged && !GROW(w, tag, n, 0)))
+        return NO_MEMORY;
     for (int64_t i = 0; i < n; i++) {
-        pos[i] = pos0[i];
-        time[i] = t_start;
+        w->pos[i] = pos0[i];
+        w->time[i] = t_start;
         if (tagged)
-            tag[i] = tag0[i];
+            w->tag[i] = tag0[i];
     }
 
     while (n > 0) {
-        if (!GROW(dur, dur_cap, n, 0) || !GROW(moved, moved_cap, n, 0)
-            || !GROW(out_pos, out_pos_cap, n_done + n, 1)
-            || (tagged && !GROW(out_tag, out_tag_cap, n_done + n, 1)))
-            goto done;
+        if (!GROW(w, dur, n, 0) || !GROW(w, moved, n, 0) || !GROW(w, out_pos, n_done + n, 1)
+            || (tagged && !GROW(w, out_tag, n_done + n, 1)))
+            return NO_MEMORY;
+        double *pos = w->pos, *t_of = w->time, *dur = w->dur, *moved = w->moved;
+        int64_t *tag = w->tag;
+        w->rounds++;
+        w->lifelines += n;
         random_standard_exponential_fill(bg, n, dur);
         /* a lifeline moves for its wait, or to t_end if it crosses; decided
          * on the sum, so no child starts at or past t_end; time becomes the
          * branching time */
         for (int64_t i = 0; i < n; i++) {
-            double t_branch = time[i] + dur[i];
-            dur[i] = pick_double(t_branch >= t_end, t_end - time[i], dur[i]);
-            time[i] = t_branch;
+            double t_branch = t_of[i] + dur[i];
+            dur[i] = pick_double(t_branch >= t_end, t_end - t_of[i], dur[i]);
+            t_of[i] = t_branch;
         }
-        if (!displace(bg, motion, n, dur, moved))
-            goto done;
+        int moved_ok = displace(bg, motion, w, n, dur, moved);
+        if (!w->replica)
+            drop_scratch(w); /* a merged population holds it only while it draws */
+        if (!moved_ok)
+            return NO_MEMORY;
         /* finishers go out; branching lifelines close ranks in place */
         int64_t nb = 0;
         for (int64_t i = 0; i < n; i++) {
-            double x = moved[i] + pos[i], t = time[i];
+            double x = moved[i] + pos[i], t = t_of[i];
             int64_t finished = t >= t_end;
-            out_pos[n_done] = x;
+            w->out_pos[n_done] = x;
             pos[nb] = x;
-            time[nb] = t;
+            t_of[nb] = t;
             if (tagged) {
                 int64_t g = tag[i];
-                out_tag[n_done] = g;
+                w->out_tag[n_done] = g;
                 tag[nb] = g;
             }
             n_done += finished;
@@ -443,46 +507,301 @@ int kpp_segment(bitgen_t *bg, const motion_t *motion, const law_t *law, int64_t 
         }
         if (nb == 0)
             break;
-        if ((law->litter < 0 && !GROW(sizes, sizes_cap, nb, 0))
-            || (draws_needed && !GROW(draws, draws_cap, nb, 0)))
-            goto done;
-        int64_t m = draw_litters(bg, law, nb, sizes, draws);
-        if (!GROW(pos, pos_cap, m, 1) || !GROW(time, time_cap, m, 1)
-            || (tagged && !GROW(tag, tag_cap, m, 1)))
-            goto done;
-        spawn(law, nb, sizes, draws, m, pos, time, tagged ? tag : NULL);
+        if ((law->litter < 0 && !GROW(w, sizes, nb, 0)) || (draws_needed && !GROW(w, draws, nb, 0)))
+            return NO_MEMORY;
+        int64_t m = draw_litters(bg, law, nb, w->sizes, w->draws);
+        if (!GROW(w, pos, m, 1) || !GROW(w, time, m, 1) || (tagged && !GROW(w, tag, m, 1)))
+            return NO_MEMORY;
+        spawn(law, nb, w->sizes, w->draws, m, w->pos, w->time, tagged ? w->tag : NULL);
         n = m;
         if (n_done + n > max_particles) {
             double first = t_end;
             for (int64_t i = 0; i < n; i++)
-                first = i == 0 || time[i] < first ? time[i] : first;
-            res->time = first;
-            res->count = n_done + n;
-            status = CAPACITY;
-            goto done;
+                first = i == 0 || w->time[i] < first ? w->time[i] : first;
+            *time = first;
+            *count = n_done + n;
+            return CAPACITY;
         }
     }
-    status = OK;
+    *n_out = n_done;
+    return OK;
+}
 
-done:
-    PUT(pos, pos_cap);
-    PUT(time, time_cap);
-    PUT(tag, tag_cap);
-    PUT(dur, dur_cap);
-    PUT(moved, moved_cap);
-    PUT(draws, draws_cap);
-    PUT(sizes, sizes_cap);
+/* segment() on buffers that live for this call only: on OK res holds the
+ * population in buffers for kpp_release; on CAPACITY res carries the time
+ * and count of the round that passed max_particles. */
+int kpp_segment(bitgen_t *bg, const motion_t *motion, const law_t *law, int64_t n,
+                const double *pos0, const int64_t *tag0, double t_start, double t_end,
+                int64_t max_particles, result_t *res)
+{
+    work_t w = {0};
+    int status = segment(bg, motion, law, &w, n, pos0, tag0, t_start, t_end, max_particles,
+                         &res->n, &res->time, &res->count);
     if (status == OK) {
-        res->pos = out_pos;
-        res->tag = out_tag;
-        res->n = n_done;
-        res->pos_bytes = out_pos_cap * (int64_t)sizeof *out_pos;
-        res->tag_bytes = out_tag_cap * (int64_t)sizeof *out_tag;
-    } else {
-        PUT(out_pos, out_pos_cap);
-        PUT(out_tag, out_tag_cap);
+        res->pos = w.out_pos;
+        res->tag = w.out_tag;
+        res->pos_bytes = w.out_pos_cap * (int64_t)sizeof *w.out_pos;
+        res->tag_bytes = w.out_tag_cap * (int64_t)sizeof *w.out_tag;
+        w.out_pos = NULL;
+        w.out_tag = NULL;
+        w.out_pos_cap = w.out_tag_cap = 0;
     }
+    drop_work(&w);
     return status;
+}
+
+/* -- the martingales and the prune ------------------------------------------------ */
+
+/* np.sum of n contiguous doubles is 0.0 (the reduction's initial value)
+ * plus this, numpy's pairwise summation.  Below 8 items a plain loop; up to
+ * 128, 8 accumulators and then the tail; above, halves split at a multiple
+ * of 8. */
+static double pairwise(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8) {
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        }
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise(a, n2) + pairwise(a + n2, n - n2);
+}
+
+/* pairwise() of e[0..n) into wd[0] and, in the same order, of
+ * (lambda x + shift) e into wd[1], in one pass */
+static void pairwise_wd(const double *x, const double *e, int64_t n, double lambda, double shift,
+                        double *wd)
+{
+    if (n < 8) {
+        double w = -0.0, d = -0.0;
+        for (int64_t i = 0; i < n; i++) {
+            w += e[i];
+            d += (lambda * x[i] + shift) * e[i];
+        }
+        wd[0] = w;
+        wd[1] = d;
+        return;
+    }
+    if (n <= 128) {
+        double rw[8], rd[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++) {
+            rw[j] = e[j];
+            rd[j] = (lambda * x[j] + shift) * e[j];
+        }
+        for (i = 8; i < n - (n % 8); i += 8) {
+            for (int j = 0; j < 8; j++) {
+                rw[j] += e[i + j];
+                rd[j] += (lambda * x[i + j] + shift) * e[i + j];
+            }
+        }
+        double w = ((rw[0] + rw[1]) + (rw[2] + rw[3])) + ((rw[4] + rw[5]) + (rw[6] + rw[7]));
+        double d = ((rd[0] + rd[1]) + (rd[2] + rd[3])) + ((rd[4] + rd[5]) + (rd[6] + rd[7]));
+        for (; i < n; i++) {
+            w += e[i];
+            d += (lambda * x[i] + shift) * e[i];
+        }
+        wd[0] = w;
+        wd[1] = d;
+        return;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    double lo[2], hi[2];
+    pairwise_wd(x, e, n2, lambda, shift, lo);
+    pairwise_wd(x + n2, e + n2, n - n2, lambda, shift, hi);
+    wd[0] = lo[0] + hi[0];
+    wd[1] = lo[1] + hi[1];
+}
+
+/* W = sum exp(-a) and D = sum a exp(-a), a = lambda x + shift, formed and
+ * summed as numpy's `a = lambda * x + shift; e = np.exp(-a)`, `e.sum()`
+ * and `(a * e).sum()`; exp(-a) goes to w's dur.  0 when out of memory. */
+static int martingale_sums(work_t *w, const exp_t *exp, const double *x, int64_t n, double lambda,
+                           double shift, double *wd)
+{
+    if (!GROW(w, dur, n, 0))
+        return 0;
+    double *e = w->dur;
+    for (int64_t i = 0; i < n; i++)
+        e[i] = -(lambda * x[i] + shift);
+    exp_fill(exp, n, e, e);
+    pairwise_wd(x, e, n, lambda, shift, wd);
+    wd[0] = 0.0 + wd[0];
+    wd[1] = 0.0 + wd[1];
+    return 1;
+}
+
+/* The smallest and the largest of x[0..n), n > 0, in four interleaved
+ * strands, so that no comparison waits on the one before; with no NaN
+ * among the positions, the order changes neither value. */
+static void extremes(const double *x, int64_t n, double *low, double *high)
+{
+    double lo[4], hi[4];
+    int64_t i;
+    for (int j = 0; j < 4; j++)
+        lo[j] = hi[j] = x[0];
+    for (i = 0; i + 4 <= n; i += 4) {
+        for (int j = 0; j < 4; j++) {
+            lo[j] = x[i + j] < lo[j] ? x[i + j] : lo[j];
+            hi[j] = x[i + j] > hi[j] ? x[i + j] : hi[j];
+        }
+    }
+    for (; i < n; i++) {
+        lo[0] = x[i] < lo[0] ? x[i] : lo[0];
+        hi[0] = x[i] > hi[0] ? x[i] : hi[0];
+    }
+    for (int j = 1; j < 4; j++) {
+        lo[0] = lo[j] < lo[0] ? lo[j] : lo[0];
+        hi[0] = hi[j] > hi[0] ? hi[j] : hi[0];
+    }
+    *low = lo[0];
+    *high = hi[0];
+}
+
+/* Drop the particles of x[0..n) further than window above the minimum,
+ * keeping the others in order, and add to *bound the sum of exp(-lambda
+ * (x - min)) over the dropped ones, formed and summed as numpy's
+ * `np.exp(-lambda * (removed - low)).sum()`; the terms go to w's dur.
+ * Returns the number kept, or -1 when out of memory. */
+static int64_t prune_pass(work_t *w, const exp_t *exp, double *x, int64_t n, double lambda,
+                          double window, double *bound)
+{
+    if (n == 0)
+        return 0;
+    double low, high;
+    extremes(x, n, &low, &high);
+    double limit = low + window, scale = -lambda;
+    if (high <= limit)
+        return n;
+    if (!GROW(w, dur, n, 0))
+        return -1;
+    double *t = w->dur;
+    int64_t kept = 0, removed = 0;
+    for (int64_t i = 0; i < n; i++) { /* without a branch: which side is random */
+        double xi = x[i];
+        int64_t keep = xi <= limit;
+        x[kept] = xi;
+        t[removed] = scale * (xi - low);
+        kept += keep;
+        removed += 1 - keep;
+    }
+    exp_fill(exp, removed, t, t);
+    *bound = *bound + (0.0 + pairwise(t, removed));
+    return kept;
+}
+
+/* prune_pass() on x[0..n) in place, for the public prune */
+int64_t kpp_prune(const exp_t *exp, double *x, int64_t n, double lambda, double window,
+                  double *bound)
+{
+    work_t w = {0};
+    int64_t kept = prune_pass(&w, exp, x, n, lambda, window, bound);
+    drop_work(&w);
+    return kept;
+}
+
+/* martingale_sums() into wd[0..2), for the public martingales; 0 when out of
+ * memory */
+int kpp_martingales(const exp_t *exp, const double *x, int64_t n, double lambda, double shift,
+                    double *wd)
+{
+    work_t w = {0};
+    int ok = martingale_sums(&w, exp, x, n, lambda, shift, wd);
+    drop_work(&w);
+    return ok;
+}
+
+/* -- replicas ----------------------------------------------------------------------- */
+
+/* Buffers for kpp_replica, which a caller keeps from one replica to the
+ * next, so that a replica finds the pages of the last one instead of
+ * faulting in fresh ones; NULL when out of memory. */
+work_t *kpp_work_new(void)
+{
+    work_t *w = calloc(1, sizeof *w);
+    if (w != NULL)
+        w->replica = 1;
+    return w;
+}
+
+void kpp_work_free(work_t *w)
+{
+    drop_work(w);
+    free(w);
+}
+
+/* One replica, a particle at 0.0 at time 0, through n_cp increasing
+ * checkpoints on w's buffers.  At checkpoint k it runs the segment from the
+ * previous checkpoint (none when extinct or when the time is the same),
+ * then records the minimum (inf when extinct) into minima when record[k], W
+ * and D at generation gen[k] into w_out and d_out when gen[k] >= 0 (shift
+ * gen[k] * psi), and prunes with the window when it is finite, as the
+ * public operations do one at a time.  On OK out holds the bound and the
+ * counters; on CAPACITY the time and count of the round that passed
+ * max_particles. */
+int kpp_replica(work_t *w, bitgen_t *bg, const motion_t *motion, const law_t *law, int64_t n_cp,
+                const double *checkpoints, const int8_t *record, const int64_t *gen,
+                double lambda, double psi, double window, int64_t max_particles, double *minima,
+                double *w_out, double *d_out, replica_t *out)
+{
+    int64_t n = 1;
+    double t = 0.0;
+    *out = (replica_t){0};
+    w->rounds = w->lifelines = 0;
+    if (!GROW(w, out_pos, 1, 0))
+        return NO_MEMORY;
+    w->out_pos[0] = 0.0;
+    for (int64_t k = 0; k < n_cp; k++) {
+        double t_end = checkpoints[k];
+        if (t_end != t && n > 0) {
+            int status = segment(bg, motion, law, w, n, w->out_pos, NULL, t, t_end, max_particles,
+                                 &n, &out->time, &out->count);
+            if (status != OK)
+                return status;
+        }
+        t = t_end;
+        out->peak_population = n > out->peak_population ? n : out->peak_population;
+        if (record[k]) {
+            double low = INFINITY, high;
+            if (n > 0)
+                extremes(w->out_pos, n, &low, &high);
+            *minima++ = low;
+        }
+        if (gen[k] >= 0) {
+            double wd[2];
+            if (!martingale_sums(w, &motion->exp, w->out_pos, n, lambda, (double)gen[k] * psi, wd))
+                return NO_MEMORY;
+            *w_out++ = wd[0];
+            *d_out++ = wd[1];
+        }
+        if (isfinite(window)) {
+            int64_t kept = prune_pass(w, &motion->exp, w->out_pos, n, lambda, window, &out->bound);
+            if (kept < 0)
+                return NO_MEMORY;
+            out->pruned += n - kept;
+            n = kept;
+        }
+    }
+    out->rounds = w->rounds;
+    out->lifelines = w->lifelines;
+    return OK;
 }
 
 void kpp_release(void *p, int64_t bytes)

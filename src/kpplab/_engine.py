@@ -1,11 +1,12 @@
-"""Build, load and call the compiled segment engine, ``_engine.c``.
+"""Build, load and call the compiled engine, ``_engine.c``.
 
 The C source is compiled once per source text, compiler flags, numpy and
 Python version into ``__pycache__/_engine-<sha256>.so`` next to this file,
 and loaded with ``ctypes``.  It links the installed numpy's
 ``libnpyrandom.a`` and draws on the caller's ``Generator`` through its
-``bitgen_t``, under the bit generator's lock; the Poisson inversion's
-``exp(-mean)`` is numpy's own float64 ``np.exp`` loop, taken from the ufunc.
+``bitgen_t``, under the bit generator's lock; every ``exp`` it takes (the
+Poisson inversion's ``exp(-mean)``, the martingale and prune terms) is
+numpy's own float64 ``np.exp`` loop, taken from the ufunc.
 The flags keep IEEE arithmetic as numpy's loops do it: no contraction into
 fused multiply-adds, no ``-ffast-math``, no ``-march=native``.  A missing or
 failing C compiler makes the import raise ``ImportError`` with the
@@ -82,12 +83,15 @@ class _Kernel(ctypes.Structure):
     ]
 
 
+class _Exp(ctypes.Structure):
+    _fields_ = [("loop", c_void_p), ("data", c_void_p)]
+
+
 class _Motion(ctypes.Structure):
     _fields_ = [
         ("diffusive", c_int64),
         ("jumps", _Kernel),
-        ("exp_loop", c_void_p),
-        ("exp_data", c_void_p),
+        ("exp", _Exp),
     ]
 
 
@@ -113,6 +117,20 @@ class _Result(ctypes.Structure):
     ]
 
 
+class _Replica(ctypes.Structure):
+    """``kpp_replica``'s prune bound and counters, and its capacity hit"""
+
+    _fields_ = [
+        ("bound", c_double),
+        ("rounds", c_int64),
+        ("lifelines", c_int64),
+        ("peak_population", c_int64),
+        ("pruned", c_int64),
+        ("time", c_double),
+        ("count", c_int64),
+    ]
+
+
 _path = str(_build(Path(__file__).parent / "__pycache__"))
 _lib = ctypes.CDLL(_path)
 _lib.kpp_segment.argtypes = [
@@ -120,6 +138,19 @@ _lib.kpp_segment.argtypes = [
     c_double, c_double, c_int64, POINTER(_Result),
 ]
 _lib.kpp_segment.restype = c_int
+_lib.kpp_work_new.argtypes = []
+_lib.kpp_work_new.restype = c_void_p
+_lib.kpp_work_free.argtypes = [c_void_p]
+_lib.kpp_work_free.restype = None
+_lib.kpp_replica.argtypes = [
+    c_void_p, c_void_p, POINTER(_Motion), POINTER(_Law), c_int64, c_void_p, c_void_p, c_void_p,
+    c_double, c_double, c_double, c_int64, c_void_p, c_void_p, c_void_p, POINTER(_Replica),
+]
+_lib.kpp_replica.restype = c_int
+_lib.kpp_prune.argtypes = [POINTER(_Exp), c_void_p, c_int64, c_double, c_double, POINTER(c_double)]
+_lib.kpp_prune.restype = c_int64
+_lib.kpp_martingales.argtypes = [POINTER(_Exp), c_void_p, c_int64, c_double, c_double, c_void_p]
+_lib.kpp_martingales.restype = c_int
 _lib.kpp_release.argtypes = [c_void_p, c_int64]
 _lib.kpp_release.restype = None
 # reads a ufunc object, so it is called holding the interpreter lock
@@ -128,9 +159,11 @@ _double_loop.argtypes = [ctypes.py_object, POINTER(c_void_p), POINTER(c_void_p)]
 _double_loop.restype = c_int
 
 #: numpy's own float64 ``np.exp`` loop, for the Poisson inversion's exp(-mean)
+#: and the martingale and prune terms
 _EXP_LOOP, _EXP_DATA = c_void_p(), c_void_p()
 if not _double_loop(np.exp, byref(_EXP_LOOP), byref(_EXP_DATA)):
     raise ImportError("numpy's exp has no float64 loop")
+_EXP = _Exp(_EXP_LOOP, _EXP_DATA)
 
 #: Poisson means from here on go to ``random_poisson``; smaller ones are inverted
 POISSON_INVERSION_LIMIT = c_double.in_dll(_lib, "kpp_poisson_inversion_limit").value
@@ -154,7 +187,7 @@ def _kernel(kernel) -> _Kernel:
 
 
 def _motion(motion) -> _Motion:
-    return _Motion(int(motion.diffusive), _kernel(motion.kernel), _EXP_LOOP, _EXP_DATA)
+    return _Motion(int(motion.diffusive), _kernel(motion.kernel), _EXP)
 
 
 def _law(law) -> _Law:
@@ -173,6 +206,17 @@ def _take(address: int | None, nbytes: int, n: int, dtype) -> np.ndarray:
     return out
 
 
+def _check(status: int, max_particles: int, out) -> None:
+    """Raise for an engine status: ``CapacityError`` with ``out``'s time and
+    count, or ``MemoryError``."""
+    if status == _CAPACITY:
+        raise CapacityError(
+            f"population exceeded {max_particles} particles", time=out.time, count=out.count
+        )
+    if status != _OK:
+        raise MemoryError("the compiled engine ran out of memory")
+
+
 def segment(positions, tags, t_start: float, t_end: float, model, rng: np.random.Generator,
             max_particles: int):
     """``kpp_segment`` on a population; raises ``CapacityError``."""
@@ -184,14 +228,79 @@ def segment(positions, tags, t_start: float, t_end: float, model, rng: np.random
             _bitgen(rng), byref(m), byref(lw), pos.size, pos.ctypes.data,
             None if tag is None else tag.ctypes.data, t_start, t_end, max_particles, byref(res),
         )
-    if status == _CAPACITY:
-        raise CapacityError(
-            f"population exceeded {max_particles} particles", time=res.time, count=res.count
-        )
-    if status != _OK:
-        raise MemoryError("the segment engine ran out of memory")
+    _check(status, max_particles, res)
     # the positions are copied and freed before the tags are, so that the
     # engine's buffers and the returned arrays never exceed one copy
     out_pos = _take(res.pos, res.pos_bytes, res.n, np.float64)
     out_tag = None if tag is None else _take(res.tag, res.tag_bytes, res.n, np.int64)
     return out_pos, out_tag
+
+
+class Work:
+    """The buffers that ``replica`` reuses from one replica to the next;
+    leaving the ``with`` block frees them."""
+
+    def __init__(self):
+        self.address = _lib.kpp_work_new()
+        if not self.address:
+            raise MemoryError("the compiled engine ran out of memory")
+
+    def __enter__(self) -> "Work":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.address:
+            _lib.kpp_work_free(self.address)
+            self.address = None
+
+
+def replica(work: Work, checkpoints, record, generations, model, rng: np.random.Generator,
+            lambda_star: float, psi_star: float, window: float, max_particles: int):
+    """``kpp_replica`` on ``work``'s buffers: one particle at 0.0 run through
+    the increasing ``checkpoints``, its minimum taken where ``record`` is
+    true, W and D at generation ``generations[k]`` where that is not
+    negative, and the prune run at each checkpoint when ``window`` is finite.
+
+    Returns the minima, W, D and a ``_Replica`` with the prune bound and the
+    counters; raises ``CapacityError``.
+    """
+    if not work.address:
+        raise ValueError("the engine's buffers have been freed")
+    cp = np.ascontiguousarray(checkpoints, dtype=np.float64)
+    rec = np.ascontiguousarray(record, dtype=np.int8)
+    gen = np.ascontiguousarray(generations, dtype=np.int64)
+    if not cp.shape == rec.shape == gen.shape == (cp.size,):
+        raise ValueError("checkpoints, record and generations must be equal-sized vectors")
+    minima = np.empty(np.count_nonzero(rec))
+    w = np.empty(np.count_nonzero(gen >= 0))
+    d = np.empty_like(w)
+    m, lw, out = _motion(model.motion), _law(model.law), _Replica()
+    with rng.bit_generator.lock:
+        status = _lib.kpp_replica(
+            work.address, _bitgen(rng), byref(m), byref(lw), cp.size, cp.ctypes.data,
+            rec.ctypes.data, gen.ctypes.data, lambda_star, psi_star, window, max_particles,
+            minima.ctypes.data, w.ctypes.data, d.ctypes.data, byref(out),
+        )
+    _check(status, max_particles, out)
+    return minima, w, d, out
+
+
+def prune(positions, lambda_star: float, window: float, bound: float):
+    """``kpp_prune`` on a copy of ``positions``: the positions kept, in
+    order, and ``bound`` plus the removed particles' terms."""
+    pos = np.array(positions, dtype=np.float64, order="C")
+    total = c_double(bound)
+    kept = _lib.kpp_prune(byref(_EXP), pos.ctypes.data, pos.size, lambda_star, window, byref(total))
+    if kept < 0:
+        raise MemoryError("the compiled engine ran out of memory")
+    return pos[:kept], total.value
+
+
+def martingales(positions, lambda_star: float, shift: float) -> tuple[float, float]:
+    """``kpp_martingales``: W and D of ``positions`` with ``a = lambda_star x + shift``."""
+    pos = np.ascontiguousarray(positions, dtype=np.float64)
+    wd = np.empty(2)
+    if not _lib.kpp_martingales(byref(_EXP), pos.ctypes.data, pos.size, lambda_star, shift,
+                                wd.ctypes.data):
+        raise MemoryError("the compiled engine ran out of memory")
+    return float(wd[0]), float(wd[1])

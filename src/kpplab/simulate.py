@@ -28,11 +28,16 @@ numpy engine kept as the test oracle ``tests/reference_engine.py``: the
 same positions, tags and ``CapacityError``, and the same Generator state
 afterwards.
 
-An ensemble replica is a ``Population`` run through the public
-single-population operations: at each checkpoint ``advance`` moves it on,
-``leftmost`` and ``martingales`` record it, and ``prune`` trims its right
-tail, so every replica's pruning bound ends up on its ``MartingaleTrace``.
-Replica ``r`` of an ensemble draws from its own SFC64 generator, seeded by
+An ensemble replica is one engine call, ``kpp_replica``, on buffers that
+live for the whole replica: at each checkpoint it runs the segment there,
+takes the minimum and the martingales, and prunes the right tail, so every
+replica's pruning bound and counters end up on its ``MartingaleTrace``.  The
+public single-population operations ``advance``, ``martingales`` and
+``prune`` run on the same C code (``kpp_segment``, ``kpp_martingales`` and
+``kpp_prune``), one checkpoint step at a time, and give the same bits: the
+martingale and prune terms are formed in numpy's order, their ``exp`` is
+numpy's loop and their sums are numpy's pairwise sums.  Replica ``r`` of an
+ensemble draws from its own SFC64 generator, seeded by
 ``SeedSequence(seed, spawn_key=(r,))``, so results do not depend on
 scheduling or worker count.  An int ``rng`` given to ``empirical_v`` or
 ``empirical_minima`` means ``Generator(SFC64(rng))``.
@@ -131,7 +136,9 @@ class MartingaleTrace:
     """Additive and derivative martingale values at integer times.
 
     ``pruned_mass_bound`` is the replica's accumulated ``prune`` bound at
-    ``t_max``.
+    ``t_max``.  The counters say what the replica's run did: its segment
+    ``rounds``, the ``lifelines`` over those rounds, its ``peak_population``
+    at a checkpoint (before pruning) and the number of particles ``pruned``.
     """
 
     replica: int
@@ -139,6 +146,10 @@ class MartingaleTrace:
     w: np.ndarray
     d: np.ndarray
     pruned_mass_bound: float = 0.0
+    rounds: int = 0
+    lifelines: int = 0
+    peak_population: int = 0
+    pruned: int = 0
 
 
 @dataclass(frozen=True)
@@ -176,15 +187,10 @@ def prune(pop: Population, lambda_star: float, window: float) -> Population:
     """
     if window <= 0:
         raise DomainError("prune window must be positive")
-    if pop.extinct:
+    kept, bound = _engine.prune(pop.positions, lambda_star, window, pop.pruned_mass_bound)
+    if kept.size == pop.positions.size:
         return pop
-    low = pop.positions.min()
-    keep = pop.positions <= low + window
-    if keep.all():
-        return pop
-    removed = pop.positions[~keep]
-    bound = pop.pruned_mass_bound + float(np.exp(-lambda_star * (removed - low)).sum())
-    return Population(pop.positions[keep], pop.time, bound)
+    return Population(kept, pop.time, bound)
 
 
 def leftmost(pop: Population) -> float:
@@ -200,9 +206,7 @@ def martingales(
     """Additive and derivative martingale values at integer time ``n``."""
     if abs(pop.time - n) > 1e-9:
         raise DomainError("population time must equal the generation index")
-    a = lambda_star * pop.positions + n * psi_star
-    e = np.exp(-a)
-    return float(e.sum()), float((a * e).sum())
+    return _engine.martingales(pop.positions, lambda_star, n * psi_star)
 
 
 # -- ensembles -----------------------------------------------------------------
@@ -216,16 +220,18 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Simulate independent replicas, recording minima and martingales.
 
-    Each replica runs through ``advance``, ``leftmost``/``martingales`` and
-    ``prune`` at every checkpoint.  Minima are recorded at
+    Each replica is one engine call that runs, at every checkpoint, what
+    ``advance``, ``leftmost``/``martingales`` and ``prune`` do, on the same C
+    code and with the same bits.  Minima are recorded at
     ``cfg.record_times`` and the martingale pair at integer times whenever
     the model admits a minimal-speed profile; the right-tail prune (window
     per ``RunConfig``) runs after every checkpoint, and its bound is reported
-    as each trace's ``pruned_mass_bound``.  Replicas whose population exceeds
-    ``cfg.max_particles`` are reported in ``invalid_replicas`` instead of
-    aborting the ensemble.  An immobile at-parent (lattice) replica is only
-    alive at the origin or extinct, so it is not simulated: one uniform draw
-    against the extinction curve gives all of its records.
+    as each trace's ``pruned_mass_bound``, beside the replica's counters.
+    Replicas whose population exceeds ``cfg.max_particles`` are reported in
+    ``invalid_replicas`` instead of aborting the ensemble.  An immobile
+    at-parent (lattice) replica is only alive at the origin or extinct, so it
+    is not simulated: one uniform draw against the extinction curve gives all
+    of its records.
     """
     lambda_star = psi_star = None
     try:
@@ -348,60 +354,73 @@ def _run_replica_chunk(args, lo: int, hi: int):
     minima: list[MinimumSample] = []
     traces: list[MartingaleTrace] = []
     invalid: list[int] = []
-    record_set = set(cfg.record_times)
-    integer_times = (
-        [float(n) for n in range(int(math.floor(cfg.t_max + 1e-9)) + 1)]
-        if lambda_star is not None
-        else []
-    )
-    checkpoints = sorted(set(cfg.record_times) | set(integer_times) | {float(cfg.t_max)})
-    for replica in range(lo, hi):
-        rng = _replica_rng(cfg.seed, replica)
-        if extinct_by is not None:
-            u = rng.random()
-            minima.extend(
-                MinimumSample(t, math.inf if u < q else 0.0, replica, cfg.seed)
-                for t, q in extinct_by.items()
-            )
-            continue
-        try:
-            rep_min, rep_trace = _generic_replica(
-                model, cfg, replica, checkpoints, record_set, lambda_star, psi_star, rng
-            )
-        except CapacityError:
-            invalid.append(replica)
-            continue
-        minima.extend(rep_min)
-        if rep_trace is not None:
-            traces.append(rep_trace)
+    plan = _ReplicaPlan(cfg, lambda_star, psi_star)
+    with _engine.Work() as work:
+        for replica in range(lo, hi):
+            rng = _replica_rng(cfg.seed, replica)
+            if extinct_by is not None:
+                u = rng.random()
+                minima.extend(
+                    MinimumSample(t, math.inf if u < q else 0.0, replica, cfg.seed)
+                    for t, q in extinct_by.items()
+                )
+                continue
+            try:
+                rep_min, rep_trace = _generic_replica(model, plan, replica, rng, work)
+            except CapacityError:
+                invalid.append(replica)
+                continue
+            minima.extend(rep_min)
+            if rep_trace is not None:
+                traces.append(rep_trace)
     return minima, traces, invalid
 
 
-def _generic_replica(model, cfg, replica, checkpoints, record_set, lambda_star, psi_star, rng):
-    window = cfg.prune_window
-    if window is None:
-        window = math.inf if lambda_star is None else PRUNE_WINDOW_FACTOR / lambda_star
-    pop = Population.single(0.0)
-    minima = []
-    ns: list[int] = []
-    ws: list[float] = []
-    ds: list[float] = []
-    for t in checkpoints:
-        pop = advance(pop, t, model, cfg, rng)
-        if t in record_set:
-            minima.append(MinimumSample(t, leftmost(pop), replica, cfg.seed))
-        n = round(t)
-        if lambda_star is not None and abs(t - n) < 1e-9:
-            w, d = martingales(pop, n, lambda_star, psi_star)
-            ns.append(n)
-            ws.append(w)
-            ds.append(d)
-        if math.isfinite(window):
-            pop = prune(pop, lambda_star, window)
-    if lambda_star is None:
+class _ReplicaPlan:
+    """What a replica does at its checkpoints: the sorted union of the record
+    times, the integer times (with a speed profile) and ``t_max``; where it
+    records the minimum; the generation ``n`` of its martingales (-1 for
+    none); and the prune window (``inf`` for none)."""
+
+    def __init__(self, cfg: RunConfig, lambda_star: float | None, psi_star: float | None):
+        record_set = set(cfg.record_times)
+        integer_times = (
+            [float(n) for n in range(int(math.floor(cfg.t_max + 1e-9)) + 1)]
+            if lambda_star is not None
+            else []
+        )
+        checkpoints = sorted(record_set | set(integer_times) | {float(cfg.t_max)})
+        generations = [
+            round(t) if lambda_star is not None and abs(t - round(t)) < 1e-9 else -1
+            for t in checkpoints
+        ]
+        window = cfg.prune_window
+        if window is None:
+            window = math.inf if lambda_star is None else PRUNE_WINDOW_FACTOR / lambda_star
+        self.cfg = cfg
+        self.traced = lambda_star is not None
+        self.lambda_star = 0.0 if lambda_star is None else lambda_star
+        self.psi_star = 0.0 if psi_star is None else psi_star
+        self.checkpoints = np.array(checkpoints, dtype=float)
+        self.record = np.array([t in record_set for t in checkpoints], dtype=np.int8)
+        self.record_times = [t for t in checkpoints if t in record_set]
+        self.generations = np.array(generations, dtype=np.int64)
+        self.ns = [n for n in generations if n >= 0]
+        self.window = window
+
+
+def _generic_replica(model, plan: _ReplicaPlan, replica: int, rng, work: _engine.Work):
+    cfg = plan.cfg
+    ms, w, d, out = _engine.replica(
+        work, plan.checkpoints, plan.record, plan.generations, model, rng,
+        plan.lambda_star, plan.psi_star, plan.window, cfg.max_particles,
+    )
+    minima = [MinimumSample(t, float(m), replica, cfg.seed) for t, m in zip(plan.record_times, ms)]
+    if not plan.traced:
         return minima, None
     return minima, MartingaleTrace(
-        replica, np.array(ns), np.array(ws), np.array(ds), pop.pruned_mass_bound
+        replica, np.array(plan.ns), w, d, out.bound,
+        out.rounds, out.lifelines, out.peak_population, out.pruned,
     )
 
 

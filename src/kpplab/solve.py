@@ -635,7 +635,10 @@ def traveling_wave_profile(model: BranchingModel, c: float, grid: Grid) -> Field
     ``q + (1 - q)/(1 + exp(-x))``, and (banded Jacobian, central-difference
     transport, phase pinned at the level ``(q + 1)/2``) drives the comoving
     residual below ``WAVE_TOL``.  An iterate that overflows, like running out
-    of iterations, raises ``IterationLimitError``.  Evolving the returned
+    of iterations, raises ``IterationLimitError``; a converged solution that
+    leaves ``[q, 1]`` by more than ``OVERSHOOT_ERROR`` (as below ``c*``, where
+    no monotone wave exists) raises ``DomainError``, and a smaller excursion
+    is clipped.  Evolving the returned
     profile and shifting back by ``c dt`` leaves only discretization error,
     so it is the right object for residual tests.
 
@@ -671,6 +674,11 @@ def traveling_wave_profile(model: BranchingModel, c: float, grid: Grid) -> Field
                 )
         except FloatingPointError as exc:
             raise IterationLimitError(f"comoving Newton iteration diverged ({exc})") from exc
+    overshoot = max(q - float(values.min()), float(values.max()) - 1.0, 0.0)
+    if overshoot > OVERSHOOT_ERROR:
+        raise DomainError(
+            f"the comoving solution at c = {c} leaves [q, 1] by {overshoot:.3g}, so it is no wave"
+        )
     return Field(grid, np.clip(values, q, 1.0), 0.0, q, 1.0)
 
 

@@ -1,8 +1,9 @@
-"""The simulator's segment engine in numpy: a test oracle for ``_engine.c``.
+"""The simulator's engine in numpy: a test oracle for ``_engine.c``.
 
 These functions draw what the compiled engine draws, in numpy's vectorized
-calls, so that the compiled engine's outputs and the Generator's state after
-a call can be checked against them bit for bit.
+calls, and form the martingales and the prune as numpy does, so that the
+compiled engine's outputs and the Generator's state after a call can be
+checked against them bit for bit.
 """
 from __future__ import annotations
 
@@ -96,7 +97,9 @@ def poisson_owners(means: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         more = (residual >= 0.0) & (pmf > 0.0)
 
 
-def evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles):
+def evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles, counts=None):
+    """The segment's population at ``t_end``; ``counts``, when given, gains
+    the segment's ``rounds`` and ``lifelines`` (the sum of n over rounds)."""
     pos = np.asarray(positions, dtype=float)
     if t_end == t_start or pos.size == 0:
         return pos, tags
@@ -107,6 +110,9 @@ def evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles):
     n_done = 0
     law, motion = model.law, model.motion
     while pos.size:
+        if counts is not None:
+            counts["rounds"] += 1
+            counts["lifelines"] += pos.size
         waits = rng.standard_exponential(pos.size)
         t_branch = t + waits
         crosses = t_branch >= t_end
@@ -136,3 +142,47 @@ def evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles):
     out_pos = np.concatenate(done_pos) if done_pos else np.empty(0)
     out_tag = np.concatenate(done_tag) if tag is not None and done_tag else None
     return out_pos, (out_tag if tags is not None else None)
+
+
+def martingales(positions, n, lambda_star, psi_star):
+    """W_n and D_n of a population at integer time ``n``."""
+    a = lambda_star * positions + n * psi_star
+    e = np.exp(-a)
+    return float(e.sum()), float((a * e).sum())
+
+
+def prune(positions, lambda_star, window, bound):
+    """The positions within ``window`` of the minimum, in order, and
+    ``bound`` plus ``exp(-lambda_star (x - min))`` summed over the others."""
+    if positions.size == 0:
+        return positions, bound
+    low = positions.min()
+    keep = positions <= low + window
+    if keep.all():
+        return positions, bound
+    removed = positions[~keep]
+    return positions[keep], bound + float(np.exp(-lambda_star * (removed - low)).sum())
+
+
+def replica(plan, model, rng, max_particles):
+    """A replica through its checkpoints, one public step at a time: the
+    segment, then the minimum, the martingales and the prune.  Returns the
+    minima, W, D, the prune bound and the counters."""
+    pos, t, bound = np.zeros(1), 0.0, 0.0
+    minima, ws, ds = [], [], []
+    counts = {"rounds": 0, "lifelines": 0, "peak_population": 0, "pruned": 0}
+    for t_end, record, n in zip(plan.checkpoints.tolist(), plan.record, plan.generations):
+        pos, _ = evolve_segment(pos, None, t, t_end, model, rng, max_particles, counts)
+        t = t_end
+        counts["peak_population"] = max(counts["peak_population"], pos.size)
+        if record:
+            minima.append(float(pos.min()) if pos.size else np.inf)
+        if n >= 0:
+            w, d = martingales(pos, int(n), plan.lambda_star, plan.psi_star)
+            ws.append(w)
+            ds.append(d)
+        if np.isfinite(plan.window):
+            size = pos.size
+            pos, bound = prune(pos, plan.lambda_star, plan.window, bound)
+            counts["pruned"] += size - pos.size
+    return minima, ws, ds, bound, counts

@@ -1,7 +1,8 @@
-"""The compiled segment engine against the numpy oracle, bit for bit, and
-its build."""
+"""The compiled engine against the numpy oracle, bit for bit, and its
+build."""
 import ctypes
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -9,9 +10,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kpplab import BranchingLaw, BranchingModel, Kernel, Motion, RunConfig, _engine, run_ensemble
-from kpplab.errors import CapacityError
-from kpplab.simulate import _evolve_segment
+from kpplab import (
+    BranchingLaw,
+    BranchingModel,
+    Kernel,
+    Motion,
+    Population,
+    RunConfig,
+    _engine,
+    martingales,
+    minimal_speed,
+    prune,
+    run_ensemble,
+)
+from kpplab.errors import CapacityError, KppLabError
+from kpplab.simulate import _evolve_segment, _ReplicaPlan, _replica_rng
 
 import reference_engine as ref
 
@@ -254,12 +267,120 @@ def test_concurrent_builds_into_one_directory_both_load(tmp_path):
         assert ctypes.CDLL(str(path)).kpp_segment
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _speed(model):
+    try:
+        speed = minimal_speed(model)
+    except KppLabError:
+        return None, None
+    return speed.lambda_star, speed.c_star * speed.lambda_star
+
+
+def _engine_replica(plan, model, rng, cap):
+    with _engine.Work() as work:
+        minima, w, d, out = _engine.replica(
+            work, plan.checkpoints, plan.record, plan.generations, model, rng,
+            plan.lambda_star, plan.psi_star, plan.window, cap,
+        )
+    counts = {k: getattr(out, k) for k in ("rounds", "lifelines", "peak_population", "pruned")}
+    return list(minima), list(w), list(d), out.bound, counts
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    motion=st.sampled_from(sorted(MOTIONS)),
+    law=st.sampled_from(sorted(LAWS)),
+    bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
+    seed=st.integers(0, 2**32 - 1),
+    t_max=st.one_of(st.floats(0.5, 4.0), st.sampled_from([0.0, 1.0, 3.0, 4.0])),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=3),
+    window=st.sampled_from(["inf", "default", "one"]),
+    cap=st.sampled_from([1, 10, 100, 10**6, 10**6]),
+)
+def test_replica_matches_the_python_loop(
+    motion, law, bit_generator, seed, t_max, fractions, window, cap
+):
+    # kpp_replica against advance -> leftmost/martingales -> prune in numpy,
+    # at off-integer record times, windows inf, 14/lambda* and 1, extinct
+    # replicas and capacity hits
+    model = BranchingModel(MOTIONS[motion], LAWS[law])
+    lam, psi = _speed(model)
+    windows = {"inf": math.inf, "default": None, "one": 1.0}
+    cfg = RunConfig(
+        t_max=t_max,
+        record_times=tuple(f * t_max for f in fractions),
+        prune_window=windows[window] if lam is not None else math.inf,
+        max_particles=cap,
+        seed=seed,
+    )
+    plan = _ReplicaPlan(cfg, lam, psi)
+    (want, want_state), (got, got_state) = _both_calls(
+        lambda rng: ref.replica(plan, model, rng, cap),
+        lambda rng: _engine_replica(plan, model, rng, cap),
+        bit_generator,
+        seed,
+    )
+    assert _same_state(want_state, got_state)
+    if isinstance(want[0], str) or isinstance(got[0], str):
+        assert want == got
+    else:
+        assert [_bits(x) for x in want[:3]] == [_bits(x) for x in got[:3]]
+        assert _bits(want[3]) == _bits(got[3]) and want[4] == got[4]
+    if model.is_lattice:
+        return  # run_ensemble does not simulate lattice replicas
+    res = run_ensemble(model, cfg, 2)
+    invalid, traces = [], []
+    for r in range(2):
+        try:
+            traces.append((r, ref.replica(plan, model, _replica_rng(seed, r), cap)))
+        except CapacityError:
+            invalid.append(r)
+    assert res.invalid_replicas == invalid
+    assert _bits([s.m for s in res.minima]) == _bits([m for _, o in traces for m in o[0]])
+    if lam is None:
+        assert res.traces == []
+        return
+    for tr, (r, (_, ws, ds, bound, counts)) in zip(res.traces, traces, strict=True):
+        assert tr.replica == r and _bits(tr.w) == _bits(ws) and _bits(tr.d) == _bits(ds)
+        assert _bits(tr.pruned_mass_bound) == _bits(bound)
+        assert (tr.rounds, tr.lifelines, tr.peak_population, tr.pruned) == tuple(counts.values())
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 100001])
+def test_prune_and_martingales_match_numpy_at_every_size(n):
+    # numpy sums pairwise: a plain loop below 8 items, 8 accumulators up to
+    # 128, halves split at multiples of 8 above; a far-left particle makes
+    # the window-70 prune remove the other n, so its sum has n terms
+    x = np.random.default_rng(n).normal(0.0, 3.0, n)
+    for positions, window in ((x, 2.0), (np.concatenate([[-100.0], x]), 70.0)):
+        pop = Population(positions, 3.0, 0.125)
+        want = ref.martingales(positions, 3, 1.1, 0.7)
+        assert _bits(martingales(pop, 3, 1.1, 0.7)) == _bits(want)
+        kept, bound = ref.prune(positions, 1.1, window, 0.125)
+        out = prune(pop, 1.1, window)
+        assert _bits(out.positions) == _bits(kept)
+        assert _bits(out.pruned_mass_bound) == _bits(bound)
+    assert out.positions.tolist() == [-100.0]
+
+
 def test_worker_count_does_not_change_an_ensemble():
+    # one valid ensemble and one in which capacity drops some replicas
     model = BranchingModel(Motion(True, KERNELS["tabulated"]), LAWS["displaced_uniform"])
-    cfg = RunConfig(t_max=3.0, record_times=(1.5, 3.0), seed=5)
-    a = run_ensemble(model, cfg, 12, n_workers=1)
-    b = run_ensemble(model, cfg, 12, n_workers=2)
-    assert [(s.t, s.m, s.replica) for s in a.minima] == [(s.t, s.m, s.replica) for s in b.minima]
-    for x, y in zip(a.traces, b.traces, strict=True):
-        assert np.array_equal(x.w, y.w) and np.array_equal(x.d, y.d)
-        assert x.pruned_mass_bound == y.pruned_mass_bound
+    for cap, invalid in ((10**6, False), (40, True)):
+        cfg = RunConfig(t_max=3.0, record_times=(1.5, 3.0), max_particles=cap, seed=5)
+        a = run_ensemble(model, cfg, 12, n_workers=1)
+        b = run_ensemble(model, cfg, 12, n_workers=2)
+        assert a.invalid_replicas == b.invalid_replicas
+        assert bool(a.invalid_replicas) == invalid and len(a.traces) > 0
+        assert [(s.t, s.m, s.replica) for s in a.minima] == [
+            (s.t, s.m, s.replica) for s in b.minima
+        ]
+        for x, y in zip(a.traces, b.traces, strict=True):
+            assert np.array_equal(x.w, y.w) and np.array_equal(x.d, y.d)
+            assert x.pruned_mass_bound == y.pruned_mass_bound
+            counters = ("replica", "rounds", "lifelines", "peak_population", "pruned")
+            assert [getattr(x, k) for k in counters] == [getattr(y, k) for k in counters]
+            assert x.rounds > 0 and x.lifelines >= x.rounds and x.peak_population > 0

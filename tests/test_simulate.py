@@ -83,6 +83,10 @@ class TestPrune:
         out = prune(pop, 1.0, 12.0)
         assert out is pop
 
+    def test_particle_on_the_window_edge_is_kept(self):
+        pop = Population(np.array([12.0, 0.0, 12.5]), 2.0)
+        assert prune(pop, 1.0, 12.0).positions.tolist() == [12.0, 0.0]
+
     def test_minimum_never_pruned(self):
         pop = Population(np.array([7.0]), 0.0)
         assert prune(pop, 2.0, 0.5).positions.tolist() == [7.0]
@@ -183,7 +187,7 @@ class TestRunEnsemble:
 
     def test_replay_through_public_operations(self, jump_gaussian_binary):
         # replica r draws from SeedSequence(seed, spawn_key=(r,)) and runs
-        # advance -> leftmost/martingales -> prune at every checkpoint
+        # what advance -> leftmost/martingales -> prune do at every checkpoint
         cfg = RunConfig(t_max=5.0, record_times=(2.5, 5.0), prune_window=5.0, seed=7)
         res = run_ensemble(jump_gaussian_binary, cfg, 4)
         lam, psi = res.lambda_star, res.psi_star
@@ -193,8 +197,10 @@ class TestRunEnsemble:
             rng = np.random.Generator(np.random.SFC64(seq))
             pop = Population.single(0.0)
             ns, ws, ds, ms = [], [], [], []
+            peak = pruned = 0
             for t in checkpoints:
                 pop = advance(pop, t, jump_gaussian_binary, cfg, rng)
+                peak = max(peak, pop.positions.size)
                 if t in cfg.record_times:
                     ms.append(leftmost(pop))
                 if t == int(t):
@@ -202,11 +208,14 @@ class TestRunEnsemble:
                     ns.append(int(t))
                     ws.append(w)
                     ds.append(d)
+                size = pop.positions.size
                 pop = prune(pop, lam, cfg.prune_window)
+                pruned += size - pop.positions.size
             assert np.array_equal(tr.n, ns)
             assert np.array_equal(tr.w, ws)
             assert np.array_equal(tr.d, ds)
             assert tr.pruned_mass_bound == pop.pruned_mass_bound
+            assert (tr.peak_population, tr.pruned) == (peak, pruned)
             assert [s.m for s in res.minima if s.replica == tr.replica] == ms
         assert any(tr.pruned_mass_bound > 0.0 for tr in res.traces)
 

@@ -422,6 +422,13 @@ class TestTravelingWaveProfile:
         rows[np.argmin(np.abs(grid.xs))] = 0.0  # the phase pin replaces this row
         assert rows.max() <= 1e-7
 
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    def test_a_solution_above_one_below_c_star_is_no_wave(self, jump_gaussian_binary, c):
+        # below c* = 1.6487 Newton converges to a profile that exceeds 1 (by
+        # 0.081 at c = 0.5 and 8.2e-3 at c = 1.0) instead of a wave
+        with pytest.raises(DomainError, match=r"leaves \[q, 1\]"):
+            traveling_wave_profile(jump_gaussian_binary, c, Grid(-30.0, 30.0, 1024))
+
     def test_divergence_raises_iteration_limit(self):
         # from the logistic start, u**10 overflows within a few iterates
         law = BranchingLaw.offspring_at_parent({2: 0.5, 10: 0.5})
