@@ -30,10 +30,12 @@
  * prune, which kpp_martingales and kpp_prune also give the public
  * single-population operations.  Their terms are formed in numpy's order,
  * exp is numpy's loop again, and their sums are numpy's pairwise sums, so
- * they too are bit for bit numpy's.  The engine keeps no state between
- * calls: kpp_replica works on buffers that its caller keeps from replica to
- * replica (kpp_work_new), and every other call allocates its buffers and
- * frees them before it returns.
+ * they too are bit for bit numpy's.  kpp_merged runs one chunk of merged
+ * replicas, a tagged segment of origin particles, and reduces it per origin
+ * at once.  The engine keeps no state between calls: kpp_segment,
+ * kpp_merged and kpp_replica work on buffers that their caller keeps from
+ * call to call (kpp_work_new), and kpp_prune and kpp_martingales allocate
+ * theirs and free them before they return.
  */
 #include "numpy/random/distributions.h"
 #include "numpy/ndarraytypes.h"
@@ -84,12 +86,10 @@ typedef struct {
 } law_t;
 
 typedef struct {
-    double *pos;
-    int64_t *tag;
+    const double *pos; /* the population at t_end, in the caller's work_t */
     int64_t n;
-    int64_t pos_bytes, tag_bytes; /* for kpp_release */
-    double time;                  /* CapacityError.time */
-    int64_t count;                /* CapacityError.count */
+    double time;   /* CapacityError.time */
+    int64_t count; /* CapacityError.count */
 } result_t;
 
 typedef struct {
@@ -159,8 +159,10 @@ static int grow(void **buf, int64_t *cap, int64_t need, size_t size, int keep)
     return 1;
 }
 
-/* A segment's buffers, each with its capacity in items.  Between segments
- * a replica uses dur for its martingale and prune terms. */
+/* A segment's buffers, each with its capacity in items, which a caller
+ * keeps from call to call, so that a call finds the pages of the last one
+ * instead of faulting in fresh ones.  Between segments dur holds the
+ * martingale, prune and merged-sum terms. */
 typedef struct {
     double *pos, *time, *dur, *moved, *draws; /* the round's lifelines and draws */
     int64_t *tag, *sizes;
@@ -170,9 +172,6 @@ typedef struct {
     int64_t *active, *large;
     int64_t pos_cap, time_cap, dur_cap, moved_cap, draws_cap, tag_cap, sizes_cap;
     int64_t out_pos_cap, out_tag_cap, u_cap, pmf_cap, sums_cap, active_cap, large_cap;
-    /* replicas keep the scratch from round to round, and from one replica
-     * to the next; a lone segment's lives only while it draws */
-    int replica;
     int64_t rounds, lifelines; /* counters */
 } work_t;
 
@@ -183,18 +182,13 @@ typedef struct {
     (put((w)->field, (size_t)(w)->field##_cap * sizeof *(w)->field), (w)->field = NULL,      \
      (w)->field##_cap = 0)
 
-static void drop_scratch(work_t *w)
+static void drop_work(work_t *w)
 {
     PUT(w, u);
     PUT(w, pmf);
     PUT(w, sums);
     PUT(w, active);
     PUT(w, large);
-}
-
-static void drop_work(work_t *w)
-{
-    drop_scratch(w);
     PUT(w, pos);
     PUT(w, time);
     PUT(w, dur);
@@ -448,9 +442,9 @@ static void spawn(const law_t *law, int64_t nb, int64_t *sizes, const double *dr
 
 /* Advance n lifelines (tags may be NULL) from t_start to t_end on w's
  * buffers.  On OK the *n_out particles at t_end are in w->out_pos (and
- * w->out_tag), finishers in round order; pos0 may be w->out_pos itself.  On
- * CAPACITY *time and *count are those of the round that passed
- * max_particles. */
+ * w->out_tag), finishers in round order; pos0 and tag0 may be w->out_pos
+ * and w->out_tag themselves.  On CAPACITY *time and *count are those of
+ * the round that passed max_particles. */
 static int segment(bitgen_t *bg, const motion_t *motion, const law_t *law, work_t *w, int64_t n,
                    const double *pos0, const int64_t *tag0, double t_start, double t_end,
                    int64_t max_particles, int64_t *n_out, double *time, int64_t *count)
@@ -484,10 +478,7 @@ static int segment(bitgen_t *bg, const motion_t *motion, const law_t *law, work_
             dur[i] = pick_double(t_branch >= t_end, t_end - t_of[i], dur[i]);
             t_of[i] = t_branch;
         }
-        int moved_ok = displace(bg, motion, w, n, dur, moved);
-        if (!w->replica)
-            drop_scratch(w); /* a merged population holds it only while it draws */
-        if (!moved_ok)
+        if (!displace(bg, motion, w, n, dur, moved))
             return NO_MEMORY;
         /* finishers go out; branching lifelines close ranks in place */
         int64_t nb = 0;
@@ -527,27 +518,63 @@ static int segment(bitgen_t *bg, const motion_t *motion, const law_t *law, work_
     return OK;
 }
 
-/* segment() on buffers that live for this call only: on OK res holds the
- * population in buffers for kpp_release; on CAPACITY res carries the time
- * and count of the round that passed max_particles. */
-int kpp_segment(bitgen_t *bg, const motion_t *motion, const law_t *law, int64_t n,
-                const double *pos0, const int64_t *tag0, double t_start, double t_end,
-                int64_t max_particles, result_t *res)
+/* segment() of n untagged lifelines on w's buffers: on OK res points at
+ * the population, which stays in w until its next call; on CAPACITY res
+ * carries the time and count of the round that passed max_particles. */
+int kpp_segment(work_t *w, bitgen_t *bg, const motion_t *motion, const law_t *law, int64_t n,
+                const double *pos0, double t_start, double t_end, int64_t max_particles,
+                result_t *res)
 {
-    work_t w = {0};
-    int status = segment(bg, motion, law, &w, n, pos0, tag0, t_start, t_end, max_particles,
+    int status = segment(bg, motion, law, w, n, pos0, NULL, t_start, t_end, max_particles,
                          &res->n, &res->time, &res->count);
-    if (status == OK) {
-        res->pos = w.out_pos;
-        res->tag = w.out_tag;
-        res->pos_bytes = w.out_pos_cap * (int64_t)sizeof *w.out_pos;
-        res->tag_bytes = w.out_tag_cap * (int64_t)sizeof *w.out_tag;
-        w.out_pos = NULL;
-        w.out_tag = NULL;
-        w.out_pos_cap = w.out_tag_cap = 0;
-    }
-    drop_work(&w);
+    res->pos = w->out_pos;
     return status;
+}
+
+/* One chunk of merged replicas: n origin particles at 0.0, each tagged with
+ * its index, run from time 0 to t_end on w's buffers, and reduced per
+ * origin into out[0..n).  That is the minimum of its particles at t_end
+ * (inf when there are none), or, with sums, the sum of exp(-lambda x) over
+ * them in the order they finished, from 0.0, as numpy's
+ * np.bincount(tags, weights=np.exp(-lambda * x)) forms it.  On CAPACITY
+ * res carries the time and count of the round that passed max_particles. */
+int kpp_merged(work_t *w, bitgen_t *bg, const motion_t *motion, const law_t *law, int64_t n,
+               double t_end, int64_t max_particles, int sums, double lambda, double *out,
+               result_t *res)
+{
+    if (!GROW(w, out_pos, n, 0) || !GROW(w, out_tag, n, 0))
+        return NO_MEMORY;
+    for (int64_t i = 0; i < n; i++) {
+        w->out_pos[i] = 0.0;
+        w->out_tag[i] = i;
+    }
+    int64_t m = n;
+    if (t_end != 0.0 && n > 0) {
+        int status = segment(bg, motion, law, w, n, w->out_pos, w->out_tag, 0.0, t_end,
+                             max_particles, &m, &res->time, &res->count);
+        if (status != OK)
+            return status;
+    }
+    const double *x = w->out_pos;
+    const int64_t *tag = w->out_tag;
+    if (!sums) {
+        for (int64_t i = 0; i < n; i++)
+            out[i] = INFINITY;
+        for (int64_t i = 0; i < m; i++)
+            out[tag[i]] = x[i] < out[tag[i]] ? x[i] : out[tag[i]];
+        return OK;
+    }
+    if (!GROW(w, dur, m, 0))
+        return NO_MEMORY;
+    double *e = w->dur, scale = -lambda;
+    for (int64_t i = 0; i < m; i++)
+        e[i] = scale * x[i];
+    exp_fill(&motion->exp, m, e, e);
+    for (int64_t i = 0; i < n; i++)
+        out[i] = 0.0;
+    for (int64_t i = 0; i < m; i++)
+        out[tag[i]] += e[i];
+    return OK;
 }
 
 /* -- the martingales and the prune ------------------------------------------------ */
@@ -730,15 +757,11 @@ int kpp_martingales(const exp_t *exp, const double *x, int64_t n, double lambda,
 
 /* -- replicas ----------------------------------------------------------------------- */
 
-/* Buffers for kpp_replica, which a caller keeps from one replica to the
- * next, so that a replica finds the pages of the last one instead of
- * faulting in fresh ones; NULL when out of memory. */
+/* Buffers for kpp_segment, kpp_merged and kpp_replica; NULL when out of
+ * memory. */
 work_t *kpp_work_new(void)
 {
-    work_t *w = calloc(1, sizeof *w);
-    if (w != NULL)
-        w->replica = 1;
-    return w;
+    return calloc(1, sizeof(work_t));
 }
 
 void kpp_work_free(work_t *w)
@@ -802,11 +825,6 @@ int kpp_replica(work_t *w, bitgen_t *bg, const motion_t *motion, const law_t *la
     out->rounds = w->rounds;
     out->lifelines = w->lifelines;
     return OK;
-}
-
-void kpp_release(void *p, int64_t bytes)
-{
-    put(p, (size_t)bytes);
 }
 
 /* numpy's float64 inner loop of a one-input ufunc such as np.exp, and its

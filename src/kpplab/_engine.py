@@ -5,8 +5,8 @@ Python version into ``__pycache__/_engine-<sha256>.so`` next to this file,
 and loaded with ``ctypes``.  It links the installed numpy's
 ``libnpyrandom.a`` and draws on the caller's ``Generator`` through its
 ``bitgen_t``, under the bit generator's lock; every ``exp`` it takes (the
-Poisson inversion's ``exp(-mean)``, the martingale and prune terms) is
-numpy's own float64 ``np.exp`` loop, taken from the ufunc.
+Poisson inversion's ``exp(-mean)``, the martingale, prune and merged-sum
+terms) is numpy's own float64 ``np.exp`` loop, taken from the ufunc.
 The flags keep IEEE arithmetic as numpy's loops do it: no contraction into
 fused multiply-adds, no ``-ffast-math``, no ``-march=native``.  A missing or
 failing C compiler makes the import raise ``ImportError`` with the
@@ -106,12 +106,11 @@ class _Law(ctypes.Structure):
 
 
 class _Result(ctypes.Structure):
+    """a segment's population in the engine's buffers, or its capacity hit"""
+
     _fields_ = [
         ("pos", c_void_p),
-        ("tag", c_void_p),
         ("n", c_int64),
-        ("pos_bytes", c_int64),
-        ("tag_bytes", c_int64),
         ("time", c_double),
         ("count", c_int64),
     ]
@@ -134,10 +133,15 @@ class _Replica(ctypes.Structure):
 _path = str(_build(Path(__file__).parent / "__pycache__"))
 _lib = ctypes.CDLL(_path)
 _lib.kpp_segment.argtypes = [
-    c_void_p, POINTER(_Motion), POINTER(_Law), c_int64, c_void_p, c_void_p,
+    c_void_p, c_void_p, POINTER(_Motion), POINTER(_Law), c_int64, c_void_p,
     c_double, c_double, c_int64, POINTER(_Result),
 ]
 _lib.kpp_segment.restype = c_int
+_lib.kpp_merged.argtypes = [
+    c_void_p, c_void_p, POINTER(_Motion), POINTER(_Law), c_int64, c_double, c_int64,
+    c_int, c_double, c_void_p, POINTER(_Result),
+]
+_lib.kpp_merged.restype = c_int
 _lib.kpp_work_new.argtypes = []
 _lib.kpp_work_new.restype = c_void_p
 _lib.kpp_work_free.argtypes = [c_void_p]
@@ -151,15 +155,13 @@ _lib.kpp_prune.argtypes = [POINTER(_Exp), c_void_p, c_int64, c_double, c_double,
 _lib.kpp_prune.restype = c_int64
 _lib.kpp_martingales.argtypes = [POINTER(_Exp), c_void_p, c_int64, c_double, c_double, c_void_p]
 _lib.kpp_martingales.restype = c_int
-_lib.kpp_release.argtypes = [c_void_p, c_int64]
-_lib.kpp_release.restype = None
 # reads a ufunc object, so it is called holding the interpreter lock
 _double_loop = ctypes.PyDLL(_path).kpp_double_loop
 _double_loop.argtypes = [ctypes.py_object, POINTER(c_void_p), POINTER(c_void_p)]
 _double_loop.restype = c_int
 
 #: numpy's own float64 ``np.exp`` loop, for the Poisson inversion's exp(-mean)
-#: and the martingale and prune terms
+#: and the martingale, prune and merged-sum terms
 _EXP_LOOP, _EXP_DATA = c_void_p(), c_void_p()
 if not _double_loop(np.exp, byref(_EXP_LOOP), byref(_EXP_DATA)):
     raise ImportError("numpy's exp has no float64 loop")
@@ -196,13 +198,12 @@ def _law(law) -> _Law:
     return _Law(-1, law.cdf.ctypes.data, law.counts.ctypes.data, law.counts.size, _Kernel(_NONE))
 
 
-def _take(address: int | None, nbytes: int, n: int, dtype) -> np.ndarray:
-    """Copy ``n`` items from an engine buffer of ``nbytes`` into a new array
-    and release the buffer."""
-    out = np.empty(n, dtype=dtype)
-    if n:
-        ctypes.memmove(out.ctypes.data, address, out.nbytes)
-    _lib.kpp_release(address, nbytes)
+def _take(res: _Result) -> np.ndarray:
+    """A copy of the ``res.n`` positions that ``res`` points at in a
+    ``Work``'s buffers."""
+    out = np.empty(res.n)
+    if res.n:
+        ctypes.memmove(out.ctypes.data, res.pos, out.nbytes)
     return out
 
 
@@ -217,28 +218,9 @@ def _check(status: int, max_particles: int, out) -> None:
         raise MemoryError("the compiled engine ran out of memory")
 
 
-def segment(positions, tags, t_start: float, t_end: float, model, rng: np.random.Generator,
-            max_particles: int):
-    """``kpp_segment`` on a population; raises ``CapacityError``."""
-    pos = np.ascontiguousarray(positions, dtype=float)
-    tag = None if tags is None else np.ascontiguousarray(tags, dtype=np.int64)
-    m, lw, res = _motion(model.motion), _law(model.law), _Result()
-    with rng.bit_generator.lock:
-        status = _lib.kpp_segment(
-            _bitgen(rng), byref(m), byref(lw), pos.size, pos.ctypes.data,
-            None if tag is None else tag.ctypes.data, t_start, t_end, max_particles, byref(res),
-        )
-    _check(status, max_particles, res)
-    # the positions are copied and freed before the tags are, so that the
-    # engine's buffers and the returned arrays never exceed one copy
-    out_pos = _take(res.pos, res.pos_bytes, res.n, np.float64)
-    out_tag = None if tag is None else _take(res.tag, res.tag_bytes, res.n, np.int64)
-    return out_pos, out_tag
-
-
 class Work:
-    """The buffers that ``replica`` reuses from one replica to the next;
-    leaving the ``with`` block frees them."""
+    """The engine's buffers, which ``segment``, ``merged`` and ``replica``
+    reuse from one call to the next; leaving the ``with`` block frees them."""
 
     def __init__(self):
         self.address = _lib.kpp_work_new()
@@ -253,6 +235,46 @@ class Work:
             _lib.kpp_work_free(self.address)
             self.address = None
 
+    def buffers(self) -> int:
+        """The address of the buffers; raises once they are freed."""
+        if not self.address:
+            raise ValueError("the engine's buffers have been freed")
+        return self.address
+
+
+def segment(work: Work, positions, t_start: float, t_end: float, model,
+            rng: np.random.Generator, max_particles: int) -> np.ndarray:
+    """``kpp_segment`` on ``work``'s buffers: a copy of the population at
+    ``t_end``; raises ``CapacityError``."""
+    pos = np.ascontiguousarray(positions, dtype=float)
+    m, lw, res = _motion(model.motion), _law(model.law), _Result()
+    with rng.bit_generator.lock:
+        status = _lib.kpp_segment(
+            work.buffers(), _bitgen(rng), byref(m), byref(lw), pos.size, pos.ctypes.data,
+            t_start, t_end, max_particles, byref(res),
+        )
+    _check(status, max_particles, res)
+    return _take(res)
+
+
+def merged(work: Work, out: np.ndarray, t_end: float, model, rng: np.random.Generator,
+           max_particles: int, lam: float | None = None) -> None:
+    """``kpp_merged`` on ``work``'s buffers: ``out.size`` origin particles at
+    0.0 run to ``t_end`` as one tagged segment, and reduced per origin into
+    ``out``: the minimum of its particles (``inf`` when none is left), or,
+    with ``lam``, the sum of ``exp(-lam x)`` over them (0 when none).
+    Raises ``CapacityError``."""
+    if not (out.dtype == np.float64 and out.ndim == 1 and out.flags.c_contiguous
+            and out.flags.writeable):
+        raise ValueError("out must be a writeable contiguous float64 vector")
+    m, lw, res = _motion(model.motion), _law(model.law), _Result()
+    with rng.bit_generator.lock:
+        status = _lib.kpp_merged(
+            work.buffers(), _bitgen(rng), byref(m), byref(lw), out.size, t_end, max_particles,
+            lam is not None, 0.0 if lam is None else lam, out.ctypes.data, byref(res),
+        )
+    _check(status, max_particles, res)
+
 
 def replica(work: Work, checkpoints, record, generations, model, rng: np.random.Generator,
             lambda_star: float, psi_star: float, window: float, max_particles: int):
@@ -264,8 +286,7 @@ def replica(work: Work, checkpoints, record, generations, model, rng: np.random.
     Returns the minima, W, D and a ``_Replica`` with the prune bound and the
     counters; raises ``CapacityError``.
     """
-    if not work.address:
-        raise ValueError("the engine's buffers have been freed")
+    address = work.buffers()
     cp = np.ascontiguousarray(checkpoints, dtype=np.float64)
     rec = np.ascontiguousarray(record, dtype=np.int8)
     gen = np.ascontiguousarray(generations, dtype=np.int64)
@@ -277,7 +298,7 @@ def replica(work: Work, checkpoints, record, generations, model, rng: np.random.
     m, lw, out = _motion(model.motion), _law(model.law), _Replica()
     with rng.bit_generator.lock:
         status = _lib.kpp_replica(
-            work.address, _bitgen(rng), byref(m), byref(lw), cp.size, cp.ctypes.data,
+            address, _bitgen(rng), byref(m), byref(lw), cp.size, cp.ctypes.data,
             rec.ctypes.data, gen.ctypes.data, lambda_star, psi_star, window, max_particles,
             minima.ctypes.data, w.ctypes.data, d.ctypes.data, byref(out),
         )

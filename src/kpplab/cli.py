@@ -26,6 +26,7 @@ such as ``/model/motion/kernel/sigma`` or ``/params/grid``, and the run exits
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -159,7 +160,10 @@ def parse_config(raw: dict, seed_override: int | None = None) -> ExperimentConfi
 # -- artifact helpers -----------------------------------------------------------
 
 
+@functools.cache
 def _code_version() -> str:
+    """The manifest's code version; ``git describe`` runs once per process,
+    since a fork from a large process costs more than the run's own work."""
     described = ""
     try:
         out = subprocess.run(

@@ -29,18 +29,26 @@ same positions, tags and ``CapacityError``, and the same Generator state
 afterwards.
 
 An ensemble replica is one engine call, ``kpp_replica``, on buffers that
-live for the whole replica: at each checkpoint it runs the segment there,
-takes the minimum and the martingales, and prunes the right tail, so every
-replica's pruning bound and counters end up on its ``MartingaleTrace``.  The
-public single-population operations ``advance``, ``martingales`` and
-``prune`` run on the same C code (``kpp_segment``, ``kpp_martingales`` and
-``kpp_prune``), one checkpoint step at a time, and give the same bits: the
-martingale and prune terms are formed in numpy's order, their ``exp`` is
-numpy's loop and their sums are numpy's pairwise sums.  Replica ``r`` of an
-ensemble draws from its own SFC64 generator, seeded by
-``SeedSequence(seed, spawn_key=(r,))``, so results do not depend on
-scheduling or worker count.  An int ``rng`` given to ``empirical_v`` or
-``empirical_minima`` means ``Generator(SFC64(rng))``.
+the replicas of a worker reuse (``_engine.Work``): at each checkpoint it
+runs the segment there, takes the minimum and the martingales, and prunes
+the right tail, so every replica's pruning bound and counters end up on its
+``MartingaleTrace``.  The public single-population operations ``advance``,
+``martingales`` and ``prune`` run on the same C code (``kpp_segment``,
+``kpp_martingales`` and ``kpp_prune``), one checkpoint step at a time, and
+give the same bits: the martingale and prune terms are formed in numpy's
+order, their ``exp`` is numpy's loop and their sums are numpy's pairwise
+sums.  Replica ``r`` of an ensemble draws from its own SFC64 generator,
+seeded by ``SeedSequence(seed, spawn_key=(r,))``, so results do not depend
+on scheduling or worker count.
+
+``empirical_minima`` and ``empirical_v`` share one generator among their
+replicas instead.  They run them in consecutive chunks of ``MERGED_CHUNK``
+origin particles, each chunk one tagged segment (``kpp_merged``) on one
+reused ``Work``, reduced per replica as soon as it ends: to its minimum, or
+to its sum of ``exp(-lam x)`` as ``np.bincount`` forms it.  A call holds
+one chunk's population at a time, and a call of at most ``MERGED_CHUNK``
+replicas is one chunk, the whole merged population.  An int ``rng`` given
+to either means ``Generator(SFC64(rng))``.
 """
 from __future__ import annotations
 
@@ -64,6 +72,13 @@ DEFAULT_MAX_PARTICLES = 5_000_000
 #: default pruning window in units of 1/lambda_star; a pruned particle's
 #: descendants reach the left tail with probability O(exp(-14)) ~ 8e-7
 PRUNE_WINDOW_FACTOR = 14.0
+
+#: origin particles per chunk of ``empirical_minima`` and ``empirical_v``.
+#: On a 2-core Xeon, 200 000 gaussian-jump replicas to t = 3 took 0.24 to
+#: 0.39 s in chunks of 1024 to 65536, against 0.53 to 0.59 s as one merged
+#: population, and the peak RSS grew with the chunk, from 84 to 127 MB.
+#: Calls of at most one chunk keep the stream of one merged population.
+MERGED_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -173,7 +188,7 @@ def advance(
 ) -> Population:
     """Advance a population to ``t_target`` with exact event-driven sampling."""
     cap = cfg.max_particles if cfg is not None else DEFAULT_MAX_PARTICLES
-    positions, _ = _evolve_segment(pop.positions, None, pop.time, t_target, model, rng, cap)
+    positions = _evolve_segment(pop.positions, pop.time, t_target, model, rng, cap)
     return Population(positions, t_target, pop.pruned_mass_bound)
 
 
@@ -286,14 +301,15 @@ def empirical_v(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of ``E sum_y exp(-lam y)`` at time ``t``.
 
-    Returns the sample mean and its standard error.  Replicas are advanced as
-    one merged tagged population, which is distribution-identical to
-    independent runs and much faster for short horizons.
+    Returns the sample mean and its standard error.  Replicas are advanced in
+    chunks of ``MERGED_CHUNK``, each one merged tagged population, which is
+    distribution-identical to independent runs and much faster for short
+    horizons.  ``max_particles`` bounds one chunk's population: a chunk that
+    passes it raises ``CapacityError`` with its own time and count.
     """
     if replicas <= 0:
         raise DomainError("need at least one replica")
-    positions, tags = _merged(model, t, replicas, rng, max_particles)
-    sums = np.bincount(tags, weights=np.exp(-lam * positions), minlength=replicas)
+    sums = _reduce_replicas(model, t, replicas, rng, max_particles, lam)
     mean = float(sums.mean())
     se = float(sums.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
     return mean, se
@@ -306,11 +322,14 @@ def empirical_minima(
     rng: np.random.Generator | int,
     max_particles: int = DEFAULT_MAX_PARTICLES,
 ) -> np.ndarray:
-    """Left-most positions of merged replicas at time ``t`` (``inf`` = extinct)."""
-    positions, tags = _merged(model, t, replicas, rng, max_particles)
-    minima = np.full(replicas, np.inf)
-    np.minimum.at(minima, tags, positions)
-    return minima
+    """Left-most positions of merged replicas at time ``t`` (``inf`` = extinct).
+
+    Replicas are advanced in chunks of ``MERGED_CHUNK``, each one merged
+    tagged population; ``max_particles`` bounds one chunk's population, and
+    a chunk that passes it raises ``CapacityError`` with its own time and
+    count.
+    """
+    return _reduce_replicas(model, t, replicas, rng, max_particles)
 
 
 # -- engine --------------------------------------------------------------------
@@ -327,26 +346,36 @@ def _replica_rng(seed: int, replica: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def _merged(model, t, replicas, rng, max_particles):
-    """Positions and replica tags at ``t`` of one origin particle per replica."""
-    positions = np.zeros(replicas)
-    tags = np.arange(replicas, dtype=np.int64)
-    return _evolve_segment(positions, tags, 0.0, t, model, _as_generator(rng), max_particles)
+def _reduce_replicas(model, t, replicas, rng, max_particles, lam=None) -> np.ndarray:
+    """Per replica, one origin particle at 0.0 run to ``t``: the minimum of
+    its particles (``inf`` when extinct), or, with ``lam``, the sum of
+    ``exp(-lam x)`` over them.  The replicas run in consecutive chunks of
+    ``MERGED_CHUNK`` on ``rng``, one set of engine buffers and each chunk's
+    own ``max_particles``."""
+    if t < 0:
+        raise DomainError("segment must not run backwards")
+    rng, out = _as_generator(rng), np.empty(replicas)
+    with _engine.Work() as work:
+        for lo in range(0, replicas, MERGED_CHUNK):
+            chunk = out[lo:lo + MERGED_CHUNK]
+            _engine.merged(work, chunk, float(t), model, rng, max_particles, lam)
+    return out
 
 
-def _evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles):
+def _evolve_segment(positions, t_start, t_end, model, rng, max_particles) -> np.ndarray:
     """Advance all lifelines from ``t_start`` to ``t_end``; exact in law.
 
-    Returns the positions (and tags, when given) of the population at
-    ``t_end``, finishers in round order.  Raises ``CapacityError`` when the
-    live count passes ``max_particles``.
+    Returns the positions of the population at ``t_end``, finishers in round
+    order.  Raises ``CapacityError`` when the live count passes
+    ``max_particles``.
     """
     if t_end < t_start:
         raise DomainError("segment must not run backwards")
     pos = np.asarray(positions, dtype=float)
     if t_end == t_start or pos.size == 0:
-        return pos, tags
-    return _engine.segment(pos, tags, float(t_start), float(t_end), model, rng, max_particles)
+        return pos
+    with _engine.Work() as work:
+        return _engine.segment(work, pos, float(t_start), float(t_end), model, rng, max_particles)
 
 
 def _run_replica_chunk(args, lo: int, hi: int):

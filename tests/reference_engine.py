@@ -144,6 +144,25 @@ def evolve_segment(positions, tags, t_start, t_end, model, rng, max_particles, c
     return out_pos, (out_tag if tags is not None else None)
 
 
+def merged(model, t, replicas, rng, max_particles, chunk, lam=None):
+    """Per replica, one origin particle at 0.0 run to ``t``: its minimum
+    (``inf`` when extinct), or, with ``lam``, its sum of ``exp(-lam x)``.
+    The replicas run in consecutive chunks of ``chunk``, each one tagged
+    segment of the whole chunk, reduced by ``np.minimum.at`` or
+    ``np.bincount``."""
+    out = []
+    for lo in range(0, replicas, chunk):
+        n = min(chunk, replicas - lo)
+        pos, tags = evolve_segment(np.zeros(n), np.arange(n), 0.0, t, model, rng, max_particles)
+        if lam is None:
+            reduced = np.full(n, np.inf)
+            np.minimum.at(reduced, tags, pos)
+        else:
+            reduced = np.bincount(tags, weights=np.exp(-lam * pos), minlength=n)
+        out.append(reduced)
+    return np.concatenate(out) if out else np.empty(0)
+
+
 def martingales(positions, n, lambda_star, psi_star):
     """W_n and D_n of a population at integer time ``n``."""
     a = lambda_star * positions + n * psi_star

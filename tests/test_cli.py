@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import kpplab
 from kpplab import FrontFit, cli
 from kpplab.cli import main, parse_config, run
 from kpplab.errors import ConfigError
@@ -454,3 +455,37 @@ def test_tabulated_kernel_with_zero_density_ends_has_no_minimizer(tmp_path, caps
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "minimizer" in lines[0]
     assert not out_dir.exists()
+
+
+def test_git_describe_runs_once_per_process(tmp_path, monkeypatch):
+    real_run, gits = cli.subprocess.run, []
+
+    def counting_run(cmd, *args, **kwargs):
+        gits.extend(cmd[:1] if cmd[0] == "git" else [])
+        return real_run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(cli.subprocess, "run", counting_run)
+    cli._code_version.cache_clear()
+    try:
+        for name in ("a", "b"):
+            code, _ = _run_cli(tmp_path, {"command": "speed", "model": BROWNIAN_OFFSPRING}, name)
+            assert code == 0
+    finally:
+        cli._code_version.cache_clear()
+    versions = {json.loads((tmp_path / n / "manifest.json").read_text())["code_version"] for n in "ab"}
+    assert gits == ["git"] and len(versions) == 1
+
+
+@pytest.mark.parametrize("failure", ["missing", "exit"])
+def test_failing_git_gives_the_bare_version(monkeypatch, failure):
+    def failing_run(cmd, *args, **kwargs):
+        if failure == "missing":
+            raise FileNotFoundError(cmd[0])
+        return cli.subprocess.CompletedProcess(cmd, 128, "", "fatal: not a git repository")
+
+    monkeypatch.setattr(cli.subprocess, "run", failing_run)
+    cli._code_version.cache_clear()
+    try:
+        assert cli._code_version() == f"kpplab {kpplab.__version__}" == "kpplab 0.1.0"
+    finally:
+        cli._code_version.cache_clear()

@@ -1,9 +1,11 @@
 """The compiled engine against the numpy oracle, bit for bit, and its
 build."""
+import contextlib
 import ctypes
 import itertools
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,13 +20,22 @@ from kpplab import (
     Population,
     RunConfig,
     _engine,
+    empirical_minima,
+    empirical_v,
     martingales,
     minimal_speed,
     prune,
     run_ensemble,
+    simulate,
 )
 from kpplab.errors import CapacityError, KppLabError
-from kpplab.simulate import _evolve_segment, _ReplicaPlan, _replica_rng
+from kpplab.simulate import (
+    MERGED_CHUNK,
+    _evolve_segment,
+    _reduce_replicas,
+    _ReplicaPlan,
+    _replica_rng,
+)
 
 import reference_engine as ref
 
@@ -84,7 +95,6 @@ def _both_calls(oracle, engine, bit_generator, seed):
 @given(
     motion=st.sampled_from(sorted(MOTIONS)),
     law=st.sampled_from(sorted(LAWS)),
-    tagged=st.booleans(),
     bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
     seed=st.integers(0, 2**32 - 1),
     positions=st.lists(st.floats(-5.0, 5.0), min_size=0, max_size=4),
@@ -93,26 +103,55 @@ def _both_calls(oracle, engine, bit_generator, seed):
     cap=st.integers(1, 3000),
 )
 def test_segment_matches_the_numpy_engine(
-    motion, law, tagged, bit_generator, seed, positions, t_start, length, cap
+    motion, law, bit_generator, seed, positions, t_start, length, cap
 ):
     model = BranchingModel(MOTIONS[motion], LAWS[law])
     pos = np.array(positions, dtype=float)
-    tags = np.arange(pos.size, dtype=np.int64) * 7 if tagged else None
     t_end = t_start + length
     (want, want_state), (got, got_state) = _both_calls(
-        lambda rng: ref.evolve_segment(pos, tags, t_start, t_end, model, rng, cap),
-        lambda rng: _evolve_segment(pos, tags, t_start, t_end, model, rng, cap),
+        lambda rng: ref.evolve_segment(pos, None, t_start, t_end, model, rng, cap)[0],
+        lambda rng: _evolve_segment(pos, t_start, t_end, model, rng, cap),
         bit_generator,
         seed,
     )
     assert _same_state(want_state, got_state)
-    if isinstance(want[0], str) or isinstance(got[0], str):
+    if isinstance(want, tuple) or isinstance(got, tuple):
         assert want == got
         return
-    assert np.array_equal(want[0], got[0])
-    assert (want[1] is None) == (got[1] is None) == (not tagged)
-    if tagged:
-        assert np.array_equal(want[1], got[1])
+    assert np.array_equal(want, got)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    motion=st.sampled_from(sorted(MOTIONS)),
+    law=st.sampled_from(sorted(LAWS)),
+    bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
+    seed=st.integers(0, 2**32 - 1),
+    replicas=st.integers(0, 12),
+    chunk=st.sampled_from([1, 3, 5, MERGED_CHUNK]),
+    t=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+    lam=st.one_of(st.none(), st.floats(-1.0, 2.0)),
+    cap=st.integers(1, 3000),
+)
+def test_merged_chunks_match_the_numpy_chunk_loop(
+    motion, law, bit_generator, seed, replicas, chunk, t, lam, cap
+):
+    # kpp_merged's tags, minima and sums in every motion x law, over chunks
+    # of one to five replicas with one Work reused between them, extinct
+    # replicas and a capacity hit in any chunk
+    model = BranchingModel(MOTIONS[motion], LAWS[law])
+    with mock.patch.object(simulate, "MERGED_CHUNK", chunk):
+        (want, want_state), (got, got_state) = _both_calls(
+            lambda rng: ref.merged(model, t, replicas, rng, cap, chunk, lam),
+            lambda rng: _reduce_replicas(model, t, replicas, rng, cap, lam),
+            bit_generator,
+            seed,
+        )
+    assert _same_state(want_state, got_state)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert want == got
+        return
+    assert _bits(want) == _bits(got) and got.size == replicas
 
 
 def test_segment_with_waits_past_the_inversion_limit():
@@ -124,12 +163,12 @@ def test_segment_with_waits_past_the_inversion_limit():
     for t_end, bit_generator in itertools.product((9.99, 10.0, 10.5), BIT_GENERATORS):
         assert _generator(bit_generator, 3).standard_exponential(pos.size).max() >= t_end
         (want, want_state), (got, got_state) = _both_calls(
-            lambda rng: ref.evolve_segment(pos, None, 0.0, t_end, model, rng, 10**6),
-            lambda rng: _evolve_segment(pos, None, 0.0, t_end, model, rng, 10**6),
+            lambda rng: ref.evolve_segment(pos, None, 0.0, t_end, model, rng, 10**6)[0],
+            lambda rng: _evolve_segment(pos, 0.0, t_end, model, rng, 10**6),
             bit_generator,
             3,
         )
-        assert np.array_equal(want[0], got[0]) and got[0].size > 0
+        assert np.array_equal(want, got) and got.size > 0
         assert _same_state(want_state, got_state)
 
 
@@ -138,7 +177,7 @@ def test_capacity_error_carries_the_numpy_engine_time_and_count():
     for bit_generator in BIT_GENERATORS:
         (want, want_state), (got, got_state) = _both_calls(
             lambda rng: ref.evolve_segment(np.zeros(3), None, 0.0, 9.0, model, rng, 500),
-            lambda rng: _evolve_segment(np.zeros(3), None, 0.0, 9.0, model, rng, 500),
+            lambda rng: _evolve_segment(np.zeros(3), 0.0, 9.0, model, rng, 500),
             bit_generator,
             11,
         )
@@ -146,15 +185,19 @@ def test_capacity_error_carries_the_numpy_engine_time_and_count():
         assert _same_state(want_state, got_state)
 
 
-@pytest.mark.parametrize("tagged", [False, True])
-def test_empty_and_zero_length_segments_draw_nothing(tagged):
+@pytest.mark.parametrize("merged", [False, True])
+def test_empty_and_zero_length_segments_draw_nothing(merged):
+    # a merged call of no replicas, or to t = 0, leaves each origin at 0.0
     model = BranchingModel(MOTIONS["diffusive_jump_gaussian"], LAWS["offspring"])
     for pos, t_end in ((np.empty(0), 5.0), (np.array([1.0, -2.0]), 1.0)):
-        tags = np.arange(pos.size) if tagged else None
         rng = _generator("sfc64", 4)
         state = rng.bit_generator.state
-        out, out_tags = _evolve_segment(pos, tags, 1.0, t_end, model, rng, 10)
-        assert np.array_equal(out, pos) and (out_tags is tags)
+        if merged:
+            n, t = pos.size, t_end - 1.0
+            assert _bits(_reduce_replicas(model, t, n, rng, 10)) == _bits(np.zeros(n))
+            assert _bits(_reduce_replicas(model, t, n, rng, 10, 0.7)) == _bits(np.ones(n))
+        else:
+            assert np.array_equal(_evolve_segment(pos, 1.0, t_end, model, rng, 10), pos)
         assert _same_state(rng.bit_generator.state, state)
 
 
@@ -173,12 +216,12 @@ def test_displacements_match_the_numpy_engine(motion, bit_generator, seed, size,
     model = BranchingModel(MOTIONS[motion], BranchingLaw.offspring_at_parent({1: 1.0}))
     pos = np.linspace(-2.0, 2.0, size)
     (want, want_state), (got, got_state) = _both_calls(
-        lambda rng: ref.evolve_segment(pos, None, 0.0, length, model, rng, max(size, 1)),
-        lambda rng: _evolve_segment(pos, None, 0.0, length, model, rng, max(size, 1)),
+        lambda rng: ref.evolve_segment(pos, None, 0.0, length, model, rng, max(size, 1))[0],
+        lambda rng: _evolve_segment(pos, 0.0, length, model, rng, max(size, 1)),
         bit_generator,
         seed,
     )
-    assert np.array_equal(want[0], got[0]) and got[0].size == size
+    assert np.array_equal(want, got) and got.size == size
     assert _same_state(want_state, got_state)
 
 
@@ -197,13 +240,69 @@ def test_kernel_draws_and_litters_match_numpy(kernel, law, bit_generator, seed, 
     for branching in (BranchingLaw.binary_one_displaced(KERNELS[kernel]), LAWS[law]):
         model = BranchingModel(Motion.constant(), branching)
         (want, want_state), (got, got_state) = _both_calls(
-            lambda rng: ref.evolve_segment(parents, None, 0.0, 1.0, model, rng, 10**6),
-            lambda rng: _evolve_segment(parents, None, 0.0, 1.0, model, rng, 10**6),
+            lambda rng: ref.evolve_segment(parents, None, 0.0, 1.0, model, rng, 10**6)[0],
+            lambda rng: _evolve_segment(parents, 0.0, 1.0, model, rng, 10**6),
             bit_generator,
             seed,
         )
-        assert np.array_equal(want[0], got[0])
+        assert np.array_equal(want, got)
         assert _same_state(want_state, got_state)
+
+
+@pytest.mark.parametrize("replicas", [16383, 16384, 16385, 40960])
+def test_merged_calls_match_the_numpy_chunk_loop_at_the_chunk_size(replicas):
+    # bit for bit, with the Generator's state, on both sides of the chunk
+    # boundary at 16384 replicas
+    model = BranchingModel(MOTIONS["jump_gaussian"], LAWS["offspring"])
+    t, cap, lam = 0.5, 10**7, 0.6
+
+    def both(engine, oracle):
+        (want, want_state), (got, got_state) = _both_calls(oracle, engine, "sfc64", replicas)
+        assert _bits(want) == _bits(got) and _same_state(want_state, got_state)
+
+    def mean_se(sums):
+        return [sums.mean(), sums.std(ddof=1) / math.sqrt(replicas)]
+
+    # a call of at most one chunk is also the segment of all its replicas at
+    # once, as merged calls ran before they were chunked
+    for chunk in {16384, min(replicas, 16384)}:
+        both(lambda rng: empirical_minima(model, t, replicas, rng),
+             lambda rng: ref.merged(model, t, replicas, rng, cap, chunk))
+        both(lambda rng: empirical_v(model, lam, t, replicas, rng),
+             lambda rng: mean_se(ref.merged(model, t, replicas, rng, cap, chunk, lam)))
+        both(lambda rng: _reduce_replicas(model, t, replicas, rng, cap, lam),
+             lambda rng: ref.merged(model, t, replicas, rng, cap, chunk, lam))
+
+
+def test_a_reused_work_gives_the_bytes_of_fresh_buffers():
+    # merged chunks that grow and shrink, both reductions, and segments
+    # between them, on one Work and on fresh buffers for each call
+    steps = [
+        ("jump_gaussian", "offspring", None, 3000),
+        ("brownian", "binary", 0.5, 40),
+        ("diffusive_jump_tabulated", "displaced_uniform", None, MERGED_CHUNK),
+        ("jump_uniform", "ternary", "segment", 200),
+        ("jump_two_sided_exponential", "death", 1.0, 1),
+        ("constant", "binary", None, 700),
+        ("jump_gaussian", "offspring", -0.4, 5000),
+    ]
+
+    def run(shared):
+        rng, out = _generator("sfc64", 9), []
+        with _engine.Work() as reused:
+            for motion, law, lam, n in steps:
+                model = BranchingModel(MOTIONS[motion], LAWS[law])
+                with contextlib.nullcontext(reused) if shared else _engine.Work() as work:
+                    if lam == "segment":
+                        pos = np.linspace(-1.0, 1.0, n)
+                        out.append(_engine.segment(work, pos, 0.0, 1.0, model, rng, 10**6))
+                    else:
+                        out.append(np.empty(n))
+                        _engine.merged(work, out[-1], 1.0, model, rng, 10**6, lam)
+        return [_bits(x) for x in out], rng.bit_generator.state
+
+    (fresh, fresh_state), (reused, reused_state) = run(False), run(True)
+    assert fresh == reused and _same_state(fresh_state, reused_state)
 
 
 class _BitGen(ctypes.Structure):
@@ -230,13 +329,14 @@ def test_tabulated_inverse_matches_interp_on_exact_hits():
                      next_double=ctypes.cast(next_double, ctypes.c_void_p))
     model = BranchingModel(Motion.constant(), BranchingLaw.binary_one_displaced(k))
     pos, res = np.zeros(m), _engine._Result()
-    status = _engine._lib.kpp_segment(
-        ctypes.addressof(bitgen), ctypes.byref(_engine._motion(model.motion)),
-        ctypes.byref(_engine._law(model.law)), m, pos.ctypes.data, None, 0.0, 1.0, 2 * m,
-        ctypes.byref(res),
-    )
-    assert status == _engine._OK
-    out = _engine._take(res.pos, res.pos_bytes, res.n, np.float64)
+    with _engine.Work() as work:
+        status = _engine._lib.kpp_segment(
+            work.buffers(), ctypes.addressof(bitgen), ctypes.byref(_engine._motion(model.motion)),
+            ctypes.byref(_engine._law(model.law)), m, pos.ctypes.data, 0.0, 1.0, 2 * m,
+            ctypes.byref(res),
+        )
+        assert status == _engine._OK
+        out = _engine._take(res)
     assert out.size == 2 * m and not out[0::2].any()
     assert np.array_equal(out[1::2], np.interp(us, k.cdf, k.x))
     assert next(uniforms, None) is None and next(words, None) is None

@@ -125,7 +125,7 @@ def _fixed_litter_segment(law, parents, t_end, seed):
     the segment then drew nothing but its waits."""
     model = BranchingModel(Motion.constant(), law)
     rng, waits = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, _ = _evolve_segment(parents, None, 0.0, t_end, model, rng, 10**6)
+    got = _evolve_segment(parents, 0.0, t_end, model, rng, 10**6)
     pos, t, want = parents, np.zeros(parents.size), []
     while pos.size:
         t = t + waits.standard_exponential(t.size)
@@ -189,7 +189,7 @@ def _lifelines(motion, n, d, rng):
     independent increments these are ``n`` draws of the motion's law at
     ``d``, in the segment's finishing order."""
     model = BranchingModel(motion, BranchingLaw.offspring_at_parent({1: 1.0}))
-    return _evolve_segment(np.zeros(n), None, 0.0, d, model, rng, n)[0]
+    return _evolve_segment(np.zeros(n), 0.0, d, model, rng, n)
 
 
 def test_sample_motion_constant_and_trivial():
@@ -247,8 +247,8 @@ def test_sampling_is_deterministic_in_rng_state():
     one = np.array([1.0])
     for _ in range(5):
         assert (
-            _evolve_segment(one, None, 0.0, 1.0, model, a, 10**6)[0].tolist()
-            == _evolve_segment(one, None, 0.0, 1.0, model, b, 10**6)[0].tolist()
+            _evolve_segment(one, 0.0, 1.0, model, a, 10**6).tolist()
+            == _evolve_segment(one, 0.0, 1.0, model, b, 10**6).tolist()
         )
         assert _lifelines(motion, 1, 2.0, a) == _lifelines(motion, 1, 2.0, b)
     assert a.bit_generator.state == b.bit_generator.state

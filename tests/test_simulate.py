@@ -24,8 +24,9 @@ from kpplab import (
     simulate,
 )
 from kpplab.errors import CapacityError, DomainError, NoMinimizerError
-from kpplab.simulate import _extinction_curve
+from kpplab.simulate import MERGED_CHUNK, _extinction_curve
 
+import reference_engine as ref
 from helpers import binary_death_extinction, binomial_se
 
 
@@ -46,28 +47,16 @@ class TestAdvance:
             advance(pop, 0.5, jump_gaussian_binary, None, _rng())
 
     def test_pair_count_mean_growth(self, immobile_binary):
-        # mean population of the binary immobile tree is e^t
-        replicas = 30_000
-        sums = np.bincount(
-            _merged_tags(immobile_binary, 1.0, replicas, seed=3), minlength=replicas
-        )
-        se = sums.std(ddof=1) / math.sqrt(replicas)
-        assert sums.mean() == pytest.approx(math.e, abs=4 * se)
+        # mean population of the binary immobile tree is e^t; at lam = 0 each
+        # replica's sum counts its particles
+        mean, se = empirical_v(immobile_binary, 0.0, 1.0, 30_000, _rng(3), max_particles=10_000_000)
+        assert mean == pytest.approx(math.e, abs=4 * se)
 
     def test_capacity_error(self, immobile_binary):
         cfg = RunConfig(t_max=14.0, record_times=(14.0,), max_particles=100, seed=0)
         with pytest.raises(CapacityError) as err:
             advance(Population.single(), 14.0, immobile_binary, cfg, _rng(5))
         assert err.value.count > 100
-
-
-def _merged_tags(model, t, replicas, seed):
-    from kpplab.simulate import _evolve_segment
-
-    positions = np.zeros(replicas)
-    tags = np.arange(replicas)
-    _, tags = _evolve_segment(positions, tags, 0.0, t, model, _rng(seed), 10_000_000)
-    return tags
 
 
 class TestPrune:
@@ -325,6 +314,32 @@ def test_empirical_minima_marks_extinct(immobile_offspring):
     assert np.isinf(minima).any()
     finite = minima[np.isfinite(minima)]
     assert np.all(finite == 0.0)
+
+
+def test_merged_capacity_bounds_each_chunk_not_the_call(immobile_binary):
+    # three chunks of about 27 000 particles each run under a cap of 40 000
+    replicas = 3 * MERGED_CHUNK
+    mean, _ = empirical_v(immobile_binary, 0.0, 0.5, replicas, 11, max_particles=40_000)
+    assert mean * replicas > 40_000
+    minima = empirical_minima(immobile_binary, 0.5, replicas, 11, max_particles=40_000)
+    assert np.all(minima == 0.0)
+
+
+def test_merged_capacity_error_carries_its_chunks_time_and_count(immobile_binary):
+    # immobile binary chunks only grow, so under a cap one below the largest
+    # chunk's final count that chunk alone passes it, with that count, at the
+    # numpy chunk loop's time; the chunks before it have run
+    replicas, t = 3 * MERGED_CHUNK, 0.5
+    counts = ref.merged(immobile_binary, t, replicas, _rng(12), 10**7, MERGED_CHUNK, 0.0)
+    totals = counts.reshape(3, MERGED_CHUNK).sum(axis=1).astype(int)
+    cap = int(totals.max()) - 1
+    assert int(np.argmax(totals)) > 0 and np.sum(totals > cap) == 1
+    with pytest.raises(CapacityError) as want:
+        ref.merged(immobile_binary, t, replicas, _rng(12), cap, MERGED_CHUNK)
+    with pytest.raises(CapacityError) as got:
+        empirical_minima(immobile_binary, t, replicas, _rng(12), max_particles=cap)
+    assert got.value.count == want.value.count == totals.max()
+    assert got.value.time == want.value.time
 
 
 @pytest.mark.parametrize("seed", [0, 31, 2**40 + 3])
