@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import AlignmentError, DomainError, InsufficientHorizonError
 from .kernels import INF
@@ -197,6 +196,8 @@ def align_shift(p: ProfileEstimate, q: ProfileEstimate) -> tuple[float, float]:
     i = int(np.argmin([dist(s) for s in scan]))
     a, b = scan[max(i - 1, 0)], scan[min(i + 1, scan.size - 1)]
     xatol = 1e-10 * max(1.0, abs(a) + abs(b))
+    from scipy.optimize import minimize_scalar
+
     best = minimize_scalar(dist, bounds=(a, b), method="bounded", options={"xatol": xatol}).x
     return float(best), dist(best)
 
@@ -213,9 +214,10 @@ def u_vs_mc(
 
     Solves the strong form from step initial data to time ``t`` and compares
     with the Monte Carlo estimate of ``P[M_t >= -x]`` on the same grid.
+    ``replicas <= 0`` raises ``DomainError`` before either runs.
     """
-    field = evolve(model, Field.heaviside(grid), t, dt)
     minima = empirical_minima(model, t, replicas, rng)
+    field = evolve(model, Field.heaviside(grid), t, dt)
     frac, stderr = _survival_fraction(minima, grid.xs)
     sup = float(np.max(np.abs(field.values - frac)))
     return ComparisonResult(sup, grid.xs, field.values, frac, stderr)

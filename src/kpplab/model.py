@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, DomainError, config_pointer, expect, read_number
 from .kernels import Kernel
@@ -192,6 +191,8 @@ class BranchingLaw:
 
         if reduced(0.0) <= 0.0:
             return 0.0
+        from scipy.optimize import brentq
+
         return float(brentq(reduced, 0.0, 1.0, xtol=1e-15))
 
     def to_dict(self) -> dict:

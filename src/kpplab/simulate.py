@@ -58,7 +58,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import _engine
 from .errors import CapacityError, DomainError, KppLabError
@@ -307,8 +306,7 @@ def empirical_v(
     horizons.  ``max_particles`` bounds one chunk's population: a chunk that
     passes it raises ``CapacityError`` with its own time and count.
     """
-    if replicas <= 0:
-        raise DomainError("need at least one replica")
+    _check_replicas(replicas)
     sums = _reduce_replicas(model, t, replicas, rng, max_particles, lam)
     mean = float(sums.mean())
     se = float(sums.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
@@ -329,7 +327,13 @@ def empirical_minima(
     a chunk that passes it raises ``CapacityError`` with its own time and
     count.
     """
+    _check_replicas(replicas)
     return _reduce_replicas(model, t, replicas, rng, max_particles)
+
+
+def _check_replicas(replicas: int) -> None:
+    if replicas <= 0:
+        raise DomainError("need at least one replica")
 
 
 # -- engine --------------------------------------------------------------------
@@ -465,6 +469,8 @@ def _extinction_curve(law, times) -> dict[float, float]:
     ts = sorted(set(times))
     if not ts or ts[-1] == 0.0:
         return dict.fromkeys(ts, 0.0)
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(
         lambda t, q: law.generating_function(q) - q,
         (0.0, ts[-1]),

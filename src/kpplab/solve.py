@@ -33,9 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .errors import (
     DomainError,
@@ -214,9 +214,12 @@ def _correlate(stencil: _Stencil, values: np.ndarray, left, right) -> np.ndarray
         out = np.convolve(padded.ravel(), stencil.weights[::-1], mode="valid")
     else:
         out = stencil.fft_valid(padded.ravel())
-    # row r's outputs start at r (n + 2K); the 2K between two rows mix both
-    out = np.concatenate([out, np.zeros(2 * k)]).reshape(rows.shape[0], n + 2 * k)
-    return out[:, :n].reshape(values.shape)
+    # a view of ``out``, which numpy checks fits in it: row r starts at
+    # r (n + 2K), and the last row ends at its end; the 2K between two rows
+    # mix both
+    step = out.itemsize
+    rows_out = np.ndarray((rows.shape[0], n), out.dtype, out, 0, (step * (n + 2 * k), step))
+    return rows_out.reshape(values.shape)
 
 
 def _lattice_stencil(kernel: Kernel, grid: Grid) -> _Stencil:
@@ -238,20 +241,24 @@ def convolve(kernel: Kernel, field: Field) -> Field:
     return field.with_values(_correlate(w, field.values, field.left_limit, field.right_limit))
 
 
-def _add_band(ab: np.ndarray, stencil: np.ndarray, scale: np.ndarray | None = None) -> None:
-    """Add ``A[i, i+j] = scale[i] stencil[K+j]`` to ``ab``, held in ``solve_banded`` form.
+def _add_band(band: np.ndarray, stencil: np.ndarray, scale: np.ndarray | None = None) -> None:
+    """Add ``A[i, i+j] = scale[i] stencil[K+j]`` to the ``2h+1`` band rows of ``A``.
 
-    Entry ``A[i, i+j]`` sits at ``ab[h - j, i + j]``; a missing ``scale`` is
-    all ones, and entries outside the matrix land where ``solve_banded``
-    never reads.
+    ``band`` holds diagonal ``j`` of ``A`` in row ``h - j``, so entry
+    ``A[i, i+j]`` sits at ``band[h - j, i + j]``: the rows ``h ... 3h`` of
+    LAPACK's ``gbsv`` storage (``_comoving_jacobian``).  A missing ``scale``
+    is all ones, and entries outside the matrix land where ``gbsv`` never
+    reads.  A scaled stencil is added one diagonal at a time, so no second
+    band is formed.
     """
-    h = (ab.shape[0] - 1) // 2
+    h = (band.shape[0] - 1) // 2
     k = (stencil.size - 1) // 2
     if scale is None:
-        ab[h - k : h + k + 1] += stencil[::-1, None]
+        band[h - k : h + k + 1] += stencil[::-1, None]
     else:
         padded = np.concatenate([np.zeros(k), scale, np.zeros(k)])
-        ab[h - k : h + k + 1] += stencil[::-1, None] * sliding_window_view(padded, scale.size)
+        for r, weight in enumerate(stencil[::-1]):
+            band[h - k + r] += weight * padded[r : r + scale.size]
 
 
 # -- strong-form stepping --------------------------------------------------------
@@ -647,7 +654,6 @@ def traveling_wave_profile(model: BranchingModel, c: float, grid: Grid) -> Field
     independent speed deficit in any evolved snapshot.
     """
     xs = grid.xs
-    n = grid.n_points
     q = model.law.extinction_probability()
     mid = 0.5 * (q + 1.0)
     stepper = _Stepper(model, grid)
@@ -660,13 +666,7 @@ def traveling_wave_profile(model: BranchingModel, c: float, grid: Grid) -> Field
                 f[i0] = values[i0] - mid  # phase pin replaces the (redundant) equation here
                 if float(np.max(np.abs(f))) < WAVE_TOL:
                     break
-                ab = _comoving_jacobian(stepper, values, c, q)
-                h = (ab.shape[0] - 1) // 2
-                pinned = np.arange(max(0, i0 - h), min(n, i0 + h + 1))
-                ab[h + i0 - pinned, pinned] = 0.0
-                ab[h, i0] = 1.0
-                step = solve_banded((h, h), ab, f)
-                values = values - step
+                values = values - _pinned_newton_step(stepper, values, f, c, q, i0)
             else:
                 raise IterationLimitError(
                     "comoving Newton iteration did not converge",
@@ -694,21 +694,65 @@ def _comoving_residual(stepper: _Stepper, u: np.ndarray, c: float, q: float) -> 
 
 
 def _comoving_jacobian(stepper: _Stepper, u: np.ndarray, c: float, q: float) -> np.ndarray:
-    """Jacobian of ``_comoving_residual`` at ``u``, in ``solve_banded`` form.
+    """Jacobian of ``_comoving_residual`` at ``u``, in LAPACK ``gbsv`` storage.
 
-    The half-bandwidth is the largest of the motion stencils', the
-    displacement kernel's and the transport stencil's (one).
+    The half-bandwidth ``h`` is the largest of the motion stencils', the
+    displacement kernel's and the transport stencil's (one).  The result is
+    one Fortran-ordered ``(3h+1, n)`` buffer with ``A[i, j]`` at
+    ``[2h + i - j, j]``: the band fills rows ``h ... 3h`` (``solve_banded``
+    form, see ``_add_band``), and rows ``0 ... h-1`` are zero, where
+    ``gbsv``'s factorization keeps its fill-in.  So ``_solve_band`` factors
+    it in place with ``dgbsv``, with no copy; only a tridiagonal band
+    (``h == 1``) goes through ``solve_banded``'s ``gtsv`` instead, for its
+    bits.
     """
     stencils = [*stepper.motion_stencils, _CENTRAL]
     if stepper.w_disp is not None:
         stencils.append(stepper.w_disp)
     h = max(s.half for s in stencils)
-    ab = np.zeros((2 * h + 1, u.size))
+    lapack_band = np.zeros((3 * h + 1, u.size), order="F")
+    band = lapack_band[h:]
     for stencil in stepper.motion_stencils:
-        _add_band(ab, stencil.weights)
-    _add_band(ab, c / (2.0 * stepper.grid.dx) * _CENTRAL.weights)
+        _add_band(band, stencil.weights)
+    _add_band(band, c / (2.0 * stepper.grid.dx) * _CENTRAL.weights)
     diagonal, scale = stepper.reaction_derivative(u, q, 1.0)
-    ab[h] += diagonal - stepper.loss_rate
+    band[h] += diagonal - stepper.loss_rate
     if scale is not None:
-        _add_band(ab, stepper.w_disp.weights, scale)
-    return ab
+        _add_band(band, stepper.w_disp.weights, scale)
+    return lapack_band
+
+
+def _pinned_newton_step(
+    stepper: _Stepper, u: np.ndarray, f: np.ndarray, c: float, q: float, i0: int
+) -> np.ndarray:
+    """Newton step ``J^-1 f`` with row ``i0`` of ``J`` replaced by the phase
+    pin ``e_i0``; ``f`` is overwritten, and the Jacobian dies on return."""
+    lapack_band = _comoving_jacobian(stepper, u, c, q)
+    h = (lapack_band.shape[0] - 1) // 3
+    pinned = np.arange(max(0, i0 - h), min(u.size, i0 + h + 1))
+    lapack_band[2 * h + i0 - pinned, pinned] = 0.0
+    lapack_band[2 * h, i0] = 1.0
+    return _solve_band(lapack_band, f)
+
+
+def _solve_band(lapack_band: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` for ``A`` in ``gbsv`` storage, overwriting both.
+
+    Bit for bit ``solve_banded((h, h), lapack_band[h:], b)``: with ``h > 1``
+    that is ``dgbsv`` on the same storage, called here on the buffer itself
+    instead of a zero-padded, Fortran-ordered copy of it.  A tridiagonal band
+    (``h == 1``) goes through ``solve_banded``, whose ``gtsv`` gives other
+    bits than ``gbsv``.  Like ``solve_banded``, a non-finite entry raises
+    ``ValueError`` and a singular ``A`` raises ``LinAlgError``.
+    """
+    h = (lapack_band.shape[0] - 1) // 3
+    if h == 1:
+        return solve_banded((1, 1), lapack_band[1:], b, overwrite_ab=True, overwrite_b=True)
+    if not (np.isfinite(lapack_band[h:]).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, x, info = dgbsv(h, h, lapack_band, b, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
+    return x

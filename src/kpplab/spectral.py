@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import exprel
 
 from .errors import (
@@ -248,6 +247,7 @@ def _minimize_speed(psi, lam0: float) -> float:
     ``[0, lambda0 (1 - EDGE_GAP)]`` when the edge is finite; otherwise its
     upper end doubles from 1 until ``s`` turns positive.
     """
+    from scipy.optimize import brentq
 
     def s(l):
         return l * _psi_prime(psi, l) - psi(l)

@@ -152,6 +152,11 @@ class TestUvsMc:
         res = u_vs_mc(immobile_binary, 1.5, grid, 4000, rng=2)
         assert res.sup_dist <= 4 * binomial_se(0.5, 4000) + 1e-9
 
+    @pytest.mark.parametrize("replicas", [0, -1])
+    def test_no_replicas_rejected(self, jump_gaussian_binary, replicas):
+        with pytest.raises(DomainError, match="at least one replica"):
+            u_vs_mc(jump_gaussian_binary, 1.0, Grid(-8.0, 8.0, 256), replicas, rng=1)
+
     def test_jump_model_short_horizon(self, jump_gaussian_binary):
         grid = Grid(-12.0, 12.0, 512)
         res = u_vs_mc(jump_gaussian_binary, 1.0, grid, 20_000, rng=3, dt=0.05)

@@ -316,6 +316,14 @@ def test_empirical_minima_marks_extinct(immobile_offspring):
     assert np.all(finite == 0.0)
 
 
+@pytest.mark.parametrize("replicas", [0, -1])
+def test_merged_estimators_need_a_replica(jump_gaussian_binary, replicas):
+    with pytest.raises(DomainError, match="at least one replica"):
+        empirical_minima(jump_gaussian_binary, 1.0, replicas, 1)
+    with pytest.raises(DomainError, match="at least one replica"):
+        empirical_v(jump_gaussian_binary, 0.5, 1.0, replicas, 1)
+
+
 def test_merged_capacity_bounds_each_chunk_not_the_call(immobile_binary):
     # three chunks of about 27 000 particles each run under a cap of 40 000
     replicas = 3 * MERGED_CHUNK

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError, solve_banded
 from scipy.signal import fftconvolve
 from scipy.special import ndtr
 
@@ -34,10 +35,18 @@ from kpplab.errors import (
     GridTooSmallError,
     IterationLimitError,
     NoFrontError,
+    NoMinimizerError,
     StepSizeError,
 )
 from kpplab.kernels import TAIL_MASS
-from kpplab.solve import _comoving_jacobian, _comoving_residual, _correlate, _Stencil, _Stepper
+from kpplab.solve import (
+    _comoving_jacobian,
+    _comoving_residual,
+    _correlate,
+    _solve_band,
+    _Stencil,
+    _Stepper,
+)
 
 from helpers import binary_death_extinction, logistic_decay
 
@@ -438,13 +447,14 @@ class TestTravelingWaveProfile:
             traveling_wave_profile(model, c, Grid(-30.0, 30.0, 1024))
 
 
-def _dense_band(ab):
-    h = ab.shape[0] // 2
-    n = ab.shape[1]
+def _dense_band(lapack_band):
+    """The matrix held in ``gbsv`` storage: ``A[i, j]`` at ``[2h + i - j, j]``."""
+    h = (lapack_band.shape[0] - 1) // 3
+    n = lapack_band.shape[1]
     dense = np.zeros((n, n))
     for i in range(n):
         for col in range(max(0, i - h), min(n, i + h + 1)):
-            dense[i, col] = ab[h + i - col, col]
+            dense[i, col] = lapack_band[2 * h + i - col, col]
     return dense
 
 
@@ -464,6 +474,55 @@ def test_banded_jacobian_matches_central_difference(motion, law):
         minus = _comoving_residual(stepper, u - eps * v, c, q)
         want = (plus - minus) / (2.0 * eps)
         assert np.max(np.abs(jac @ v - want)) < 1e-6 * max(1.0, np.max(np.abs(want)))
+
+
+def _newton_system(motion, law):
+    """The comoving Jacobian and residual at the logistic start, at c* + 0.2
+    (c = 1 for the immobile at-parent families, which have no speed)."""
+    model = BranchingModel(MOTIONS[motion], LAWS[law])
+    try:
+        c = minimal_speed(model).c_star + 0.2
+    except NoMinimizerError:
+        c = 1.0
+    grid = Grid(-16.0, 16.0, 128)
+    q = LAWS[law].extinction_probability()
+    u = q + (1.0 - q) / (1.0 + np.exp(-grid.xs))
+    stepper = _Stepper(model, grid)
+    return _comoving_jacobian(stepper, u, c, q), _comoving_residual(stepper, u, c, q)
+
+
+class TestSolveBand:
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("motion", sorted(MOTIONS))
+    def test_is_solve_banded_bit_for_bit(self, motion, law):
+        lapack_band, f = _newton_system(motion, law)
+        h = (lapack_band.shape[0] - 1) // 3
+        assert lapack_band.flags.f_contiguous and not lapack_band[:h].any()
+        # the immobile and Brownian at-parent bands are tridiagonal
+        assert (h == 1) == (motion in ("constant", "brownian") and law != "binary_one_displaced")
+        want = solve_banded((h, h), lapack_band[h:].copy(), f.copy())
+        assert np.array_equal(_solve_band(lapack_band, f), want)
+
+    @pytest.mark.parametrize("motion", ["brownian", "pure_jump"])
+    def test_singular_band_raises(self, motion):
+        lapack_band, f = _newton_system(motion, "binary_at_parent")
+        lapack_band[:, 40] = 0.0  # a zero column
+        with pytest.raises(LinAlgError):
+            _solve_band(lapack_band, f)
+
+    @pytest.mark.parametrize("where", ["band", "rhs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("motion", ["brownian", "pure_jump"])
+    def test_non_finite_input_raises_before_the_solve(self, motion, bad, where):
+        lapack_band, f = _newton_system(motion, "binary_at_parent")
+        h = (lapack_band.shape[0] - 1) // 3
+        (lapack_band[2 * h] if where == "band" else f)[7] = bad
+        before = lapack_band.copy(), f.copy()
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_band(lapack_band, f)
+        # neither array was factored or solved in place
+        assert np.array_equal(lapack_band, before[0], equal_nan=True)
+        assert np.array_equal(f, before[1], equal_nan=True)
 
 
 class TestTrackFront:
