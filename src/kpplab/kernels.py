@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcinv
 
 from .errors import InvalidKernelError, config_pointer, expect, read_number, read_numbers
 
@@ -143,6 +142,8 @@ class Kernel:
     def truncation_radius(self) -> float:
         """Radius outside which the density carries less than ``TAIL_MASS``."""
         if self.family == GAUSSIAN:
+            from scipy.special import erfcinv
+
             # 2*Phi(-r/sigma) <= TAIL_MASS; generous analytic bound
             return self.param * math.sqrt(2.0) * float(erfcinv(TAIL_MASS))
         if self.family == TWO_SIDED_EXPONENTIAL:

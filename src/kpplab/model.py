@@ -17,6 +17,8 @@ The config family names spell these parts; only ``model_from_dict`` and the
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +39,8 @@ LAW_FAMILIES = (BINARY_AT_PARENT, OFFSPRING_AT_PARENT, BINARY_ONE_DISPLACED)
 
 #: the binary count law: two children, always
 BINARY = ((2, 1.0),)
+#: iterations of ``_brentq`` before it gives up, scipy's default
+BRENT_MAX_ITER = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,9 +195,7 @@ class BranchingLaw:
 
         if reduced(0.0) <= 0.0:
             return 0.0
-        from scipy.optimize import brentq
-
-        return float(brentq(reduced, 0.0, 1.0, xtol=1e-15))
+        return _brentq(reduced, 0.0, 1.0, xtol=1e-15)
 
     def to_dict(self) -> dict:
         if self.displacement is not None:
@@ -238,6 +240,75 @@ def log_laplace(model: BranchingModel, lam: float) -> float:
     ``Kernel.laplace``.
     """
     return model.motion.exponent(lam) + model.law.net_gain(lam)
+
+
+def _brentq(f, a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` in ``[a, b]`` by Brent's method: ``scipy.optimize.brentq``, bit for bit.
+
+    A line-by-line port of scipy's ``brentq.c`` (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4): the same iterates, so the
+    same root and the same calls of ``f``, at most ``2 + BRENT_MAX_ITER``,
+    with scipy's default relative tolerance, its least.  ``xpre``/``xcur`` are
+    the last two iterates, ``xblk`` the end of the bracket opposite ``xcur``.  Raises ``ValueError`` when ``f(a)`` and
+    ``f(b)`` share a sign or ``f`` returns NaN, and ``RuntimeError`` after
+    ``BRENT_MAX_ITER`` iterations, as scipy does.
+    """
+
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    rtol = 4 * sys.float_info.epsilon
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2  # the tolerance is 2 delta
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        # a zero divisor gives C an infinite or NaN step, which fails the
+        # short-step test below; NaN fails it the same way
+        stry = math.nan
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        limit = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):  # good short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {BRENT_MAX_ITER} iterations.")
 
 
 def model_from_dict(d, pointer: str = "") -> BranchingModel:

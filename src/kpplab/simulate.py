@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,6 +271,8 @@ def run_ensemble(
     if n_workers <= 1:
         chunks = [_run_replica_chunk(args, 0, replicas)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, replicas, n_workers + 1).astype(int)
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [

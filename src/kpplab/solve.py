@@ -33,9 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.linalg import LinAlgError, solve_banded
-from scipy.linalg.lapack import dgbsv
 
 from .errors import (
     DomainError,
@@ -179,6 +176,8 @@ class _Stencil:
         The same fast length, real transforms and centred slice, with the
         stencil's transform taken from the cache.
         """
+        from scipy import fft as sp_fft
+
         size_w = self.weights.size
         full = seq.size + size_w - 1
         size = sp_fft.next_fast_len(full, True)
@@ -190,6 +189,8 @@ class _Stencil:
 
     def symbol(self, size: int) -> np.ndarray:
         """Fourier multiplier of this correlation on a periodic lattice of ``size`` points."""
+        from scipy import fft as sp_fft
+
         h = np.zeros(size)
         h[: self.weights.size] = self.weights[::-1]
         return sp_fft.rfft(np.roll(h, -self.half))
@@ -490,6 +491,8 @@ def picard_solve(
     failure to reach ``tol`` within ``PICARD_MAX_ITER`` sweeps raises
     ``IterationLimitError`` carrying the last increment.
     """
+    from scipy import fft as sp_fft
+
     if np.any(f.values < 0) or np.any(f.values > 1):
         raise DomainError("initial data must lie in [0, 1]")
     if n_time < 2:
@@ -558,6 +561,8 @@ def _causal_time_integral(coeff: np.ndarray, dt: float):
     row, shared by every column of ``rows``, or one per time row and column;
     either may be complex, and so is the result.
     """
+    from scipy import fft as sp_fft
+
     n = coeff.shape[0]
     coeff = coeff.reshape(n, -1)
     size = 1 << (2 * n - 1).bit_length()
@@ -745,6 +750,9 @@ def _solve_band(lapack_band: np.ndarray, b: np.ndarray) -> np.ndarray:
     bits than ``gbsv``.  Like ``solve_banded``, a non-finite entry raises
     ``ValueError`` and a singular ``A`` raises ``LinAlgError``.
     """
+    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgbsv
+
     h = (lapack_band.shape[0] - 1) // 3
     if h == 1:
         return solve_banded((1, 1), lapack_band[1:], b, overwrite_ab=True, overwrite_b=True)
@@ -752,7 +760,7 @@ def _solve_band(lapack_band: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError("array must not contain infs or NaNs")
     _, _, x, info = dgbsv(h, h, lapack_band, b, overwrite_ab=True, overwrite_b=True)
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
     return x

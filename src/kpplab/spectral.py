@@ -15,10 +15,8 @@ The test suite also checks the convexity of ``psi(lam)/lam`` on a grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.special import exprel
 
 from .errors import (
     BoundaryInfimumError,
@@ -27,7 +25,7 @@ from .errors import (
     NoMinimizerError,
 )
 from .kernels import INF
-from .model import BranchingModel, log_laplace
+from .model import BranchingModel, _brentq, log_laplace
 
 #: relative tolerance of the derivative consistency check ``c* = psi'(l*)``
 DERIVATIVE_MATCH_RTOL = 1e-6
@@ -152,7 +150,21 @@ def second_moment_w(model: BranchingModel, lam: float, mu: float, t: float) -> f
     if INF in (psi_l, psi_m, psi_lm):
         return INF
     src = _pair_source(model, lam, mu)
-    return float(math.exp(psi_lm * t) * (1.0 + src * t * exprel((psi_l + psi_m - psi_lm) * t)))
+    return float(math.exp(psi_lm * t) * (1.0 + src * t * _exprel((psi_l + psi_m - psi_lm) * t)))
+
+
+def _exprel(x: float) -> float:
+    """``(e^x - 1)/x``, with its limit 1 at 0: ``scipy.special.exprel``, bit
+    for bit.  Past ``log(DBL_MAX)`` ``e^x - 1`` overflows, and the value is
+    ``inf``."""
+    if abs(x) < sys.float_info.epsilon:
+        return 1.0
+    if x > 717.0:  # scipy's cut, which also sends x = inf to inf
+        return INF
+    try:
+        return math.expm1(x) / x
+    except OverflowError:
+        return INF
 
 
 def _pair_source(model: BranchingModel, lam: float, mu: float) -> float:
@@ -247,8 +259,6 @@ def _minimize_speed(psi, lam0: float) -> float:
     ``[0, lambda0 (1 - EDGE_GAP)]`` when the edge is finite; otherwise its
     upper end doubles from 1 until ``s`` turns positive.
     """
-    from scipy.optimize import brentq
-
     def s(l):
         return l * _psi_prime(psi, l) - psi(l)
 
@@ -264,4 +274,4 @@ def _minimize_speed(psi, lam0: float) -> float:
                 raise NoMinimizerError(
                     "speed functional keeps decreasing; no interior minimizer"
                 )
-    return float(brentq(s, 0.0, hi, xtol=np.finfo(float).tiny, rtol=4 * np.finfo(float).eps))
+    return _brentq(s, 0.0, hi, xtol=sys.float_info.min)

@@ -1,14 +1,18 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values, and the model catalogue.
 
 Everything here recomputes targets by a route different from the library
 code: adaptive quadrature for exponential moments, a local golden-section
 for speed minimization, the closed linear-ODE solution for second moments,
-and the closed logistic solution for the scalar equation.
+and the closed logistic solution for the scalar equation.  ``MOTIONS`` and
+``LAWS`` are the motion x law families that the engine and the speed search
+are checked on.
 """
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from kpplab import BranchingLaw, Kernel, Motion
 
 
 def quad_laplace(density, lam, lo=-40.0, hi=40.0):
@@ -80,3 +84,29 @@ def ecdf(values, xs):
     """P[value <= x] for each x."""
     s = np.sort(np.asarray(values))
     return np.searchsorted(s, xs, side="right") / s.size
+
+
+# -- the model catalogue: every motion x law family the engine and the speed
+# search are checked on --------------------------------------------------------
+
+_X = np.linspace(-1.0, 1.5, 26)
+_DENSITY = np.maximum(1.0 - np.abs(_X), 0.0)
+_DENSITY[6:9] = 0.0  # a zero-density stretch inside the support
+_DENSITY /= np.trapezoid(_DENSITY, _X)
+KERNELS = {
+    "gaussian": Kernel.gaussian(1.3),
+    "two_sided_exponential": Kernel.two_sided_exponential(2.0),
+    "uniform": Kernel.uniform(1.5),
+    "tabulated": Kernel.tabulated(_X, _DENSITY),
+}
+MOTIONS = {"constant": Motion.constant(), "brownian": Motion.brownian()}
+MOTIONS.update({f"jump_{name}": Motion.pure_jump(k) for name, k in KERNELS.items()})
+MOTIONS.update({f"diffusive_jump_{name}": Motion(True, k) for name, k in KERNELS.items()})
+LAWS = {
+    "binary": BranchingLaw.binary_at_parent(),
+    "offspring": BranchingLaw.offspring_at_parent({0: 0.1, 1: 0.2, 3: 0.7}),
+    # one-point laws fix the litter, so their litters draw nothing
+    "death": BranchingLaw.offspring_at_parent({0: 1.0}),
+    "ternary": BranchingLaw.offspring_at_parent({3: 1.0}),
+}
+LAWS.update({f"displaced_{name}": BranchingLaw.binary_one_displaced(k) for name, k in KERNELS.items()})

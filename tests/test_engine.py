@@ -38,28 +38,7 @@ from kpplab.simulate import (
 )
 
 import reference_engine as ref
-
-_X = np.linspace(-1.0, 1.5, 26)
-_DENSITY = np.maximum(1.0 - np.abs(_X), 0.0)
-_DENSITY[6:9] = 0.0  # a zero-density stretch inside the support
-_DENSITY /= np.trapezoid(_DENSITY, _X)
-KERNELS = {
-    "gaussian": Kernel.gaussian(1.3),
-    "two_sided_exponential": Kernel.two_sided_exponential(2.0),
-    "uniform": Kernel.uniform(1.5),
-    "tabulated": Kernel.tabulated(_X, _DENSITY),
-}
-MOTIONS = {"constant": Motion.constant(), "brownian": Motion.brownian()}
-MOTIONS.update({f"jump_{name}": Motion.pure_jump(k) for name, k in KERNELS.items()})
-MOTIONS.update({f"diffusive_jump_{name}": Motion(True, k) for name, k in KERNELS.items()})
-LAWS = {
-    "binary": BranchingLaw.binary_at_parent(),
-    "offspring": BranchingLaw.offspring_at_parent({0: 0.1, 1: 0.2, 3: 0.7}),
-    # one-point laws fix the litter, so their litters draw nothing
-    "death": BranchingLaw.offspring_at_parent({0: 1.0}),
-    "ternary": BranchingLaw.offspring_at_parent({3: 1.0}),
-}
-LAWS.update({f"displaced_{name}": BranchingLaw.binary_one_displaced(k) for name, k in KERNELS.items()})
+from helpers import KERNELS, LAWS, MOTIONS
 
 
 # the engine draws through any caller's bitgen_t: SFC64 is the simulator's own

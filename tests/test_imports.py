@@ -1,8 +1,14 @@
-"""What ``import kpplab`` loads, checked in a fresh interpreter.
+"""What each step of a run loads, checked in a fresh interpreter.
 
-The root finders and the ODE integrator (``scipy.optimize``,
-``scipy.integrate``) are imported by the functions that use them, so a
-process that never finds a root does not load them.
+``import kpplab`` and ``kpplab.cli`` need numpy only: they load no ``scipy``
+module and no process pool.  The simulator's path loads no ``scipy`` module
+either: the speed search, second moments, extinction probabilities,
+ensembles, empirical minima, D_inf, phi and the CLI's ``simulate``.  Each
+solver imports the scipy module it uses on first use: ``evolve`` loads
+``scipy.fft``, ``traveling_wave_profile`` ``scipy.linalg``, ``align_shift``
+``scipy.optimize`` and the lattice extinction curve ``scipy.integrate``.
+Every step gives the same values, to the bit, as in this process, which has
+all of scipy loaded.
 """
 import json
 import math
@@ -12,52 +18,66 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.integrate  # noqa: F401  loaded here, so the steps below run with scipy present
+import scipy.optimize  # noqa: F401
 
 import kpplab
 
+import footprint
 from helpers import binary_death_extinction, extinction_fixed_point
 
-LAZY = ("scipy.optimize", "scipy.integrate")
 
-SCRIPT = f"""
-import json, sys
-import numpy as np
-import kpplab, kpplab.cli
-from kpplab import BranchingLaw, BranchingModel, Kernel, Motion, ProfileEstimate
-from kpplab.simulate import _extinction_curve
-
-def loaded():
-    return [m for m in {LAZY!r} if m in sys.modules]
-
-out = {{"import": loaded()}}
-model = BranchingModel(Motion.pure_jump(Kernel.gaussian(1.0)), BranchingLaw.binary_at_parent())
-out["c_star"] = kpplab.minimal_speed(model).c_star
-out["q"] = BranchingLaw.offspring_at_parent({{0: 0.1, 1: 0.2, 3: 0.7}}).extinction_probability()
-xp, xq = np.linspace(-5.0, 5.0, 201), np.linspace(-15.0, 15.0, 601)
-p = ProfileEstimate(xp, 1.0 / (1.0 + np.exp(-xp)), None, "pde-front")
-q = ProfileEstimate(xq, 1.0 / (1.0 + np.exp(-(xq - 0.75))), None, "pde-front")
-out["shift"] = kpplab.align_shift(p, q)[0]
-out["curve"] = _extinction_curve(BranchingLaw.offspring_at_parent({{0: 0.2, 2: 0.8}}), [0.5, 2.0])
-out["used"] = loaded()
-print(json.dumps(out))
-"""
-
-
-def test_import_loads_no_root_finder_or_integrator():
-    src = str(Path(kpplab.__file__).resolve().parents[1])
+@pytest.fixture(scope="module")
+def fresh():
+    """``footprint.py`` run in a fresh interpreter: per step, what it has
+    loaded and the step's values."""
+    src = Path(kpplab.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, footprint.__file__],
+        env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         check=True,
     )
-    out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["import"] == []
-    # each function loads what it needs on first use, and gives its value
-    assert out["c_star"] == pytest.approx(math.exp(0.5), rel=1e-12)
-    assert out["q"] == pytest.approx(extinction_fixed_point({0: 0.1, 1: 0.2, 3: 0.7}), abs=1e-12)
-    assert abs(out["shift"] - 0.75) < 1e-6
-    for t, value in out["curve"].items():
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_loads_numpy_only(fresh):
+    assert fresh["import"]["loaded"] == []
+
+
+@pytest.mark.parametrize("step", ["simulator", "cli_simulate"])
+def test_simulator_path_loads_no_scipy(fresh, step):
+    assert fresh[step]["loaded"] == []
+
+
+@pytest.mark.parametrize(
+    "step, module",
+    [
+        ("evolve", "scipy.fft"),
+        ("wave", "scipy.linalg"),
+        ("align", "scipy.optimize"),
+        ("curve", "scipy.integrate"),
+    ],
+)
+def test_solvers_load_scipy_on_first_use(fresh, step, module):
+    steps = list(fresh)
+    before = fresh[steps[steps.index(step) - 1]]["loaded"]
+    assert module not in before
+    assert module in fresh[step]["loaded"]
+
+
+@pytest.mark.parametrize("step", sorted(footprint.STEPS))
+def test_values_do_not_depend_on_what_is_loaded(fresh, step):
+    assert "scipy.optimize" in sys.modules and "scipy.integrate" in sys.modules
+    assert fresh[step]["value"] == json.loads(json.dumps(footprint.STEPS[step]()))
+
+
+def test_steps_give_their_values(fresh):
+    sim = fresh["simulator"]["value"]
+    assert sim["c_star"] == pytest.approx(math.exp(0.5), rel=1e-12)
+    assert sim["q"] == pytest.approx(extinction_fixed_point({0: 0.1, 1: 0.2, 3: 0.7}), abs=1e-12)
+    assert fresh["cli_simulate"]["value"]["code"] == 0
+    assert abs(fresh["align"]["value"] - 0.75) < 1e-6
+    for t, value in fresh["curve"]["value"].items():
         assert value == pytest.approx(binary_death_extinction(0.2, float(t)), abs=1e-10)
-    assert out["used"] == list(LAZY)

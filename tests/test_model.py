@@ -1,8 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import integrate, optimize, stats
+
+import kpplab.model
 
 from kpplab import (
     INF,
@@ -15,6 +20,7 @@ from kpplab import (
 )
 from kpplab._engine import POISSON_INVERSION_LIMIT
 from kpplab.errors import ConfigError, DomainError
+from kpplab.model import BRENT_MAX_ITER, _brentq
 from kpplab.simulate import _evolve_segment
 
 from helpers import quad_laplace
@@ -108,6 +114,121 @@ def test_extinction_probability_smallest_fixed_point():
 
 def test_extinction_probability_without_death_is_zero():
     assert BranchingLaw.offspring_at_parent({1: 0.4, 3: 0.6}).extinction_probability() == 0.0
+
+
+# -- the Brent root finder, against scipy.optimize.brentq ------------------------
+
+def _recording(solver, calls):
+    """``solver``, ``_brentq`` or ``scipy.optimize.brentq``, appending each
+    point where it evaluates ``f`` to ``calls``."""
+
+    def solve(f, a, b, xtol):
+        def recorded(x):
+            calls.append(x)
+            return f(x)
+
+        return solver(recorded, a, b, xtol=xtol)
+
+    return solve
+
+
+def _outcome(solver, f, a, b, xtol):
+    """The root, or the exception's type and text, with every point where
+    ``f`` was evaluated."""
+    calls = []
+    try:
+        result = _recording(solver, calls)(f, a, b, xtol)
+    except (ValueError, RuntimeError) as exc:
+        result = (type(exc), str(exc))
+    return result, calls
+
+
+#: increasing shapes with their root at 0; ``step`` leaves only bisection
+MONOTONE = {
+    "linear": lambda u: u,
+    "cubic": lambda u: u**3,
+    "cube_root": lambda u: math.copysign(abs(u) ** (1.0 / 3.0), u),
+    "tanh": math.tanh,
+    "expm1": math.expm1,
+    "step": lambda u: -1.0 if u < 0.0 else 1.0,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    shape=st.sampled_from(sorted(MONOTONE)),
+    a=st.floats(-10.0, 10.0),
+    width=st.floats(1e-9, 20.0),
+    at=st.floats(0.0, 1.0),
+    log_scale=st.floats(-330.0, 300.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    xtol=st.sampled_from([1e-3, 2e-12, 1e-15, sys.float_info.min]),
+)
+def test_brentq_is_scipy_bit_for_bit(shape, a, width, at, log_scale, sign, xtol):
+    # scales down to underflow reach the sign tests with zero and subnormal
+    # values, and a root off the bracket the no-sign-change error
+    b = a + width
+    root = a + at * 1.2 * width
+    scale = sign * 10.0**log_scale
+
+    def f(x):
+        return scale * MONOTONE[shape](x - root)
+
+    assert _outcome(_brentq, f, a, b, xtol) == _outcome(optimize.brentq, f, a, b, xtol)
+
+
+class TestBrentqErrors:
+    """Each error of ``scipy.optimize.brentq``, with its type and text."""
+
+    def _same_error(self, f, a, b, xtol, kind):
+        (ours, calls), (scipys, scipy_calls) = (
+            _outcome(solver, f, a, b, xtol) for solver in (_brentq, optimize.brentq)
+        )
+        assert ours == scipys
+        assert ours[0] is kind
+        assert calls == scipy_calls
+        return calls
+
+    def test_bracket_without_a_sign_change(self):
+        self._same_error(lambda x: x * x + 1.0, -1.0, 1.0, 2e-12, ValueError)
+
+    def test_nan_value(self):
+        # NaN at b, and NaN at an iterate inside the bracket
+        self._same_error(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 2e-12, ValueError)
+        calls = self._same_error(
+            lambda x: math.nan if 0.3 < x < 0.9 else x - 0.7, 0.0, 1.0, 2e-12, ValueError
+        )
+        assert len(calls) > 2
+
+    def test_no_convergence(self):
+        # a jump at 1e-300 takes about a thousand bisections to resolve
+        calls = self._same_error(
+            lambda x: -1.0 if x < 1e-300 else 1.0, 0.0, 1.0, sys.float_info.min, RuntimeError
+        )
+        assert len(calls) == 2 + BRENT_MAX_ITER
+
+
+#: supercritical laws with death: each has an extinction root in (0, 1)
+DEATH_LAWS = [
+    {0: 0.1, 1: 0.2, 3: 0.7},
+    {0: 0.2, 2: 0.8},
+    {0: 0.45, 1: 0.1, 2: 0.05, 5: 0.4},
+    {0: 0.49, 2: 0.51},
+    {0: 1e-9, 1: 0.5, 2: 0.5 - 1e-9},
+    {0: 0.3, 7: 0.7},
+]
+
+
+@pytest.mark.parametrize("probs", DEATH_LAWS, ids=str)
+def test_extinction_probability_is_scipy_bit_for_bit(probs, monkeypatch):
+    law = BranchingLaw.offspring_at_parent(probs)
+    runs = []
+    for solver in (_brentq, optimize.brentq):
+        calls = []
+        monkeypatch.setattr(kpplab.model, "_brentq", _recording(solver, calls))
+        runs.append((law.extinction_probability(), calls))
+    assert runs[0] == runs[1]
+    assert 0.0 < runs[0][0] < 1.0
 
 
 def test_offspring_probability_validation():

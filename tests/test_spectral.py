@@ -1,9 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize, special
+
+import kpplab.spectral
 
 from kpplab import (
     INF,
@@ -17,10 +21,11 @@ from kpplab import (
     minimal_speed,
     second_moment_w,
 )
-from kpplab.errors import BoundaryInfimumError, NoMinimizerError
-from kpplab.spectral import _minimize_speed
+from kpplab.errors import BoundaryInfimumError, KppLabError, NoMinimizerError
+from kpplab.model import _brentq
+from kpplab.spectral import _exprel, _minimize_speed
 
-from helpers import golden_min, w_closed_form
+from helpers import LAWS, MOTIONS, golden_min, w_closed_form
 
 
 class TestAbscissa:
@@ -231,3 +236,68 @@ def test_speed_ratio_convexity_and_optimality_grid():
         except NoMinimizerError:
             continue
         assert np.all(sp.c_star <= g + 1e-9)
+
+
+# -- bit for bit against scipy -------------------------------------------------
+
+
+def _speed_with(solver, model, monkeypatch):
+    """``minimal_speed`` with ``solver`` in place of the Brent port: the
+    profile, or the error's type and text, and the number of ``psi``
+    evaluations."""
+    evals = []
+    psi = kpplab.spectral.log_laplace
+
+    def counted(m, lam):
+        evals.append(lam)
+        return psi(m, lam)
+
+    monkeypatch.setattr(kpplab.spectral, "log_laplace", counted)
+    monkeypatch.setattr(kpplab.spectral, "_brentq", solver)
+    try:
+        result = minimal_speed(model)
+    except KppLabError as exc:
+        result = (type(exc), str(exc))
+    return result, len(evals)
+
+
+def _assert_speed_is_scipys(model, monkeypatch):
+    ours, scipys = (_speed_with(s, model, monkeypatch) for s in (_brentq, optimize.brentq))
+    assert ours == scipys  # lambda*, c*, psi'(lambda*) and the psi count, to the bit
+    return ours
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+@pytest.mark.parametrize("motion", sorted(MOTIONS))
+def test_minimal_speed_is_scipys_bit_for_bit(motion, law, monkeypatch):
+    _assert_speed_is_scipys(BranchingModel(MOTIONS[motion], LAWS[law]), monkeypatch)
+
+
+@pytest.mark.parametrize("d", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+def test_near_critical_speed_is_scipys_bit_for_bit(d, monkeypatch):
+    law = BranchingLaw.offspring_at_parent({1: 1.0 - d, 2: d})
+    (speed, evals) = _assert_speed_is_scipys(BranchingModel(Motion.brownian(), law), monkeypatch)
+    assert speed.lambda_star > 0.0 and evals > 0
+
+
+_EPS = sys.float_info.epsilon
+EXPREL_POINTS = [
+    0.0,
+    -0.0,
+    *(s * v for s in (1.0, -1.0) for v in (np.nextafter(_EPS, 0.0), _EPS, np.nextafter(_EPS, 1.0))),
+    709.78,
+    709.79,  # expm1 overflows between these two
+    717.0,
+    718.0,  # scipy's cut
+    -745.0,
+    1e308,
+    -1e308,
+    math.inf,
+    -math.inf,
+    math.nan,
+]
+
+
+@pytest.mark.parametrize("x", EXPREL_POINTS)
+def test_exprel_is_scipys_bit_for_bit(x):
+    assert _exprel(float(x)).hex() == float(special.exprel(x)).hex()
