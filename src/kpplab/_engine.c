@@ -25,17 +25,16 @@
  * numpy's bincount), and is added to the Brownian part only in a round that
  * has jumps at all.
  *
- * kpp_replica runs a whole ensemble replica, segment after segment, and at
- * its checkpoints the minimum, the martingales W and D and the right-tail
- * prune, which kpp_martingales and kpp_prune also give the public
- * single-population operations.  Their terms are formed in numpy's order,
- * exp is numpy's loop again, and their sums are numpy's pairwise sums, so
- * they too are bit for bit numpy's.  kpp_merged runs one chunk of merged
- * replicas, a tagged segment of origin particles, and reduces it per origin
- * at once.  The engine keeps no state between calls: kpp_segment,
- * kpp_merged and kpp_replica work on buffers that their caller keeps from
- * call to call (kpp_work_new), and kpp_prune and kpp_martingales allocate
- * theirs and free them before they return.
+ * kpp_replica runs one untagged population, segment after segment, through
+ * its checkpoints, and at each one takes the minimum, the martingales W and
+ * D and the right-tail prune; an ensemble replica and the public
+ * single-population operations are both such calls.  Their terms are formed
+ * in numpy's order, exp is numpy's loop again, and their sums are numpy's
+ * pairwise sums, so they too are bit for bit numpy's.  kpp_merged runs one
+ * chunk of merged replicas, a tagged segment of origin particles, and
+ * reduces it per origin at once.  The engine keeps no state between calls:
+ * both work on buffers that their caller keeps from call to call
+ * (kpp_work_new).
  */
 #include "numpy/random/distributions.h"
 #include "numpy/ndarraytypes.h"
@@ -86,13 +85,8 @@ typedef struct {
 } law_t;
 
 typedef struct {
-    const double *pos; /* the population at t_end, in the caller's work_t */
+    const double *pos;       /* the population at the last checkpoint, in the caller's work_t */
     int64_t n;
-    double time;   /* CapacityError.time */
-    int64_t count; /* CapacityError.count */
-} result_t;
-
-typedef struct {
     double bound;            /* the prune bound, summed over the checkpoints */
     int64_t rounds;          /* segment rounds */
     int64_t lifelines;       /* lifelines over those rounds */
@@ -100,7 +94,7 @@ typedef struct {
     int64_t pruned;          /* particles pruned */
     double time;             /* CapacityError.time */
     int64_t count;           /* CapacityError.count */
-} replica_t;
+} result_t;
 
 /* -- memory ------------------------------------------------------------------- */
 
@@ -182,7 +176,13 @@ typedef struct {
     (put((w)->field, (size_t)(w)->field##_cap * sizeof *(w)->field), (w)->field = NULL,      \
      (w)->field##_cap = 0)
 
-static void drop_work(work_t *w)
+/* Buffers for kpp_merged and kpp_replica; NULL when out of memory. */
+work_t *kpp_work_new(void)
+{
+    return calloc(1, sizeof(work_t));
+}
+
+void kpp_work_free(work_t *w)
 {
     PUT(w, u);
     PUT(w, pmf);
@@ -198,6 +198,7 @@ static void drop_work(work_t *w)
     PUT(w, sizes);
     PUT(w, out_pos);
     PUT(w, out_tag);
+    free(w);
 }
 
 /* out[i] = exp(in[i]) by numpy's own float64 exp loop, which is SIMD code;
@@ -518,19 +519,6 @@ static int segment(bitgen_t *bg, const motion_t *motion, const law_t *law, work_
     return OK;
 }
 
-/* segment() of n untagged lifelines on w's buffers: on OK res points at
- * the population, which stays in w until its next call; on CAPACITY res
- * carries the time and count of the round that passed max_particles. */
-int kpp_segment(work_t *w, bitgen_t *bg, const motion_t *motion, const law_t *law, int64_t n,
-                const double *pos0, double t_start, double t_end, int64_t max_particles,
-                result_t *res)
-{
-    int status = segment(bg, motion, law, w, n, pos0, NULL, t_start, t_end, max_particles,
-                         &res->n, &res->time, &res->count);
-    res->pos = w->out_pos;
-    return status;
-}
-
 /* One chunk of merged replicas: n origin particles at 0.0, each tagged with
  * its index, run from time 0 to t_end on w's buffers, and reduced per
  * origin into out[0..n).  That is the minimum of its particles at t_end
@@ -734,73 +722,41 @@ static int64_t prune_pass(work_t *w, const exp_t *exp, double *x, int64_t n, dou
     return kept;
 }
 
-/* prune_pass() on x[0..n) in place, for the public prune */
-int64_t kpp_prune(const exp_t *exp, double *x, int64_t n, double lambda, double window,
-                  double *bound)
-{
-    work_t w = {0};
-    int64_t kept = prune_pass(&w, exp, x, n, lambda, window, bound);
-    drop_work(&w);
-    return kept;
-}
-
-/* martingale_sums() into wd[0..2), for the public martingales; 0 when out of
- * memory */
-int kpp_martingales(const exp_t *exp, const double *x, int64_t n, double lambda, double shift,
-                    double *wd)
-{
-    work_t w = {0};
-    int ok = martingale_sums(&w, exp, x, n, lambda, shift, wd);
-    drop_work(&w);
-    return ok;
-}
-
 /* -- replicas ----------------------------------------------------------------------- */
 
-/* Buffers for kpp_segment, kpp_merged and kpp_replica; NULL when out of
- * memory. */
-work_t *kpp_work_new(void)
-{
-    return calloc(1, sizeof(work_t));
-}
-
-void kpp_work_free(work_t *w)
-{
-    drop_work(w);
-    free(w);
-}
-
-/* One replica, a particle at 0.0 at time 0, through n_cp increasing
+/* A population of n0 particles at pos0 at time t0 through n_cp increasing
  * checkpoints on w's buffers.  At checkpoint k it runs the segment from the
  * previous checkpoint (none when extinct or when the time is the same),
  * then records the minimum (inf when extinct) into minima when record[k], W
  * and D at generation gen[k] into w_out and d_out when gen[k] >= 0 (shift
- * gen[k] * psi), and prunes with the window when it is finite, as the
- * public operations do one at a time.  On OK out holds the bound and the
- * counters; on CAPACITY the time and count of the round that passed
- * max_particles. */
-int kpp_replica(work_t *w, bitgen_t *bg, const motion_t *motion, const law_t *law, int64_t n_cp,
-                const double *checkpoints, const int8_t *record, const int64_t *gen,
-                double lambda, double psi, double window, int64_t max_particles, double *minima,
-                double *w_out, double *d_out, replica_t *out)
+ * gen[k] * psi), and prunes with the window when it is finite.  On OK res
+ * holds the population at the last checkpoint, which stays in w until its
+ * next call, the bound and the counters; on CAPACITY the time and count of
+ * the round that passed max_particles.  bg, motion's draws and law are read
+ * only by a segment. */
+int kpp_replica(work_t *w, bitgen_t *bg, const motion_t *motion, const law_t *law, int64_t n0,
+                const double *pos0, double t0, int64_t n_cp, const double *checkpoints,
+                const int8_t *record, const int64_t *gen, double lambda, double psi, double window,
+                int64_t max_particles, double *minima, double *w_out, double *d_out, result_t *res)
 {
-    int64_t n = 1;
-    double t = 0.0;
-    *out = (replica_t){0};
+    int64_t n = n0;
+    double t = t0;
+    *res = (result_t){0};
     w->rounds = w->lifelines = 0;
-    if (!GROW(w, out_pos, 1, 0))
+    if (!GROW(w, out_pos, n, 0))
         return NO_MEMORY;
-    w->out_pos[0] = 0.0;
+    for (int64_t i = 0; i < n; i++)
+        w->out_pos[i] = pos0[i];
     for (int64_t k = 0; k < n_cp; k++) {
         double t_end = checkpoints[k];
         if (t_end != t && n > 0) {
             int status = segment(bg, motion, law, w, n, w->out_pos, NULL, t, t_end, max_particles,
-                                 &n, &out->time, &out->count);
+                                 &n, &res->time, &res->count);
             if (status != OK)
                 return status;
         }
         t = t_end;
-        out->peak_population = n > out->peak_population ? n : out->peak_population;
+        res->peak_population = n > res->peak_population ? n : res->peak_population;
         if (record[k]) {
             double low = INFINITY, high;
             if (n > 0)
@@ -815,15 +771,17 @@ int kpp_replica(work_t *w, bitgen_t *bg, const motion_t *motion, const law_t *la
             *d_out++ = wd[1];
         }
         if (isfinite(window)) {
-            int64_t kept = prune_pass(w, &motion->exp, w->out_pos, n, lambda, window, &out->bound);
+            int64_t kept = prune_pass(w, &motion->exp, w->out_pos, n, lambda, window, &res->bound);
             if (kept < 0)
                 return NO_MEMORY;
-            out->pruned += n - kept;
+            res->pruned += n - kept;
             n = kept;
         }
     }
-    out->rounds = w->rounds;
-    out->lifelines = w->lifelines;
+    res->pos = w->out_pos;
+    res->n = n;
+    res->rounds = w->rounds;
+    res->lifelines = w->lifelines;
     return OK;
 }
 

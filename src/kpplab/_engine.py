@@ -14,6 +14,7 @@ compiler's message.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -106,20 +107,12 @@ class _Law(ctypes.Structure):
 
 
 class _Result(ctypes.Structure):
-    """a segment's population in the engine's buffers, or its capacity hit"""
+    """a call's population in the engine's buffers, ``kpp_replica``'s prune
+    bound and counters, or the capacity hit"""
 
     _fields_ = [
         ("pos", c_void_p),
         ("n", c_int64),
-        ("time", c_double),
-        ("count", c_int64),
-    ]
-
-
-class _Replica(ctypes.Structure):
-    """``kpp_replica``'s prune bound and counters, and its capacity hit"""
-
-    _fields_ = [
         ("bound", c_double),
         ("rounds", c_int64),
         ("lifelines", c_int64),
@@ -132,11 +125,6 @@ class _Replica(ctypes.Structure):
 
 _path = str(_build(Path(__file__).parent / "__pycache__"))
 _lib = ctypes.CDLL(_path)
-_lib.kpp_segment.argtypes = [
-    c_void_p, c_void_p, POINTER(_Motion), POINTER(_Law), c_int64, c_void_p,
-    c_double, c_double, c_int64, POINTER(_Result),
-]
-_lib.kpp_segment.restype = c_int
 _lib.kpp_merged.argtypes = [
     c_void_p, c_void_p, POINTER(_Motion), POINTER(_Law), c_int64, c_double, c_int64,
     c_int, c_double, c_void_p, POINTER(_Result),
@@ -147,14 +135,11 @@ _lib.kpp_work_new.restype = c_void_p
 _lib.kpp_work_free.argtypes = [c_void_p]
 _lib.kpp_work_free.restype = None
 _lib.kpp_replica.argtypes = [
-    c_void_p, c_void_p, POINTER(_Motion), POINTER(_Law), c_int64, c_void_p, c_void_p, c_void_p,
-    c_double, c_double, c_double, c_int64, c_void_p, c_void_p, c_void_p, POINTER(_Replica),
+    c_void_p, c_void_p, POINTER(_Motion), POINTER(_Law), c_int64, c_void_p, c_double, c_int64,
+    c_void_p, c_void_p, c_void_p, c_double, c_double, c_double, c_int64, c_void_p, c_void_p,
+    c_void_p, POINTER(_Result),
 ]
 _lib.kpp_replica.restype = c_int
-_lib.kpp_prune.argtypes = [POINTER(_Exp), c_void_p, c_int64, c_double, c_double, POINTER(c_double)]
-_lib.kpp_prune.restype = c_int64
-_lib.kpp_martingales.argtypes = [POINTER(_Exp), c_void_p, c_int64, c_double, c_double, c_void_p]
-_lib.kpp_martingales.restype = c_int
 # reads a ufunc object, so it is called holding the interpreter lock
 _double_loop = ctypes.PyDLL(_path).kpp_double_loop
 _double_loop.argtypes = [ctypes.py_object, POINTER(c_void_p), POINTER(c_void_p)]
@@ -219,8 +204,9 @@ def _check(status: int, max_particles: int, out) -> None:
 
 
 class Work:
-    """The engine's buffers, which ``segment``, ``merged`` and ``replica``
-    reuse from one call to the next; leaving the ``with`` block frees them."""
+    """The engine's buffers, which ``merged`` and ``replica`` reuse from one
+    call to the next; leaving the ``with`` block frees them.  Every engine
+    call runs on one."""
 
     def __init__(self):
         self.address = _lib.kpp_work_new()
@@ -242,21 +228,6 @@ class Work:
         return self.address
 
 
-def segment(work: Work, positions, t_start: float, t_end: float, model,
-            rng: np.random.Generator, max_particles: int) -> np.ndarray:
-    """``kpp_segment`` on ``work``'s buffers: a copy of the population at
-    ``t_end``; raises ``CapacityError``."""
-    pos = np.ascontiguousarray(positions, dtype=float)
-    m, lw, res = _motion(model.motion), _law(model.law), _Result()
-    with rng.bit_generator.lock:
-        status = _lib.kpp_segment(
-            work.buffers(), _bitgen(rng), byref(m), byref(lw), pos.size, pos.ctypes.data,
-            t_start, t_end, max_particles, byref(res),
-        )
-    _check(status, max_particles, res)
-    return _take(res)
-
-
 def merged(work: Work, out: np.ndarray, t_end: float, model, rng: np.random.Generator,
            max_particles: int, lam: float | None = None) -> None:
     """``kpp_merged`` on ``work``'s buffers: ``out.size`` origin particles at
@@ -276,52 +247,43 @@ def merged(work: Work, out: np.ndarray, t_end: float, model, rng: np.random.Gene
     _check(status, max_particles, res)
 
 
-def replica(work: Work, checkpoints, record, generations, model, rng: np.random.Generator,
-            lambda_star: float, psi_star: float, window: float, max_particles: int):
-    """``kpp_replica`` on ``work``'s buffers: one particle at 0.0 run through
-    the increasing ``checkpoints``, its minimum taken where ``record`` is
-    true, W and D at generation ``generations[k]`` where that is not
-    negative, and the prune run at each checkpoint when ``window`` is finite.
+def replica(work: Work, checkpoints, record, generations, model, rng: np.random.Generator | None,
+            lambda_star: float, psi_star: float, window: float, max_particles: int,
+            positions=(0.0,), t_start: float = 0.0):
+    """``kpp_replica`` on ``work``'s buffers: the particles at ``positions``
+    at ``t_start`` run through the increasing ``checkpoints``, the minimum
+    taken where ``record`` is true, W and D at generation ``generations[k]``
+    where that is not negative, and the prune run at each checkpoint when
+    ``window`` is finite.  ``model`` and ``rng`` may be ``None`` when every
+    checkpoint is ``t_start``, so that no segment runs.
 
-    Returns the minima, W, D and a ``_Replica`` with the prune bound and the
-    counters; raises ``CapacityError``.
+    Returns the minima, W, D and a ``_Result`` with the population at the
+    last checkpoint (``_take`` copies it out of ``work``), the prune bound
+    and the counters; raises ``CapacityError``.
     """
     address = work.buffers()
+    pos = np.ascontiguousarray(positions, dtype=np.float64)
     cp = np.ascontiguousarray(checkpoints, dtype=np.float64)
     rec = np.ascontiguousarray(record, dtype=np.int8)
     gen = np.ascontiguousarray(generations, dtype=np.int64)
     if not cp.shape == rec.shape == gen.shape == (cp.size,):
         raise ValueError("checkpoints, record and generations must be equal-sized vectors")
+    if (model is None or rng is None) and np.any(cp != t_start):
+        raise ValueError("a segment needs a model and a generator")
     minima = np.empty(np.count_nonzero(rec))
     w = np.empty(np.count_nonzero(gen >= 0))
     d = np.empty_like(w)
-    m, lw, out = _motion(model.motion), _law(model.law), _Replica()
-    with rng.bit_generator.lock:
+    res = _Result()
+    if model is None:  # no segment: only the exp loop is read
+        m, lw = _Motion(0, _Kernel(_NONE), _EXP), _Law()
+    else:
+        m, lw = _motion(model.motion), _law(model.law)
+    with contextlib.nullcontext() if rng is None else rng.bit_generator.lock:
         status = _lib.kpp_replica(
-            address, _bitgen(rng), byref(m), byref(lw), cp.size, cp.ctypes.data,
-            rec.ctypes.data, gen.ctypes.data, lambda_star, psi_star, window, max_particles,
-            minima.ctypes.data, w.ctypes.data, d.ctypes.data, byref(out),
+            address, None if rng is None else _bitgen(rng), byref(m), byref(lw), pos.size,
+            pos.ctypes.data, float(t_start), cp.size, cp.ctypes.data, rec.ctypes.data,
+            gen.ctypes.data, lambda_star, psi_star, window, max_particles, minima.ctypes.data,
+            w.ctypes.data, d.ctypes.data, byref(res),
         )
-    _check(status, max_particles, out)
-    return minima, w, d, out
-
-
-def prune(positions, lambda_star: float, window: float, bound: float):
-    """``kpp_prune`` on a copy of ``positions``: the positions kept, in
-    order, and ``bound`` plus the removed particles' terms."""
-    pos = np.array(positions, dtype=np.float64, order="C")
-    total = c_double(bound)
-    kept = _lib.kpp_prune(byref(_EXP), pos.ctypes.data, pos.size, lambda_star, window, byref(total))
-    if kept < 0:
-        raise MemoryError("the compiled engine ran out of memory")
-    return pos[:kept], total.value
-
-
-def martingales(positions, lambda_star: float, shift: float) -> tuple[float, float]:
-    """``kpp_martingales``: W and D of ``positions`` with ``a = lambda_star x + shift``."""
-    pos = np.ascontiguousarray(positions, dtype=np.float64)
-    wd = np.empty(2)
-    if not _lib.kpp_martingales(byref(_EXP), pos.ctypes.data, pos.size, lambda_star, shift,
-                                wd.ctypes.data):
-        raise MemoryError("the compiled engine ran out of memory")
-    return float(wd[0]), float(wd[1])
+    _check(status, max_particles, res)
+    return minima, w, d, res

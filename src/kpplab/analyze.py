@@ -48,16 +48,10 @@ class ProfileEstimate:
 
 @dataclass(frozen=True)
 class DInfinityEnsemble:
-    """Per-replica derivative-martingale values at a fixed generation.
-
-    ``cauchy_gap`` is the largest change between the used generation and its
-    half, a convergence diagnostic rather than a bound: no convergence rate
-    is available, so the gap is reported instead of extrapolated away.
-    """
+    """Per-replica derivative-martingale values at a fixed generation."""
 
     samples: np.ndarray
     n_used: int
-    cauchy_gap: float
 
 
 @dataclass(frozen=True)
@@ -96,18 +90,14 @@ def estimate_d_infinity(traces: list[MartingaleTrace], n_used: int) -> DInfinity
     never inside the recorded traces.
     """
     samples = np.empty(len(traces))
-    gap = 0.0
-    half = n_used // 2
     for i, tr in enumerate(traces):
         lookup = {int(n): j for j, n in enumerate(tr.n)}
-        if n_used not in lookup or half not in lookup:
+        if n_used not in lookup:
             raise InsufficientHorizonError(
                 f"trace {tr.replica} does not reach generation {n_used}"
             )
-        d_n = float(tr.d[lookup[n_used]])
-        gap = max(gap, abs(d_n - float(tr.d[lookup[half]])))
-        samples[i] = max(0.0, d_n)
-    return DInfinityEnsemble(samples, n_used, gap)
+        samples[i] = max(0.0, float(tr.d[lookup[n_used]]))
+    return DInfinityEnsemble(samples, n_used)
 
 
 def phi_from_martingale(

@@ -33,8 +33,8 @@ the replicas of a worker reuse (``_engine.Work``): at each checkpoint it
 runs the segment there, takes the minimum and the martingales, and prunes
 the right tail, so every replica's pruning bound and counters end up on its
 ``MartingaleTrace``.  The public single-population operations ``advance``,
-``martingales`` and ``prune`` run on the same C code (``kpp_segment``,
-``kpp_martingales`` and ``kpp_prune``), one checkpoint step at a time, and
+``martingales`` and ``prune`` are each one ``kpp_replica`` call of one
+checkpoint, started from the population's own positions and time, and so
 give the same bits: the martingale and prune terms are formed in numpy's
 order, their ``exp`` is numpy's loop and their sums are numpy's pairwise
 sums.  Replica ``r`` of an ensemble draws from its own SFC64 generator,
@@ -198,12 +198,17 @@ def prune(pop: Population, lambda_star: float, window: float) -> Population:
     on its descendants reaching the left tail; each term is below
     ``exp(-lambda_star * window)``.
     """
-    if window <= 0:
+    if not window > 0:
         raise DomainError("prune window must be positive")
-    kept, bound = _engine.prune(pop.positions, lambda_star, window, pop.pruned_mass_bound)
-    if kept.size == pop.positions.size:
-        return pop
-    return Population(kept, pop.time, bound)
+    with _engine.Work() as work:
+        *_, res = _engine.replica(
+            work, [pop.time], [0], [-1], None, None, lambda_star, 0.0, window, 0,
+            pop.positions, pop.time,
+        )
+        if res.pruned == 0:
+            return pop
+        kept = _engine._take(res)
+    return Population(kept, pop.time, pop.pruned_mass_bound + res.bound)
 
 
 def leftmost(pop: Population) -> float:
@@ -219,7 +224,12 @@ def martingales(
     """Additive and derivative martingale values at integer time ``n``."""
     if abs(pop.time - n) > 1e-9:
         raise DomainError("population time must equal the generation index")
-    return _engine.martingales(pop.positions, lambda_star, n * psi_star)
+    with _engine.Work() as work:
+        _, w, d, _ = _engine.replica(
+            work, [pop.time], [0], [n], None, None, lambda_star, psi_star, math.inf, 0,
+            pop.positions, pop.time,
+        )
+    return float(w[0]), float(d[0])
 
 
 # -- ensembles -----------------------------------------------------------------
@@ -376,11 +386,12 @@ def _evolve_segment(positions, t_start, t_end, model, rng, max_particles) -> np.
     """
     if t_end < t_start:
         raise DomainError("segment must not run backwards")
-    pos = np.asarray(positions, dtype=float)
-    if t_end == t_start or pos.size == 0:
-        return pos
     with _engine.Work() as work:
-        return _engine.segment(work, pos, float(t_start), float(t_end), model, rng, max_particles)
+        *_, res = _engine.replica(
+            work, [t_end], [0], [-1], model, rng, 0.0, 0.0, math.inf, max_particles,
+            positions, t_start,
+        )
+        return _engine._take(res)
 
 
 def _run_replica_chunk(args, lo: int, hi: int):

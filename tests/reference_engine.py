@@ -183,11 +183,12 @@ def prune(positions, lambda_star, window, bound):
     return positions[keep], bound + float(np.exp(-lambda_star * (removed - low)).sum())
 
 
-def replica(plan, model, rng, max_particles):
-    """A replica through its checkpoints, one public step at a time: the
-    segment, then the minimum, the martingales and the prune.  Returns the
-    minima, W, D, the prune bound and the counters."""
-    pos, t, bound = np.zeros(1), 0.0, 0.0
+def replica(plan, model, rng, max_particles, positions=(0.0,), t_start=0.0):
+    """A population at ``positions`` at ``t_start`` through the plan's
+    checkpoints, one public step at a time: the segment, then the minimum,
+    the martingales and the prune.  Returns the minima, W, D, the prune
+    bound, the counters and the population at the last checkpoint."""
+    pos, t, bound = np.array(positions, dtype=float), t_start, 0.0
     minima, ws, ds = [], [], []
     counts = {"rounds": 0, "lifelines": 0, "peak_population": 0, "pruned": 0}
     for t_end, record, n in zip(plan.checkpoints.tolist(), plan.record, plan.generations):
@@ -204,4 +205,4 @@ def replica(plan, model, rng, max_particles):
             size = pos.size
             pos, bound = prune(pos, plan.lambda_star, plan.window, bound)
             counts["pruned"] += size - pos.size
-    return minima, ws, ds, bound, counts
+    return minima, ws, ds, bound, counts, pos

@@ -366,8 +366,7 @@ def test_criterion_11_limit_profile_cross_validation():
         1800.0,
         sup <= 0.05 and right_ok and left_matches_zero_mass and left_vs_extinction,
         f"sup={sup:.4f} shift={shift:.3f} tails=({phi.values[0]:.2e},{phi.values[-1]:.6f}) "
-        f"extinct={extinct_frac:.4f} zero_mass={zero_mass:.2e} ceiling={ceiling:.2e} "
-        f"cauchy_gap={d.cauchy_gap:.3g}",
+        f"extinct={extinct_frac:.4f} zero_mass={zero_mass:.2e} ceiling={ceiling:.2e}",
     )
 
 

@@ -31,12 +31,10 @@ class TestEstimateDInfinity:
         traces = [_trace(i, [0.0] * 13) for i in range(5)]
         d = estimate_d_infinity(traces, 12)
         assert np.all(d.samples == 0.0)
-        assert d.cauchy_gap == 0.0
 
-    def test_constant_trace_has_zero_gap(self):
+    def test_constant_trace_gives_its_value(self):
         d = estimate_d_infinity([_trace(0, [0.7] * 9)], 8)
         assert d.samples.tolist() == [0.7]
-        assert d.cauchy_gap == 0.0
 
     def test_negative_values_floored_at_estimation_only(self):
         tr = _trace(0, [0.0, -0.3, 0.5, -0.1, 0.2])
@@ -51,19 +49,19 @@ class TestEstimateDInfinity:
 
 class TestPhiFromMartingale:
     def test_all_zero_samples_give_one(self):
-        d = DInfinityEnsemble(np.zeros(50), 8, 0.0)
+        d = DInfinityEnsemble(np.zeros(50), 8)
         phi = phi_from_martingale(d, 1.0, np.linspace(-5, 5, 11))
         assert np.all(phi.values == 1.0)
 
     def test_deterministic_unit_mass_is_gumbel_shape(self):
-        d = DInfinityEnsemble(np.ones(200), 8, 0.0)
+        d = DInfinityEnsemble(np.ones(200), 8)
         xs = np.linspace(-3, 6, 19)
         phi = phi_from_martingale(d, 1.0, xs)
         assert np.allclose(phi.values, np.exp(-np.exp(-xs)), atol=1e-12)
 
     def test_tails_and_monotonicity(self):
         rng = np.random.default_rng(3)
-        d = DInfinityEnsemble(rng.exponential(2.0, size=4000), 10, 0.1)
+        d = DInfinityEnsemble(rng.exponential(2.0, size=4000), 10)
         xs = np.concatenate([[-30.0], np.linspace(-6, 8, 57), [30.0]])
         phi = phi_from_martingale(d, 1.0, xs)
         assert np.all(np.diff(phi.values) >= -1e-12)
@@ -178,7 +176,9 @@ def test_recentered_cdfs_approach_each_other_with_horizon(brownian_binary):
     }
     _, d48 = align_shift(cdfs[4.0], cdfs[8.0])
     _, d816 = align_shift(cdfs[8.0], cdfs[16.0])
-    assert d816 <= d48 + 0.005  # measured gap ~0.02 dwarfs the seed jitter
+    # on seeds 271 and 1-9, d48 read 0.045-0.068 and d816 0.026-0.049; the
+    # smallest margin was 0.004, on seed 5 (d816 0.0493 against 0.0531)
+    assert d816 <= d48 + 0.005
 
 
 class TestSamplingConsistency:

@@ -4,7 +4,10 @@ import contextlib
 import ctypes
 import itertools
 import math
+import re
 import threading
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -28,7 +31,7 @@ from kpplab import (
     run_ensemble,
     simulate,
 )
-from kpplab.errors import CapacityError, KppLabError
+from kpplab.errors import CapacityError, DomainError, KppLabError
 from kpplab.simulate import (
     MERGED_CHUNK,
     _evolve_segment,
@@ -274,7 +277,9 @@ def test_a_reused_work_gives_the_bytes_of_fresh_buffers():
                 with contextlib.nullcontext(reused) if shared else _engine.Work() as work:
                     if lam == "segment":
                         pos = np.linspace(-1.0, 1.0, n)
-                        out.append(_engine.segment(work, pos, 0.0, 1.0, model, rng, 10**6))
+                        *_, res = _engine.replica(work, [1.0], [0], [-1], model, rng, 0.0, 0.0,
+                                                  math.inf, 10**6, pos, 0.0)
+                        out.append(_engine._take(res))
                     else:
                         out.append(np.empty(n))
                         _engine.merged(work, out[-1], 1.0, model, rng, 10**6, lam)
@@ -308,11 +313,13 @@ def test_tabulated_inverse_matches_interp_on_exact_hits():
                      next_double=ctypes.cast(next_double, ctypes.c_void_p))
     model = BranchingModel(Motion.constant(), BranchingLaw.binary_one_displaced(k))
     pos, res = np.zeros(m), _engine._Result()
+    checkpoint, record, generation = np.ones(1), np.zeros(1, np.int8), np.full(1, -1)
     with _engine.Work() as work:
-        status = _engine._lib.kpp_segment(
+        status = _engine._lib.kpp_replica(
             work.buffers(), ctypes.addressof(bitgen), ctypes.byref(_engine._motion(model.motion)),
-            ctypes.byref(_engine._law(model.law)), m, pos.ctypes.data, 0.0, 1.0, 2 * m,
-            ctypes.byref(res),
+            ctypes.byref(_engine._law(model.law)), m, pos.ctypes.data, 0.0, 1,
+            checkpoint.ctypes.data, record.ctypes.data, generation.ctypes.data, 0.0, 0.0,
+            math.inf, 2 * m, None, None, None, ctypes.byref(res),
         )
         assert status == _engine._OK
         out = _engine._take(res)
@@ -343,7 +350,7 @@ def test_concurrent_builds_into_one_directory_both_load(tmp_path):
     assert built[0] == built[1] and built[0].parent == tmp_path
     assert [p.name for p in tmp_path.iterdir()] == [built[0].name]
     for path in built:
-        assert ctypes.CDLL(str(path)).kpp_segment
+        assert ctypes.CDLL(str(path)).kpp_replica
 
 
 def _bits(values):
@@ -358,14 +365,15 @@ def _speed(model):
     return speed.lambda_star, speed.c_star * speed.lambda_star
 
 
-def _engine_replica(plan, model, rng, cap):
+def _engine_replica(plan, model, rng, cap, *start):
     with _engine.Work() as work:
         minima, w, d, out = _engine.replica(
             work, plan.checkpoints, plan.record, plan.generations, model, rng,
-            plan.lambda_star, plan.psi_star, plan.window, cap,
+            plan.lambda_star, plan.psi_star, plan.window, cap, *start,
         )
+        pos = _engine._take(out)
     counts = {k: getattr(out, k) for k in ("rounds", "lifelines", "peak_population", "pruned")}
-    return list(minima), list(w), list(d), out.bound, counts
+    return list(minima), list(w), list(d), out.bound, counts, pos
 
 
 @settings(max_examples=150, deadline=None)
@@ -408,6 +416,7 @@ def test_replica_matches_the_python_loop(
     else:
         assert [_bits(x) for x in want[:3]] == [_bits(x) for x in got[:3]]
         assert _bits(want[3]) == _bits(got[3]) and want[4] == got[4]
+        assert _bits(want[5]) == _bits(got[5])
     if model.is_lattice:
         return  # run_ensemble does not simulate lattice replicas
     res = run_ensemble(model, cfg, 2)
@@ -422,10 +431,88 @@ def test_replica_matches_the_python_loop(
     if lam is None:
         assert res.traces == []
         return
-    for tr, (r, (_, ws, ds, bound, counts)) in zip(res.traces, traces, strict=True):
+    for tr, (r, (_, ws, ds, bound, counts, _)) in zip(res.traces, traces, strict=True):
         assert tr.replica == r and _bits(tr.w) == _bits(ws) and _bits(tr.d) == _bits(ds)
         assert _bits(tr.pruned_mass_bound) == _bits(bound)
         assert (tr.rounds, tr.lifelines, tr.peak_population, tr.pruned) == tuple(counts.values())
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    motion=st.sampled_from(sorted(MOTIONS)),
+    law=st.sampled_from(sorted(LAWS)),
+    bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
+    seed=st.integers(0, 2**32 - 1),
+    positions=st.lists(st.floats(-5.0, 5.0), max_size=4),
+    t_start=st.floats(0.0, 3.0),
+    steps=st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.5)), st.booleans(), st.integers(-1, 5)),
+        min_size=1, max_size=3,
+    ),
+    window=st.sampled_from([math.inf, 1.0, 3.0]),
+    cap=st.sampled_from([1, 10, 100, 10**6]),
+)
+def test_replica_from_any_population_matches_the_python_loop(
+    motion, law, bit_generator, seed, positions, t_start, steps, window, cap
+):
+    # kpp_replica started from arbitrary positions and time, against
+    # evolve_segment -> martingales -> prune in numpy, with zero-length
+    # steps, any generation and the population left at the last checkpoint
+    model = BranchingModel(MOTIONS[motion], LAWS[law])
+    lengths, record, generations = zip(*steps)
+    plan = SimpleNamespace(
+        checkpoints=t_start + np.cumsum(lengths), record=np.array(record, dtype=np.int8),
+        generations=np.array(generations), lambda_star=1.1, psi_star=0.7, window=window,
+    )
+    (want, want_state), (got, got_state) = _both_calls(
+        lambda rng: ref.replica(plan, model, rng, cap, positions, t_start),
+        lambda rng: _engine_replica(plan, model, rng, cap, positions, t_start),
+        bit_generator,
+        seed,
+    )
+    assert _same_state(want_state, got_state)
+    if isinstance(want[0], str) or isinstance(got[0], str):
+        assert want == got
+        return
+    assert [_bits(x) for x in want[:4]] == [_bits(x) for x in got[:4]]
+    assert want[4] == got[4] and _bits(want[5]) == _bits(got[5])
+
+
+def test_replica_without_a_model_runs_no_segment():
+    # no model or generator is needed while every checkpoint is the start
+    # time; one later checkpoint would run a segment, and is refused
+    with _engine.Work() as work:
+        minima, w, d, res = _engine.replica(
+            work, [2.0, 2.0], [1, 1], [2, -1], None, None, 1.1, 0.7, 2.0, 0,
+            [0.5, -1.0, 3.0], 2.0,
+        )
+        assert minima.tolist() == [-1.0, -1.0] and _engine._take(res).tolist() == [0.5, -1.0]
+        want = ref.martingales(np.array([0.5, -1.0, 3.0]), 2, 1.1, 0.7)
+        assert _bits([w[0], d[0]]) == _bits(want)
+        for model, rng in ((None, None), (None, _generator("sfc64", 1)),
+                           (BranchingModel(MOTIONS["brownian"], LAWS["binary"]), None)):
+            with pytest.raises(ValueError, match="segment"):
+                _engine.replica(work, [2.0, 2.5], [0, 0], [-1, -1], model, rng, 1.1, 0.7,
+                                math.inf, 10, [0.0], 2.0)
+
+
+def test_public_steps_on_an_empty_population_match_numpy():
+    pop = Population(np.empty(0), 3.0, 0.125)
+    assert _bits(martingales(pop, 3, 1.1, 0.7)) == _bits(ref.martingales(np.empty(0), 3, 1.1, 0.7))
+    out = prune(pop, 1.1, 2.0)
+    assert out.positions.size == 0 and _bits(out.pruned_mass_bound) == _bits(0.125)
+    with pytest.raises(DomainError):
+        prune(pop, 1.1, math.nan)
+
+
+def test_every_engine_entry_point_has_a_binding():
+    # the C file's non-static kpp_ definitions and the loader's bindings are
+    # the same set, so an entry point that nothing calls cannot stay behind
+    defined = set(re.findall(r"^(?!static)[a-z].*?\b(kpp_\w+)\s*(?:\(|=)",
+                             _engine.SOURCE.read_text(), re.M))
+    bound = set(re.findall(r'(?:\b_lib\.|DLL\(_path\)\.|in_dll\(_lib, ")(kpp_\w+)',
+                           Path(_engine.__file__).read_text()))
+    assert defined == bound and "kpp_replica" in defined
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 100001])
