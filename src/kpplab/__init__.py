@@ -34,7 +34,6 @@ from .simulate import (
     advance,
     empirical_minima,
     empirical_v,
-    leftmost,
     martingales,
     prune,
     run_ensemble,

@@ -29,8 +29,9 @@
  * its checkpoints, and at each one takes the minimum, the martingales W and
  * D and the right-tail prune; an ensemble replica and the public
  * single-population operations are both such calls.  Their terms are formed
- * in numpy's order, exp is numpy's loop again, and their sums are numpy's
- * pairwise sums, so they too are bit for bit numpy's.  kpp_merged runs one
+ * in numpy's order, exp is numpy's loop again, and every sum (W and D, and
+ * the prune bound as a W half) is numpy's pairwise summation in one routine,
+ * pairwise_wd, so they too are bit for bit numpy's.  kpp_merged runs one
  * chunk of merged replicas, a tagged segment of origin particles, and
  * reduces it per origin at once.  The engine keeps no state between calls:
  * both work on buffers that their caller keeps from call to call
@@ -567,39 +568,11 @@ int kpp_merged(work_t *w, bitgen_t *bg, const motion_t *motion, const law_t *law
 
 /* -- the martingales and the prune ------------------------------------------------ */
 
-/* np.sum of n contiguous doubles is 0.0 (the reduction's initial value)
- * plus this, numpy's pairwise summation.  Below 8 items a plain loop; up to
- * 128, 8 accumulators and then the tail; above, halves split at a multiple
- * of 8. */
-static double pairwise(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = -0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = a[j];
-        for (i = 8; i < n - (n % 8); i += 8) {
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        }
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise(a, n2) + pairwise(a + n2, n - n2);
-}
-
-/* pairwise() of e[0..n) into wd[0] and, in the same order, of
- * (lambda x + shift) e into wd[1], in one pass */
+/* numpy's pairwise summation of e[0..n) into wd[0] and, in the same order,
+ * of (lambda x + shift) e into wd[1], in one pass; np.sum of n contiguous
+ * doubles is 0.0 (the reduction's initial value) plus such a sum.  Below 8
+ * items a plain loop; up to 128, 8 accumulators and then the tail; above,
+ * halves split at a multiple of 8. */
 static void pairwise_wd(const double *x, const double *e, int64_t n, double lambda, double shift,
                         double *wd)
 {
@@ -718,7 +691,9 @@ static int64_t prune_pass(work_t *w, const exp_t *exp, double *x, int64_t n, dou
         removed += 1 - keep;
     }
     exp_fill(exp, removed, t, t);
-    *bound = *bound + (0.0 + pairwise(t, removed));
+    double wd[2]; /* the sum of the terms is the W half */
+    pairwise_wd(t, t, removed, 0.0, 0.0, wd);
+    *bound = *bound + (0.0 + wd[0]);
     return kept;
 }
 

@@ -1,5 +1,6 @@
 """Exception hierarchy for kpplab, and the config value readers that raise
 ``ConfigError``; domain checks stay in the constructors of the objects read."""
+import sys
 from contextlib import contextmanager
 
 
@@ -89,12 +90,15 @@ def expect(cond: bool, pointer: str, message: str) -> None:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite number in the float range.  Python's ``json`` reads ``NaN``
+    and ``Infinity``, which RFC 8259 has no numbers for; booleans are not
+    numbers either."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def read_number(v, pointer: str) -> float:
-    """A JSON number as a float; booleans are not numbers."""
-    expect(_is_number(v), pointer, "expected a number")
+    """A JSON number as a float."""
+    expect(_is_number(v), pointer, "expected a finite number")
     return float(v)
 
 
@@ -105,7 +109,8 @@ def read_integer(v, pointer: str) -> int:
 
 
 def read_numbers(v, pointer: str) -> list[float]:
-    expect(isinstance(v, list) and all(map(_is_number, v)), pointer, "expected a list of numbers")
+    ok = isinstance(v, list) and all(map(_is_number, v))
+    expect(ok, pointer, "expected a list of finite numbers")
     return [float(x) for x in v]
 
 

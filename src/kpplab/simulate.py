@@ -90,14 +90,10 @@ class Population:
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=float)
         object.__setattr__(self, "positions", positions)
-        if self.time < 0:
-            raise DomainError("population time must be nonnegative")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise DomainError("population time must be finite and nonnegative")
         if positions.size and not np.all(np.isfinite(positions)):
             raise DomainError("positions must be finite")
-
-    @property
-    def extinct(self) -> bool:
-        return self.positions.size == 0
 
     @staticmethod
     def single(x: float = 0.0) -> "Population":
@@ -121,12 +117,12 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.t_max < 0:
-            raise DomainError("t_max must be nonnegative")
+        if not (math.isfinite(self.t_max) and self.t_max >= 0):
+            raise DomainError("t_max must be finite and nonnegative")
         object.__setattr__(self, "record_times", tuple(float(t) for t in self.record_times))
-        if any(t < 0 or t > self.t_max for t in self.record_times):
+        if not all(0 <= t <= self.t_max for t in self.record_times):
             raise DomainError("record times must lie in [0, t_max]")
-        if self.prune_window is not None and self.prune_window <= 0:
+        if self.prune_window is not None and not self.prune_window > 0:
             raise DomainError("prune window must be positive")
 
 
@@ -141,7 +137,6 @@ class MinimumSample:
     t: float
     m: float
     replica: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -184,9 +179,20 @@ def advance(
     cfg: RunConfig | None,
     rng: np.random.Generator,
 ) -> Population:
-    """Advance a population to ``t_target`` with exact event-driven sampling."""
+    """Advance a population to ``t_target`` with exact event-driven sampling.
+
+    The particles come in the order they finish; ``CapacityError`` is raised
+    when the live count passes ``cfg.max_particles``.
+    """
+    if not (math.isfinite(t_target) and t_target >= pop.time):
+        raise DomainError(f"t_target = {t_target!r} must be finite and not precede pop.time")
     cap = cfg.max_particles if cfg is not None else DEFAULT_MAX_PARTICLES
-    positions = _evolve_segment(pop.positions, pop.time, t_target, model, rng, cap)
+    with _engine.Work() as work:
+        *_, res = _engine.replica(
+            work, [t_target], [0], [-1], model, rng, 0.0, 0.0, math.inf, cap,
+            pop.positions, pop.time,
+        )
+        positions = _engine._take(res)
     return Population(positions, t_target, pop.pruned_mass_bound)
 
 
@@ -209,13 +215,6 @@ def prune(pop: Population, lambda_star: float, window: float) -> Population:
             return pop
         kept = _engine._take(res)
     return Population(kept, pop.time, pop.pruned_mass_bound + res.bound)
-
-
-def leftmost(pop: Population) -> float:
-    """Minimum position; ``inf`` marks an extinct population."""
-    if pop.extinct:
-        return math.inf
-    return float(pop.positions.min())
 
 
 def martingales(
@@ -244,17 +243,17 @@ def run_ensemble(
     """Simulate independent replicas, recording minima and martingales.
 
     Each replica is one engine call that runs, at every checkpoint, what
-    ``advance``, ``leftmost``/``martingales`` and ``prune`` do, on the same C
-    code and with the same bits.  Minima are recorded at
+    ``advance``, the minimum of ``positions``, ``martingales`` and ``prune``
+    do, on the same C code and with the same bits.  Minima are recorded at
     ``cfg.record_times`` and the martingale pair at integer times whenever
     the model admits a minimal-speed profile; the right-tail prune (window
     per ``RunConfig``) runs after every checkpoint, and its bound is reported
     as each trace's ``pruned_mass_bound``, beside the replica's counters.
     Replicas whose population exceeds ``cfg.max_particles`` are reported in
     ``invalid_replicas`` instead of aborting the ensemble.  An immobile
-    at-parent (lattice) replica is only alive at the origin or extinct, so it
-    is not simulated: one uniform draw against the extinction curve gives all
-    of its records.
+    at-parent (lattice) replica is only alive at the origin or extinct, so no
+    lattice replica is simulated: one uniform draw against the extinction
+    curve gives all of its records, and no worker starts.
     """
     lambda_star = psi_star = None
     try:
@@ -275,18 +274,25 @@ def run_ensemble(
     invalid: list[int] = []
     if replicas <= 0:
         return EnsembleResult(minima, traces, invalid, lambda_star, psi_star)
+    if model.is_lattice:
+        extinct_by = _extinction_curve(model.law, cfg.record_times)
+        for replica in range(replicas):
+            u = _replica_rng(cfg.seed, replica).random()
+            minima.extend(
+                MinimumSample(t, math.inf if u < q else 0.0, replica) for t, q in extinct_by.items()
+            )
+        return EnsembleResult(minima, traces, invalid, lambda_star, psi_star)
 
-    extinct_by = _extinction_curve(model.law, cfg.record_times) if model.is_lattice else None
-    args = (model, cfg, lambda_star, psi_star, extinct_by)
+    plan = _ReplicaPlan(cfg, lambda_star, psi_star)
     if n_workers <= 1:
-        chunks = [_run_replica_chunk(args, 0, replicas)]
+        chunks = [_run_replica_chunk(model, plan, 0, replicas)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         bounds = np.linspace(0, replicas, n_workers + 1).astype(int)
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = [
-                pool.submit(_run_replica_chunk, args, int(lo), int(hi))
+                pool.submit(_run_replica_chunk, model, plan, int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:])
                 if hi > lo
             ]
@@ -367,8 +373,8 @@ def _reduce_replicas(model, t, replicas, rng, max_particles, lam=None) -> np.nda
     ``exp(-lam x)`` over them.  The replicas run in consecutive chunks of
     ``MERGED_CHUNK`` on ``rng``, one set of engine buffers and each chunk's
     own ``max_particles``."""
-    if t < 0:
-        raise DomainError("segment must not run backwards")
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError(f"t = {t!r} must be finite and nonnegative")
     rng, out = _as_generator(rng), np.empty(replicas)
     with _engine.Work() as work:
         for lo in range(0, replicas, MERGED_CHUNK):
@@ -377,47 +383,29 @@ def _reduce_replicas(model, t, replicas, rng, max_particles, lam=None) -> np.nda
     return out
 
 
-def _evolve_segment(positions, t_start, t_end, model, rng, max_particles) -> np.ndarray:
-    """Advance all lifelines from ``t_start`` to ``t_end``; exact in law.
-
-    Returns the positions of the population at ``t_end``, finishers in round
-    order.  Raises ``CapacityError`` when the live count passes
-    ``max_particles``.
-    """
-    if t_end < t_start:
-        raise DomainError("segment must not run backwards")
-    with _engine.Work() as work:
-        *_, res = _engine.replica(
-            work, [t_end], [0], [-1], model, rng, 0.0, 0.0, math.inf, max_particles,
-            positions, t_start,
-        )
-        return _engine._take(res)
-
-
-def _run_replica_chunk(args, lo: int, hi: int):
-    model, cfg, lambda_star, psi_star, extinct_by = args
+def _run_replica_chunk(model, plan: "_ReplicaPlan", lo: int, hi: int):
+    """Replicas ``lo`` to ``hi``, each one ``kpp_replica`` call on one ``Work``."""
+    cfg = plan.cfg
     minima: list[MinimumSample] = []
     traces: list[MartingaleTrace] = []
     invalid: list[int] = []
-    plan = _ReplicaPlan(cfg, lambda_star, psi_star)
     with _engine.Work() as work:
         for replica in range(lo, hi):
-            rng = _replica_rng(cfg.seed, replica)
-            if extinct_by is not None:
-                u = rng.random()
-                minima.extend(
-                    MinimumSample(t, math.inf if u < q else 0.0, replica, cfg.seed)
-                    for t, q in extinct_by.items()
-                )
-                continue
             try:
-                rep_min, rep_trace = _generic_replica(model, plan, replica, rng, work)
+                ms, w, d, out = _engine.replica(
+                    work, plan.checkpoints, plan.record, plan.generations, model,
+                    _replica_rng(cfg.seed, replica), plan.lambda_star, plan.psi_star,
+                    plan.window, cfg.max_particles,
+                )
             except CapacityError:
                 invalid.append(replica)
                 continue
-            minima.extend(rep_min)
-            if rep_trace is not None:
-                traces.append(rep_trace)
+            minima.extend(MinimumSample(t, float(m), replica) for t, m in zip(plan.record_times, ms))
+            if plan.traced:
+                traces.append(MartingaleTrace(
+                    replica, np.array(plan.ns), w, d, out.bound,
+                    out.rounds, out.lifelines, out.peak_population, out.pruned,
+                ))
     return minima, traces, invalid
 
 
@@ -452,21 +440,6 @@ class _ReplicaPlan:
         self.generations = np.array(generations, dtype=np.int64)
         self.ns = [n for n in generations if n >= 0]
         self.window = window
-
-
-def _generic_replica(model, plan: _ReplicaPlan, replica: int, rng, work: _engine.Work):
-    cfg = plan.cfg
-    ms, w, d, out = _engine.replica(
-        work, plan.checkpoints, plan.record, plan.generations, model, rng,
-        plan.lambda_star, plan.psi_star, plan.window, cfg.max_particles,
-    )
-    minima = [MinimumSample(t, float(m), replica, cfg.seed) for t, m in zip(plan.record_times, ms)]
-    if not plan.traced:
-        return minima, None
-    return minima, MartingaleTrace(
-        replica, np.array(plan.ns), w, d, out.bound,
-        out.rounds, out.lifelines, out.peak_population, out.pruned,
-    )
 
 
 def _extinction_curve(law, times) -> dict[float, float]:

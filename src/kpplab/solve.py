@@ -74,8 +74,8 @@ class Grid:
     def __post_init__(self):
         if self.n_points < 2 or self.n_points & (self.n_points - 1):
             raise DomainError("n_points must be a power of two")
-        if not self.x_max > self.x_min:
-            raise DomainError("grid must have positive extent")
+        if not (math.isfinite(self.x_min) and self.x_max > self.x_min and math.isfinite(self.dx)):
+            raise DomainError("grid must have finite ends and positive extent")
 
     @property
     def dx(self) -> float:
@@ -112,6 +112,8 @@ class Field:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.grid.n_points,):
             raise DomainError("values must match the grid")
+        if not np.all(np.isfinite(v)) or not np.isfinite([self.left_limit, self.right_limit]).all():
+            raise DomainError("values and limits must be finite")
         object.__setattr__(self, "values", v)
 
     def with_values(self, values, t=None, limits=None) -> "Field":
@@ -357,8 +359,8 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def _check_range(values: np.ndarray) -> np.ndarray:
-    overshoot = max(float(-values.min()), float(values.max() - 1.0), 0.0)
-    if overshoot > OVERSHOOT_ERROR:
+    overshoot = max(float(-values.min()), float(values.max() - 1.0), 0.0)  # nan for a nan value
+    if not overshoot <= OVERSHOOT_ERROR:
         raise StepSizeError(
             f"solution left [0, 1] by {overshoot:.3g}; reduce the time step"
         )

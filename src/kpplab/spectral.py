@@ -142,8 +142,8 @@ def second_moment_w(model: BranchingModel, lam: float, mu: float, t: float) -> f
     Returns the ``inf`` sentinel when any of the needed transforms diverges
     (in particular when ``lam + mu`` reaches the finiteness edge).
     """
-    if t < 0:
-        raise DomainError("time must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError("time must be finite and nonnegative")
     psi_l = log_laplace(model, lam)
     psi_m = log_laplace(model, mu)
     psi_lm = log_laplace(model, lam + mu)

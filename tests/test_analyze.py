@@ -72,14 +72,14 @@ class TestPhiFromMartingale:
 
 class TestRecenteredCdf:
     def test_all_extinct_is_one(self):
-        samples = [MinimumSample(4.0, math.inf, i, 0) for i in range(20)]
+        samples = [MinimumSample(4.0, math.inf, i) for i in range(20)]
         est = recentered_cdf(samples, 4.0, 1.0, 1.5, np.linspace(-5, 5, 11))
         assert np.all(est.values == 1.0)
 
     def test_single_sample_step_at_zero(self):
         lam, c, t = 1.0, 1.5, 4.0
         m = -c * t + 1.5 / lam * math.log(t)
-        samples = [MinimumSample(t, m, 0, 0)]
+        samples = [MinimumSample(t, m, 0)]
         xs = np.linspace(-2, 2, 41)
         est = recentered_cdf(samples, t, lam, c, xs)
         assert np.all(est.values[xs < -1e-9] == 0.0)
@@ -89,7 +89,7 @@ class TestRecenteredCdf:
         rng = np.random.default_rng(11)
         t, lam, c = 8.0, 1.0, 1.5
         samples = [
-            MinimumSample(t, float(-c * t + rng.normal()), i, 0) for i in range(500)
+            MinimumSample(t, float(-c * t + rng.normal()), i) for i in range(500)
         ]
         xs = np.linspace(-6, 6, 101)
         est = recentered_cdf(samples, t, lam, c, xs)

@@ -388,6 +388,13 @@ MALFORMED = [
     ("t-max-negative", _with(_with(SIMULATE, "/params/t_max", -1.0), "/params/record_times", []), "/params"),
     ("record-times", _with(SIMULATE, "/params/record_times", ["a"]), "/params/record_times"),
     ("prune-window", _with(SIMULATE, "/params/prune_window", "x"), "/params/prune_window"),
+    # Python's json reads NaN and Infinity, which are no JSON numbers
+    ("t-max-nan", _with(SIMULATE, "/params/t_max", math.nan), "/params/t_max"),
+    ("t-max-infinity", _with(SIMULATE, "/params/t_max", math.inf), "/params/t_max"),
+    ("record-times-nan", _with(SIMULATE, "/params/record_times", [0.5, math.nan]), "/params/record_times"),
+    ("prune-window-nan", _with(SIMULATE, "/params/prune_window", math.nan), "/params/prune_window"),
+    ("grid-x-min-infinity", _with(SOLVE, "/params/grid/x_min", -math.inf), "/params/grid/x_min"),
+    ("compare-t-nan", _with(COMPARE, "/params/t", math.nan), "/params/t"),
     ("solve-dt", _with(SOLVE, "/params/dt", "x"), "/params/dt"),
     ("fit-window", _with(SOLVE, "/params/fit_window", [1, 2, 3]), "/params/fit_window"),
     ("fit-window-order", _with(SOLVE, "/params/fit_window", [2, 2]), "/params/fit_window"),

@@ -23,6 +23,7 @@ from kpplab import (
     Population,
     RunConfig,
     _engine,
+    advance,
     empirical_minima,
     empirical_v,
     martingales,
@@ -34,7 +35,6 @@ from kpplab import (
 from kpplab.errors import CapacityError, DomainError, KppLabError
 from kpplab.simulate import (
     MERGED_CHUNK,
-    _evolve_segment,
     _reduce_replicas,
     _ReplicaPlan,
     _replica_rng,
@@ -59,6 +59,13 @@ def _same_state(a, b):
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
     return np.array_equal(a, b)
+
+
+def _advance(pos, t_start, t_end, model, rng, cap):
+    """The positions of ``advance`` of the particles at ``pos`` from ``t_start``
+    to ``t_end``, under a cap of ``cap`` particles."""
+    cfg = RunConfig(t_max=0.0, max_particles=cap)
+    return advance(Population(pos, t_start), t_end, model, cfg, rng).positions
 
 
 def _both_calls(oracle, engine, bit_generator, seed):
@@ -92,7 +99,7 @@ def test_segment_matches_the_numpy_engine(
     t_end = t_start + length
     (want, want_state), (got, got_state) = _both_calls(
         lambda rng: ref.evolve_segment(pos, None, t_start, t_end, model, rng, cap)[0],
-        lambda rng: _evolve_segment(pos, t_start, t_end, model, rng, cap),
+        lambda rng: _advance(pos, t_start, t_end, model, rng, cap),
         bit_generator,
         seed,
     )
@@ -146,7 +153,7 @@ def test_segment_with_waits_past_the_inversion_limit():
         assert _generator(bit_generator, 3).standard_exponential(pos.size).max() >= t_end
         (want, want_state), (got, got_state) = _both_calls(
             lambda rng: ref.evolve_segment(pos, None, 0.0, t_end, model, rng, 10**6)[0],
-            lambda rng: _evolve_segment(pos, 0.0, t_end, model, rng, 10**6),
+            lambda rng: _advance(pos, 0.0, t_end, model, rng, 10**6),
             bit_generator,
             3,
         )
@@ -159,7 +166,7 @@ def test_capacity_error_carries_the_numpy_engine_time_and_count():
     for bit_generator in BIT_GENERATORS:
         (want, want_state), (got, got_state) = _both_calls(
             lambda rng: ref.evolve_segment(np.zeros(3), None, 0.0, 9.0, model, rng, 500),
-            lambda rng: _evolve_segment(np.zeros(3), 0.0, 9.0, model, rng, 500),
+            lambda rng: _advance(np.zeros(3), 0.0, 9.0, model, rng, 500),
             bit_generator,
             11,
         )
@@ -179,7 +186,7 @@ def test_empty_and_zero_length_segments_draw_nothing(merged):
             assert _bits(_reduce_replicas(model, t, n, rng, 10)) == _bits(np.zeros(n))
             assert _bits(_reduce_replicas(model, t, n, rng, 10, 0.7)) == _bits(np.ones(n))
         else:
-            assert np.array_equal(_evolve_segment(pos, 1.0, t_end, model, rng, 10), pos)
+            assert np.array_equal(_advance(pos, 1.0, t_end, model, rng, 10), pos)
         assert _same_state(rng.bit_generator.state, state)
 
 
@@ -199,7 +206,7 @@ def test_displacements_match_the_numpy_engine(motion, bit_generator, seed, size,
     pos = np.linspace(-2.0, 2.0, size)
     (want, want_state), (got, got_state) = _both_calls(
         lambda rng: ref.evolve_segment(pos, None, 0.0, length, model, rng, max(size, 1))[0],
-        lambda rng: _evolve_segment(pos, 0.0, length, model, rng, max(size, 1)),
+        lambda rng: _advance(pos, 0.0, length, model, rng, max(size, 1)),
         bit_generator,
         seed,
     )
@@ -223,7 +230,7 @@ def test_kernel_draws_and_litters_match_numpy(kernel, law, bit_generator, seed, 
         model = BranchingModel(Motion.constant(), branching)
         (want, want_state), (got, got_state) = _both_calls(
             lambda rng: ref.evolve_segment(parents, None, 0.0, 1.0, model, rng, 10**6)[0],
-            lambda rng: _evolve_segment(parents, 0.0, 1.0, model, rng, 10**6),
+            lambda rng: _advance(parents, 0.0, 1.0, model, rng, 10**6),
             bit_generator,
             seed,
         )
@@ -390,7 +397,7 @@ def _engine_replica(plan, model, rng, cap, *start):
 def test_replica_matches_the_python_loop(
     motion, law, bit_generator, seed, t_max, fractions, window, cap
 ):
-    # kpp_replica against advance -> leftmost/martingales -> prune in numpy,
+    # kpp_replica against advance -> minimum/martingales -> prune in numpy,
     # at off-integer record times, windows inf, 14/lambda* and 1, extinct
     # replicas and capacity hits
     model = BranchingModel(MOTIONS[motion], LAWS[law])

@@ -15,13 +15,15 @@ from kpplab import (
     BranchingModel,
     Kernel,
     Motion,
+    Population,
+    RunConfig,
+    advance,
     log_laplace,
     model_from_dict,
 )
 from kpplab._engine import POISSON_INVERSION_LIMIT
 from kpplab.errors import ConfigError, DomainError
 from kpplab.model import BRENT_MAX_ITER, _brentq
-from kpplab.simulate import _evolve_segment
 
 from helpers import quad_laplace
 import reference_engine as ref
@@ -246,7 +248,7 @@ def _fixed_litter_segment(law, parents, t_end, seed):
     the segment then drew nothing but its waits."""
     model = BranchingModel(Motion.constant(), law)
     rng, waits = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _evolve_segment(parents, 0.0, t_end, model, rng, 10**6)
+    got = advance(Population(parents), t_end, model, None, rng).positions
     pos, t, want = parents, np.zeros(parents.size), []
     while pos.size:
         t = t + waits.standard_exponential(t.size)
@@ -310,7 +312,8 @@ def _lifelines(motion, n, d, rng):
     independent increments these are ``n`` draws of the motion's law at
     ``d``, in the segment's finishing order."""
     model = BranchingModel(motion, BranchingLaw.offspring_at_parent({1: 1.0}))
-    return _evolve_segment(np.zeros(n), 0.0, d, model, rng, n)
+    cfg = RunConfig(0.0, max_particles=n)
+    return advance(Population(np.zeros(n)), d, model, cfg, rng).positions
 
 
 def test_sample_motion_constant_and_trivial():
@@ -365,11 +368,11 @@ def test_sampling_is_deterministic_in_rng_state():
     model = BranchingModel(motion, law)
     a = np.random.default_rng(123)
     b = np.random.default_rng(123)
-    one = np.array([1.0])
+    one = Population.single(1.0)
     for _ in range(5):
         assert (
-            _evolve_segment(one, 0.0, 1.0, model, a, 10**6).tolist()
-            == _evolve_segment(one, 0.0, 1.0, model, b, 10**6).tolist()
+            advance(one, 1.0, model, None, a).positions.tolist()
+            == advance(one, 1.0, model, None, b).positions.tolist()
         )
         assert _lifelines(motion, 1, 2.0, a) == _lifelines(motion, 1, 2.0, b)
     assert a.bit_generator.state == b.bit_generator.state

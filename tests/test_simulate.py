@@ -1,5 +1,6 @@
 import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from kpplab import (
     advance,
     empirical_minima,
     empirical_v,
-    leftmost,
     log_laplace,
     martingales,
     minimal_speed,
@@ -93,17 +93,6 @@ class TestPrune:
         assert out.pruned_mass_bound - 0.25 == pytest.approx(math.exp(-20.0), rel=1e-6)
 
 
-class TestLeftmost:
-    def test_minimum(self):
-        assert leftmost(Population(np.array([1.5, -2.0, 0.3]), 0.0)) == -2.0
-
-    def test_extinct_marker(self):
-        assert leftmost(Population(np.array([]), 1.0)) == math.inf
-
-    def test_single(self):
-        assert leftmost(Population(np.array([7.0]), 0.0)) == 7.0
-
-
 class TestMartingales:
     def test_initial_point(self):
         pop = Population(np.array([0.0]), 0.0)
@@ -176,7 +165,7 @@ class TestRunEnsemble:
 
     def test_replay_through_public_operations(self, jump_gaussian_binary):
         # replica r draws from SeedSequence(seed, spawn_key=(r,)) and runs
-        # what advance -> leftmost/martingales -> prune do at every checkpoint
+        # what advance -> minimum/martingales -> prune do at every checkpoint
         cfg = RunConfig(t_max=5.0, record_times=(2.5, 5.0), prune_window=5.0, seed=7)
         res = run_ensemble(jump_gaussian_binary, cfg, 4)
         lam, psi = res.lambda_star, res.psi_star
@@ -191,7 +180,7 @@ class TestRunEnsemble:
                 pop = advance(pop, t, jump_gaussian_binary, cfg, rng)
                 peak = max(peak, pop.positions.size)
                 if t in cfg.record_times:
-                    ms.append(leftmost(pop))
+                    ms.append(pop.positions.min(initial=math.inf))
                 if t == int(t):
                     w, d = martingales(pop, int(t), lam, psi)
                     ns.append(int(t))
@@ -270,7 +259,9 @@ class TestRunEnsemble:
     def test_lattice_worker_invariance(self, immobile_offspring):
         cfg = RunConfig(t_max=10.0, record_times=(2.0, 10.0), seed=5)
         a = run_ensemble(immobile_offspring, cfg, 60, n_workers=1)
-        b = run_ensemble(immobile_offspring, cfg, 60, n_workers=2)
+        # lattice replicas are resolved before any worker would start
+        with mock.patch("concurrent.futures.ProcessPoolExecutor", side_effect=AssertionError):
+            b = run_ensemble(immobile_offspring, cfg, 60, n_workers=2)
         assert [(s.replica, s.t, s.m) for s in a.minima] == [(s.replica, s.t, s.m) for s in b.minima]
 
     def test_survivors_sit_at_origin(self, immobile_offspring):
@@ -314,6 +305,44 @@ def test_empirical_minima_marks_extinct(immobile_offspring):
     assert np.isinf(minima).any()
     finite = minima[np.isfinite(minima)]
     assert np.all(finite == 0.0)
+
+
+@pytest.mark.parametrize("time", [math.nan, math.inf, -1.0])
+def test_population_time_must_be_finite(time):
+    with pytest.raises(DomainError):
+        Population(np.array([0.0]), time)
+
+
+@pytest.mark.parametrize("t_target", [math.nan, math.inf, 0.5])
+def test_advance_needs_a_finite_later_time(immobile_binary, t_target):
+    cfg, rng = RunConfig(t_max=1.0, max_particles=1000), _rng()
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError):
+        advance(Population(np.array([0.0]), 1.0), t_target, immobile_binary, cfg, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_merged_estimators_need_a_finite_time(immobile_binary, t):
+    with pytest.raises(DomainError):
+        empirical_minima(immobile_binary, t, 3, 1, max_particles=1000)
+    with pytest.raises(DomainError):
+        empirical_v(immobile_binary, 0.5, t, 3, 1, max_particles=1000)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"t_max": math.nan},
+        {"t_max": math.inf},
+        {"t_max": 1.0, "record_times": (0.5, math.nan)},
+        {"t_max": 1.0, "prune_window": math.nan},
+        {"t_max": 1.0, "prune_window": -math.inf},
+    ],
+)
+def test_run_config_rejects_nan_and_infinite_times(params):
+    with pytest.raises(DomainError):
+        RunConfig(**params)
 
 
 @pytest.mark.parametrize("replicas", [0, -1])

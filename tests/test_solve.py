@@ -40,6 +40,7 @@ from kpplab.errors import (
 )
 from kpplab.kernels import TAIL_MASS
 from kpplab.solve import (
+    _check_range,
     _comoving_jacobian,
     _comoving_residual,
     _correlate,
@@ -627,3 +628,30 @@ def test_convergence_order_on_logistic(immobile_binary):
         u = evolve(immobile_binary, Field.constant(small_grid(), 0.5), 1.0, dt)
         errors.append(abs(u.values[0] - logistic_decay(0.5, 1.0)))
     assert errors[0] / errors[1] > 3.0
+
+
+@pytest.mark.parametrize(
+    "x_min,x_max", [(-math.inf, 8.0), (-8.0, math.inf), (math.nan, 8.0), (-8.0, math.nan), (-1e308, 1e308)]
+)
+def test_grid_needs_finite_ends_and_spacing(x_min, x_max):
+    with pytest.raises(DomainError):
+        Grid(x_min, x_max, 64)
+
+
+@pytest.mark.parametrize(
+    "value,limits",
+    [(math.nan, (0.0, 1.0)), (-math.inf, (0.0, 1.0)), (0.5, (math.nan, 1.0)), (0.5, (0.0, math.inf))],
+)
+def test_field_values_and_limits_must_be_finite(value, limits):
+    values = np.full(64, 0.5)
+    values[10] = value
+    with pytest.raises(DomainError):
+        Field(Grid(-8.0, 8.0, 64), values, 0.0, *limits)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_step_value_is_a_step_size_error(bad):
+    values = np.full(8, 0.5)
+    values[3] = bad
+    with pytest.raises(StepSizeError):
+        _check_range(values)

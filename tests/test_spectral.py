@@ -21,7 +21,7 @@ from kpplab import (
     minimal_speed,
     second_moment_w,
 )
-from kpplab.errors import BoundaryInfimumError, KppLabError, NoMinimizerError
+from kpplab.errors import BoundaryInfimumError, DomainError, KppLabError, NoMinimizerError
 from kpplab.model import _brentq
 from kpplab.spectral import _exprel, _minimize_speed
 
@@ -301,3 +301,9 @@ EXPREL_POINTS = [
 @pytest.mark.parametrize("x", EXPREL_POINTS)
 def test_exprel_is_scipys_bit_for_bit(x):
     assert _exprel(float(x)).hex() == float(special.exprel(x)).hex()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+def test_second_moment_needs_a_finite_time(jump_gaussian_binary, t):
+    with pytest.raises(DomainError):
+        second_moment_w(jump_gaussian_binary, 0.5, 0.5, t)
