@@ -21,6 +21,9 @@ INF = math.inf
 _MASS_TOL = 1e-9
 #: lattice weights below this total tail mass are dropped when discretizing
 TAIL_MASS = 1e-12
+#: ``erfcinv(TAIL_MASS)``: a standard Gaussian carries ``TAIL_MASS`` beyond
+#: ``sqrt(2)`` times this
+_GAUSSIAN_TAIL = 5.042029745639059
 
 GAUSSIAN = "gaussian"
 TWO_SIDED_EXPONENTIAL = "two_sided_exponential"
@@ -142,10 +145,8 @@ class Kernel:
     def truncation_radius(self) -> float:
         """Radius outside which the density carries less than ``TAIL_MASS``."""
         if self.family == GAUSSIAN:
-            from scipy.special import erfcinv
-
             # 2*Phi(-r/sigma) <= TAIL_MASS; generous analytic bound
-            return self.param * math.sqrt(2.0) * float(erfcinv(TAIL_MASS))
+            return self.param * math.sqrt(2.0) * _GAUSSIAN_TAIL
         if self.family == TWO_SIDED_EXPONENTIAL:
             return -math.log(TAIL_MASS) / self.param
         if self.family == UNIFORM:

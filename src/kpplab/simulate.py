@@ -196,6 +196,15 @@ def advance(
     return Population(positions, t_target, pop.pruned_mass_bound)
 
 
+def _check_exponents(lambda_star: float, psi_star: float = 0.0) -> None:
+    """Refuse a ``lambda_star`` that is not positive and finite, or a ``psi_star``
+    that is not finite."""
+    if not (math.isfinite(lambda_star) and lambda_star > 0):
+        raise DomainError(f"lambda_star = {lambda_star!r} must be positive and finite")
+    if not math.isfinite(psi_star):
+        raise DomainError(f"psi_star = {psi_star!r} must be finite")
+
+
 def prune(pop: Population, lambda_star: float, window: float) -> Population:
     """Drop particles further than ``window`` above the current minimum.
 
@@ -204,6 +213,7 @@ def prune(pop: Population, lambda_star: float, window: float) -> Population:
     on its descendants reaching the left tail; each term is below
     ``exp(-lambda_star * window)``.
     """
+    _check_exponents(lambda_star)
     if not window > 0:
         raise DomainError("prune window must be positive")
     with _engine.Work() as work:
@@ -221,6 +231,7 @@ def martingales(
     pop: Population, n: int, lambda_star: float, psi_star: float
 ) -> tuple[float, float]:
     """Additive and derivative martingale values at integer time ``n``."""
+    _check_exponents(lambda_star, psi_star)
     if abs(pop.time - n) > 1e-9:
         raise DomainError("population time must equal the generation index")
     with _engine.Work() as work:

@@ -14,7 +14,9 @@ substitution from zero for the mild (integral) form, which converges
 monotonically to the minimal solution.
 Nonlocal terms are lattice correlations against the field extended by
 constant values beyond the grid, with a fast transform for large problems;
-each stencil keeps its own transform for every length it is used at.
+each stencil keeps its own transform for every length it is used at.  Every
+transform is ``numpy.fft``'s, so the Runge-Kutta and mild-form solvers load
+no scipy; the Newton step loads ``scipy.linalg`` on first use.
 
 The mild form applies the free semigroup ``exp(s (S - loss))`` exactly, as a
 Fourier multiplier: each row is padded with its limits onto a periodic
@@ -114,6 +116,8 @@ class Field:
             raise DomainError("values must match the grid")
         if not np.all(np.isfinite(v)) or not np.isfinite([self.left_limit, self.right_limit]).all():
             raise DomainError("values and limits must be finite")
+        if not math.isfinite(self.t):
+            raise DomainError(f"t = {self.t!r} must be finite")
         object.__setattr__(self, "values", v)
 
     def with_values(self, values, t=None, limits=None) -> "Field":
@@ -160,6 +164,25 @@ class FrontFit:
 # -- lattice correlation -------------------------------------------------------
 
 
+def _next_fast_len(n: int) -> int:
+    """The least ``2^a 3^b 5^c >= n``: ``scipy.fft.next_fast_len(n, True)``.
+
+    pocketfft's real transforms are fastest at these lengths.  Each odd
+    ``3^b 5^c`` below the best length so far is raised to ``n`` by doubling.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        odd = p5
+        while odd < best:
+            length = odd << (-(-n // odd) - 1).bit_length()
+            if length < best:
+                best = length
+            odd *= 3
+        p5 *= 5
+    return best
+
+
 class _Stencil:
     """Lattice weights ``w`` of odd length ``2K+1``, with their transforms.
 
@@ -176,26 +199,23 @@ class _Stencil:
         """``scipy.signal.fftconvolve(seq, w[::-1], "valid")``, bit for bit.
 
         The same fast length, real transforms and centred slice, with the
-        stencil's transform taken from the cache.
+        stencil's transform taken from the cache: numpy 2's one-dimensional
+        pocketfft transforms give scipy's bits.
         """
-        from scipy import fft as sp_fft
-
         size_w = self.weights.size
-        full = seq.size + size_w - 1
-        size = sp_fft.next_fast_len(full, True)
+        size = _next_fast_len(seq.size + size_w - 1)
         spectrum = self._spectra.get(size)
         if spectrum is None:
-            spectrum = self._spectra[size] = sp_fft.rfft(self.weights[::-1], size)
-        out = sp_fft.irfft(sp_fft.rfft(seq, size) * spectrum, size)
-        return out[size_w - 1 : seq.size]
+            spectrum = self._spectra[size] = np.fft.rfft(self.weights[::-1], size)
+        product = np.fft.rfft(seq, size)
+        product *= spectrum
+        return np.fft.irfft(product, size)[size_w - 1 : seq.size]
 
     def symbol(self, size: int) -> np.ndarray:
         """Fourier multiplier of this correlation on a periodic lattice of ``size`` points."""
-        from scipy import fft as sp_fft
-
         h = np.zeros(size)
         h[: self.weights.size] = self.weights[::-1]
-        return sp_fft.rfft(np.roll(h, -self.half))
+        return np.fft.rfft(np.roll(h, -self.half))
 
 
 def _correlate(stencil: _Stencil, values: np.ndarray, left, right) -> np.ndarray:
@@ -347,10 +367,20 @@ class _Stepper:
         k2, l2 = self.rates(u + 0.5 * dt * k1, limits + 0.5 * dt * l1)
         k3, l3 = self.rates(u + 0.5 * dt * k2, limits + 0.5 * dt * l2)
         k4, l4 = self.rates(u + dt * k3, limits + dt * l3)
-        return (
-            u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-            limits + (dt / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4),
-        )
+        return _rk4_combine(u, k1, k2, k3, k4, dt), _rk4_combine(limits, l1, l2, l3, l4, dt)
+
+
+def _rk4_combine(y, k1, k2, k3, k4, dt: float) -> np.ndarray:
+    """``y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4)``, bit for bit, formed in ``k2``
+    and ``k3``, which it overwrites."""
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += y
+    return k2
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -493,8 +523,6 @@ def picard_solve(
     failure to reach ``tol`` within ``PICARD_MAX_ITER`` sweeps raises
     ``IterationLimitError`` carrying the last increment.
     """
-    from scipy import fft as sp_fft
-
     if np.any(f.values < 0) or np.any(f.values > 1):
         raise DomainError("initial data must lie in [0, 1]")
     if n_time < 2:
@@ -510,7 +538,7 @@ def picard_solve(
     while True:
         pad = (size - n) // 2
         coeff = np.exp(ts * (stepper.symbol(size) - stepper.loss_rate))
-        kernels = sp_fft.irfft(coeff, size, axis=1)
+        kernels = np.fft.irfft(coeff, size, axis=1)
         leak = float(kernels[:, pad : size - pad + 1].sum(axis=1).max())
         if leak < TAIL_MASS:
             break
@@ -523,10 +551,10 @@ def picard_solve(
         out[:, :n] = rows
         out[:, n : n + pad] = limits[:, 1:]
         out[:, n + pad :] = limits[:, :1]
-        return sp_fft.rfft(out, axis=1)
+        return np.fft.rfft(out, axis=1)
 
     f_limits = np.array([[f.left_limit, f.right_limit]])
-    base = sp_fft.irfft(coeff * periodic(f.values[None, :], f_limits), size, axis=1)[:, :n]
+    base = np.fft.irfft(coeff * periodic(f.values[None, :], f_limits), size, axis=1)[:, :n]
     decay = coeff[:, 0].real
     base_limits = decay[:, None] * f_limits
     field_integral = _causal_time_integral(coeff, dt)
@@ -540,7 +568,7 @@ def picard_solve(
         g = stepper.reaction(u, limits[:, 0], limits[:, 1])
         g_limits = model.law.generating_function(limits)
         integral = field_integral(periodic(g, g_limits))
-        u_new = base + sp_fft.irfft(integral, size, axis=1)[:, :n]
+        u_new = base + np.fft.irfft(integral, size, axis=1)[:, :n]
         limits = base_limits + limits_integral(g_limits).real
         if return_history:
             history.append(u_new)
@@ -559,19 +587,19 @@ def _causal_time_integral(coeff: np.ndarray, dt: float):
     """The map ``rows -> int_0^{t_j} coeff(s) rows(t_j - s) ds``, causal in time.
 
     The integral is the trapezoid rule on the time rows, convolved by FFT in
-    time; ``coeff`` is transformed once, here.  It holds one value per time
-    row, shared by every column of ``rows``, or one per time row and column;
-    either may be complex, and so is the result.
+    time on the least fast length (``_next_fast_len``) that holds the whole
+    ``2n - 1`` point convolution of ``n`` rows, so nothing wraps; ``coeff`` is
+    transformed once, here.  It holds one value per time row, shared by every
+    column of ``rows``, or one per time row and column; either may be
+    complex, and so is the result.
     """
-    from scipy import fft as sp_fft
-
     n = coeff.shape[0]
     coeff = coeff.reshape(n, -1)
-    size = 1 << (2 * n - 1).bit_length()
-    spectrum = sp_fft.fft(coeff, size, axis=0)
+    size = _next_fast_len(2 * n - 1)
+    spectrum = np.fft.fft(coeff, size, axis=0)
 
     def integral(rows: np.ndarray) -> np.ndarray:
-        full = sp_fft.ifft(spectrum * sp_fft.fft(rows, size, axis=0), axis=0)[:n]
+        full = np.fft.ifft(spectrum * np.fft.fft(rows, size, axis=0), axis=0)[:n]
         full -= 0.5 * (coeff[0] * rows + coeff * rows[0])
         return dt * full
 

@@ -26,8 +26,8 @@ POOL = ("concurrent.futures.process", "multiprocessing")
 
 
 def loaded() -> list[str]:
-    """``scipy`` and its loaded subpackages, ``scipy.fft`` for
-    ``scipy.fft._pocketfft``, and the loaded pool modules."""
+    """``scipy`` and its loaded subpackages, ``scipy.linalg`` for
+    ``scipy.linalg.lapack``, and the loaded pool modules."""
     scipy = {".".join(m.split(".")[:2]) for m in sys.modules if m.split(".")[0] == "scipy"}
     return sorted(scipy.union(m for m in POOL if m in sys.modules))
 
@@ -92,6 +92,36 @@ def evolve() -> str:
     return _digest(kpplab.evolve(model, f, 0.5, 0.05).values)
 
 
+def track_front() -> dict:
+    """A front tracked on a grid wide enough for the FFT correlation."""
+    model = _jump_gaussian()
+    f = Field.heaviside(Grid(-20.0, 40.0, 1024))
+    final, trace, _ = kpplab.track_front(model, f, 1.0, 0.05, 0.5)
+    return {"final": _digest(final.values), "trace": _digest(trace.t, trace.m)}
+
+
+def picard() -> str:
+    """A mild-form solve, whose semigroup and time integral are transforms."""
+    f = Field.heaviside(Grid(-24.0, 24.0, 512))
+    return _digest(kpplab.picard_solve(_jump_gaussian(), f, 0.5, 17).values)
+
+
+def cli_compare() -> dict:
+    """The checksums of a small ``compare`` run of the CLI: Monte Carlo minima
+    against the strong form on a grid wide enough for the FFT correlation."""
+    config = {
+        "command": "compare",
+        "seed": 11,
+        "model": _jump_gaussian().to_dict(),
+        "params": {"t": 1.0, "replicas": 4000, "threshold": 0.1, "dt": 0.05,
+                   "grid": {"x_min": -16.0, "x_max": 16.0, "n_points": 1024}},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        code = kpplab.cli.run(config, out)
+        return {"code": code, "outputs": json.loads((out / "manifest.json").read_text())["outputs"]}
+
+
 def wave() -> str:
     """A banded Newton travelling wave, above c*."""
     model = _jump_gaussian()
@@ -116,6 +146,9 @@ STEPS = {
     "simulator": simulator,
     "cli_simulate": cli_simulate,
     "evolve": evolve,
+    "track_front": track_front,
+    "picard": picard,
+    "cli_compare": cli_compare,
     "wave": wave,
     "align": align,
     "curve": curve,

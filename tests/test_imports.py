@@ -3,9 +3,11 @@
 ``import kpplab`` and ``kpplab.cli`` need numpy only: they load no ``scipy``
 module and no process pool.  The simulator's path loads no ``scipy`` module
 either: the speed search, second moments, extinction probabilities,
-ensembles, empirical minima, D_inf, phi and the CLI's ``simulate``.  Each
-solver imports the scipy module it uses on first use: ``evolve`` loads
-``scipy.fft``, ``traveling_wave_profile`` ``scipy.linalg``, ``align_shift``
+ensembles, empirical minima, D_inf, phi and the CLI's ``simulate``.  Nor do
+the lattice solvers, whose transforms are ``numpy.fft``'s: ``evolve``,
+``track_front``, ``picard_solve`` and the CLI's ``compare``.  Each other
+solver imports the scipy module it uses on first use:
+``traveling_wave_profile`` loads ``scipy.linalg``, ``align_shift``
 ``scipy.optimize`` and the lattice extinction curve ``scipy.integrate``.
 Every step gives the same values, to the bit, as in this process, which has
 all of scipy loaded.
@@ -51,10 +53,14 @@ def test_simulator_path_loads_no_scipy(fresh, step):
     assert fresh[step]["loaded"] == []
 
 
+@pytest.mark.parametrize("step", ["evolve", "track_front", "picard", "cli_compare"])
+def test_lattice_solvers_load_no_scipy(fresh, step):
+    assert fresh[step]["loaded"] == []
+
+
 @pytest.mark.parametrize(
     "step, module",
     [
-        ("evolve", "scipy.fft"),
         ("wave", "scipy.linalg"),
         ("align", "scipy.optimize"),
         ("curve", "scipy.integrate"),

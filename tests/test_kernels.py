@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erfcinv
 
 from kpplab import INF, Kernel
 from kpplab.errors import InvalidKernelError
+from kpplab.kernels import _GAUSSIAN_TAIL, TAIL_MASS
 
 from helpers import quad_laplace
 import reference_engine as ref
@@ -97,6 +99,11 @@ def test_truncation_radius_captures_tail_mass():
         xs = np.linspace(-r, r, 300001)
         inside = np.trapezoid(kernel.density(xs), xs)
         assert 1.0 - inside < 1e-10
+
+
+def test_gaussian_tail_constant_is_erfcinv_of_the_tail_mass():
+    assert _GAUSSIAN_TAIL == float(erfcinv(TAIL_MASS))
+    assert Kernel.gaussian(1.5).truncation_radius() == 1.5 * math.sqrt(2.0) * float(erfcinv(TAIL_MASS))
 
 
 def test_lattice_weights_are_normalized():

@@ -322,6 +322,20 @@ def test_advance_needs_a_finite_later_time(immobile_binary, t_target):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("lambda_star", [math.nan, math.inf, 0.0, -1.0])
+def test_martingales_and_prune_need_a_positive_finite_lambda_star(lambda_star):
+    with pytest.raises(DomainError, match="lambda_star"):
+        martingales(Population.single(), 0, lambda_star, 1.0)
+    with pytest.raises(DomainError, match="lambda_star"):
+        prune(Population(np.array([0.0, 50.0]), 0.0), lambda_star, 1.0)
+
+
+@pytest.mark.parametrize("psi_star", [math.nan, math.inf, -math.inf])
+def test_martingales_need_a_finite_psi_star(psi_star):
+    with pytest.raises(DomainError, match="psi_star"):
+        martingales(Population.single(), 0, 1.0, psi_star)
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
 def test_merged_estimators_need_a_finite_time(immobile_binary, t):
     with pytest.raises(DomainError):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
+from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 from scipy.special import ndtr
 
@@ -44,6 +45,7 @@ from kpplab.solve import (
     _comoving_jacobian,
     _comoving_residual,
     _correlate,
+    _next_fast_len,
     _solve_band,
     _Stencil,
     _Stepper,
@@ -176,6 +178,10 @@ class TestCorrelate:
             starts = range(0, rows * (n + 2 * 170), n + 2 * 170)
             assert np.array_equal(got, np.stack([want[s : s + n] for s in starts]))
         assert len(stencil._spectra) == 2
+
+    def test_fast_length_is_scipy_next_fast_len(self):
+        ns = range(1, (1 << 17) + 1)
+        assert [_next_fast_len(n) for n in ns] == [next_fast_len(n, True) for n in ns]
 
     def test_symbol_is_the_periodic_correlation(self):
         rng = np.random.default_rng(3)
@@ -647,6 +653,12 @@ def test_field_values_and_limits_must_be_finite(value, limits):
     values[10] = value
     with pytest.raises(DomainError):
         Field(Grid(-8.0, 8.0, 64), values, 0.0, *limits)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_field_time_must_be_finite(t):
+    with pytest.raises(DomainError, match="t = "):
+        Field(Grid(-8.0, 8.0, 64), np.zeros(64), t)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
