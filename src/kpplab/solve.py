@@ -15,8 +15,9 @@ monotonically to the minimal solution.
 Nonlocal terms are lattice correlations against the field extended by
 constant values beyond the grid, with a fast transform for large problems;
 each stencil keeps its own transform for every length it is used at.  Every
-transform is ``numpy.fft``'s, so the Runge-Kutta and mild-form solvers load
-no scipy; the Newton step loads ``scipy.linalg`` on first use.
+transform is ``numpy.fft``'s, and the Newton step's band solve calls the
+LAPACK that numpy is linked to, so no solver here loads scipy where numpy
+exports that LAPACK (its wheels do).
 
 The mild form applies the free semigroup ``exp(s (S - loss))`` exactly, as a
 Fourier multiplier: each row is padded with its limits onto a periodic
@@ -30,6 +31,8 @@ the reaction there.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -738,7 +741,7 @@ def _comoving_jacobian(stepper: _Stepper, u: np.ndarray, c: float, q: float) -> 
     form, see ``_add_band``), and rows ``0 ... h-1`` are zero, where
     ``gbsv``'s factorization keeps its fill-in.  So ``_solve_band`` factors
     it in place with ``dgbsv``, with no copy; only a tridiagonal band
-    (``h == 1``) goes through ``solve_banded``'s ``gtsv`` instead, for its
+    (``h == 1``) goes to ``dgtsv`` instead, as in ``solve_banded``, for its
     bits.
     """
     stencils = [*stepper.motion_stencils, _CENTRAL]
@@ -776,21 +779,71 @@ def _solve_band(lapack_band: np.ndarray, b: np.ndarray) -> np.ndarray:
     Bit for bit ``solve_banded((h, h), lapack_band[h:], b)``: with ``h > 1``
     that is ``dgbsv`` on the same storage, called here on the buffer itself
     instead of a zero-padded, Fortran-ordered copy of it.  A tridiagonal band
-    (``h == 1``) goes through ``solve_banded``, whose ``gtsv`` gives other
-    bits than ``gbsv``.  Like ``solve_banded``, a non-finite entry raises
-    ``ValueError`` and a singular ``A`` raises ``LinAlgError``.
+    (``h == 1``) goes to ``dgtsv``, as in ``solve_banded`` (its bits differ
+    from ``gbsv``'s), on the same contiguous copies of its three diagonals.
+    Both routines are those of the LAPACK numpy is linked to
+    (``_numpy_lapack``), or scipy's where numpy exports none.  Like
+    ``solve_banded``, a non-finite entry raises ``ValueError`` and a singular
+    ``A`` raises ``LinAlgError``.
     """
-    from scipy.linalg import solve_banded
-    from scipy.linalg.lapack import dgbsv
-
     h = (lapack_band.shape[0] - 1) // 3
-    if h == 1:
-        return solve_banded((1, 1), lapack_band[1:], b, overwrite_ab=True, overwrite_b=True)
+    if lapack_band.shape != (3 * h + 1, b.size):
+        raise ValueError("shapes of ab and b are not compatible.")
     if not (np.isfinite(lapack_band[h:]).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    _, _, x, info = dgbsv(h, h, lapack_band, b, overwrite_ab=True, overwrite_b=True)
+    lapack = _numpy_lapack()
+    if h == 1:
+        rows = lapack_band[3, :-1], lapack_band[2], lapack_band[1, 1:]
+        dl, d, du = (np.ascontiguousarray(row) for row in rows)
+        if lapack is None:
+            from scipy.linalg.lapack import dgtsv
+
+            *_, b, info = dgtsv(dl, d, du, b, overwrite_b=True)
+        else:
+            info = _call(lapack[1], b.size, 1, dl, d, du, b, b.size)
+    elif lapack is None:
+        from scipy.linalg.lapack import dgbsv
+
+        _, _, b, info = dgbsv(h, h, lapack_band, b, overwrite_ab=True, overwrite_b=True)
+    else:
+        ipiv = np.empty(b.size, np.int64)
+        info = _call(lapack[0], b.size, h, h, 1, lapack_band, 3 * h + 1, ipiv, b, b.size)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
-    return x
+        routine = "gtsv" if h == 1 else "gbsv"
+        raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
+    return b
+
+
+@functools.cache
+def _numpy_lapack():
+    """``(dgbsv, dgtsv)`` of the LAPACK that numpy is linked to, or ``None``.
+
+    numpy's wheels map OpenBLAS, built with 64-bit integers, and export its
+    LAPACK as ``scipy_<routine>_64_``; ``dlsym`` on numpy's linear-algebra
+    module also searches the libraries it links.  A numpy built against
+    another LAPACK (conda's, macOS Accelerate) resolves no such symbol, and
+    ``_solve_band`` calls scipy's routines instead.
+    """
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    try:
+        gbsv, gtsv = lib.scipy_dgbsv_64_, lib.scipy_dgtsv_64_
+    except AttributeError:
+        return None
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS, WRITEABLE")
+    ipiv = np.ctypeslib.ndpointer(np.int64, 1, flags="C_CONTIGUOUS, WRITEABLE")
+    gbsv.argtypes = [i64, i64, i64, i64, f64, i64, ipiv, f64, i64, i64]
+    gtsv.argtypes = [i64, i64, f64, f64, f64, f64, i64, i64]
+    gbsv.restype = gtsv.restype = None
+    return gbsv, gtsv
+
+
+def _call(routine, *args) -> int:
+    """Call a Fortran LAPACK ``routine`` with ``args`` (integers, which are
+    passed by reference, and arrays) and a trailing ``info``; return it."""
+    info = ctypes.c_int64(0)
+    refs = (a if isinstance(a, np.ndarray) else ctypes.byref(ctypes.c_int64(a)) for a in args)
+    routine(*refs, ctypes.byref(info))
+    return info.value

@@ -122,11 +122,19 @@ def cli_compare() -> dict:
         return {"code": code, "outputs": json.loads((out / "manifest.json").read_text())["outputs"]}
 
 
-def wave() -> str:
-    """A banded Newton travelling wave, above c*."""
-    model = _jump_gaussian()
+def _wave(model: BranchingModel) -> str:
     c = kpplab.minimal_speed(model).c_star + 0.2
     return _digest(kpplab.traveling_wave_profile(model, c, Grid(-30.0, 30.0, 256)).values)
+
+
+def wave() -> str:
+    """A banded Newton travelling wave above c*, whose step is ``dgbsv``."""
+    return _wave(_jump_gaussian())
+
+
+def wave_tridiagonal() -> str:
+    """A Brownian travelling wave above c*, whose step is ``dgtsv``."""
+    return _wave(BranchingModel(Motion.brownian(), BranchingLaw.binary_at_parent()))
 
 
 def align() -> float:
@@ -150,6 +158,7 @@ STEPS = {
     "picard": picard,
     "cli_compare": cli_compare,
     "wave": wave,
+    "wave_tridiagonal": wave_tridiagonal,
     "align": align,
     "curve": curve,
 }

@@ -4,11 +4,12 @@
 module and no process pool.  The simulator's path loads no ``scipy`` module
 either: the speed search, second moments, extinction probabilities,
 ensembles, empirical minima, D_inf, phi and the CLI's ``simulate``.  Nor do
-the lattice solvers, whose transforms are ``numpy.fft``'s: ``evolve``,
-``track_front``, ``picard_solve`` and the CLI's ``compare``.  Each other
-solver imports the scipy module it uses on first use:
-``traveling_wave_profile`` loads ``scipy.linalg``, ``align_shift``
-``scipy.optimize`` and the lattice extinction curve ``scipy.integrate``.
+the lattice solvers, whose transforms are ``numpy.fft``'s and whose band
+solves are numpy's own LAPACK's: ``evolve``, ``track_front``,
+``picard_solve``, the CLI's ``compare`` and ``traveling_wave_profile``, with
+a ``gbsv`` and a tridiagonal ``gtsv`` band.  Each other solver imports the
+scipy module it uses on first use: ``align_shift`` loads ``scipy.optimize``
+and the lattice extinction curve ``scipy.integrate``.
 Every step gives the same values, to the bit, as in this process, which has
 all of scipy loaded.
 """
@@ -53,7 +54,9 @@ def test_simulator_path_loads_no_scipy(fresh, step):
     assert fresh[step]["loaded"] == []
 
 
-@pytest.mark.parametrize("step", ["evolve", "track_front", "picard", "cli_compare"])
+@pytest.mark.parametrize(
+    "step", ["evolve", "track_front", "picard", "cli_compare", "wave", "wave_tridiagonal"]
+)
 def test_lattice_solvers_load_no_scipy(fresh, step):
     assert fresh[step]["loaded"] == []
 
@@ -61,7 +64,6 @@ def test_lattice_solvers_load_no_scipy(fresh, step):
 @pytest.mark.parametrize(
     "step, module",
     [
-        ("wave", "scipy.linalg"),
         ("align", "scipy.optimize"),
         ("curve", "scipy.integrate"),
     ],

@@ -1,3 +1,5 @@
+import ctypes
+import functools
 import logging
 import math
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgbsv
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
 from scipy.special import ndtr
@@ -39,6 +42,7 @@ from kpplab.errors import (
     NoMinimizerError,
     StepSizeError,
 )
+from kpplab import solve
 from kpplab.kernels import TAIL_MASS
 from kpplab.solve import (
     _check_range,
@@ -498,7 +502,75 @@ def _newton_system(motion, law):
     return _comoving_jacobian(stepper, u, c, q), _comoving_residual(stepper, u, c, q)
 
 
+def _random_system(h, pivot, n=1024):
+    """A random band of half-width ``h`` in ``gbsv`` storage, and a random
+    right-hand side.  With ``pivot`` the diagonal is a thousand times smaller
+    than the rest, so partial pivoting swaps rows; without, the band is
+    diagonally dominant by columns, so it swaps none."""
+    rng = np.random.default_rng(h)
+    lapack_band = np.zeros((3 * h + 1, n), order="F")
+    lapack_band[h:] = rng.uniform(-1.0, 1.0, (2 * h + 1, n))
+    lapack_band[2 * h] = 1e-3 * lapack_band[2 * h] if pivot else 2 * h + 1 + lapack_band[2 * h]
+    for k in range(1, h + 1):  # the storage's corners, outside the matrix
+        lapack_band[2 * h - k, :k] = 0.0
+        lapack_band[2 * h + k, n - k:] = 0.0
+    b = rng.standard_normal(n)
+    swapped = dgbsv(h, h, lapack_band.copy(), b.copy())[1] != np.arange(n)  # 0-based
+    assert swapped.any() == pivot
+    return lapack_band, b
+
+
+def _fail_lookup(monkeypatch):
+    """Run ``_solve_band`` as on a numpy whose LAPACK exports no ``dgbsv``
+    or ``dgtsv``: the symbol lookup fails, so scipy's routines run."""
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    monkeypatch.setattr(solve, "_numpy_lapack", functools.cache(solve._numpy_lapack.__wrapped__))
+    assert solve._numpy_lapack() is None
+
+
 class TestSolveBand:
+    @pytest.mark.parametrize("pivot", [False, True])
+    @pytest.mark.parametrize("h", [1, 2, 7, 172])
+    def test_random_band_is_solve_banded_bit_for_bit(self, h, pivot):
+        lapack_band, b = _random_system(h, pivot)
+        want = solve_banded((h, h), lapack_band[h:].copy(), b.copy())
+        assert np.array_equal(_solve_band(lapack_band, b), want)
+
+    @pytest.mark.parametrize("pivot", [False, True])
+    @pytest.mark.parametrize("h", [1, 2, 7, 172])
+    def test_scipy_fallback_gives_the_same_bits(self, monkeypatch, h, pivot):
+        lapack_band, b = _random_system(h, pivot)
+        want = _solve_band(lapack_band.copy("F"), b.copy())
+        _fail_lookup(monkeypatch)
+        assert np.array_equal(_solve_band(lapack_band, b), want)
+
+    @pytest.mark.parametrize("h", [1, 7])
+    def test_mismatched_rhs_raises(self, h):
+        lapack_band, b = _random_system(h, pivot=False)
+        with pytest.raises(ValueError, match="shapes"):
+            _solve_band(lapack_band, b[:-1])
+
+    @pytest.mark.parametrize("lookup", ["numpy", "scipy"])
+    @pytest.mark.parametrize("h", [1, 7])
+    def test_singular_random_band_raises(self, monkeypatch, lookup, h):
+        lapack_band, b = _random_system(h, pivot=True)
+        lapack_band[:, 40] = 0.0  # a zero column
+        if lookup == "scipy":
+            _fail_lookup(monkeypatch)
+        with pytest.raises(LinAlgError, match="^singular matrix$"):
+            _solve_band(lapack_band, b)
+
+    @pytest.mark.parametrize("where", ["band", "rhs"])
+    @pytest.mark.parametrize("lookup", ["numpy", "scipy"])
+    @pytest.mark.parametrize("h", [1, 7])
+    def test_non_finite_random_band_raises(self, monkeypatch, h, lookup, where):
+        lapack_band, b = _random_system(h, pivot=True)
+        (lapack_band[2 * h] if where == "band" else b)[7] = np.nan
+        if lookup == "scipy":
+            _fail_lookup(monkeypatch)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_band(lapack_band, b)
+
     @pytest.mark.parametrize("law", sorted(LAWS))
     @pytest.mark.parametrize("motion", sorted(MOTIONS))
     def test_is_solve_banded_bit_for_bit(self, motion, law):
