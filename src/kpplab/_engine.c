@@ -720,8 +720,8 @@ int kpp_replica(work_t *w, bitgen_t *bg, const motion_t *motion, const law_t *la
     w->rounds = w->lifelines = 0;
     if (!GROW(w, out_pos, n, 0))
         return NO_MEMORY;
-    for (int64_t i = 0; i < n; i++)
-        w->out_pos[i] = pos0[i];
+    for (int64_t i = 0; i < n; i++)  /* + 0.0 turns -0.0 into +0.0: a minimum of zeros is +0.0 */
+        w->out_pos[i] = pos0[i] + 0.0;
     for (int64_t k = 0; k < n_cp; k++) {
         double t_end = checkpoints[k];
         if (t_end != t && n > 0) {

@@ -251,11 +251,13 @@ def replica(work: Work, checkpoints, record, generations, model, rng: np.random.
             lambda_star: float, psi_star: float, window: float, max_particles: int,
             positions=(0.0,), t_start: float = 0.0):
     """``kpp_replica`` on ``work``'s buffers: the particles at ``positions``
-    at ``t_start`` run through the increasing ``checkpoints``, the minimum
-    taken where ``record`` is true, W and D at generation ``generations[k]``
-    where that is not negative, and the prune run at each checkpoint when
-    ``window`` is finite.  ``model`` and ``rng`` may be ``None`` when every
-    checkpoint is ``t_start``, so that no segment runs.
+    (a ``-0.0`` enters as ``+0.0``, so no minimum depends on where numpy's
+    ``min`` finds a signed zero) at ``t_start`` run through the increasing
+    ``checkpoints``, the minimum taken where ``record`` is true, W and D at
+    generation ``generations[k]`` where that is not negative, and the prune
+    run at each checkpoint when ``window`` is finite.  ``model`` and ``rng``
+    may be ``None`` when every checkpoint is ``t_start``, so that no segment
+    runs.
 
     Returns the minima, W, D and a ``_Result`` with the population at the
     last checkpoint (``_take`` copies it out of ``work``), the prune bound

@@ -42,13 +42,14 @@ seeded by ``SeedSequence(seed, spawn_key=(r,))``, so results do not depend
 on scheduling or worker count.
 
 ``empirical_minima`` and ``empirical_v`` share one generator among their
-replicas instead.  They run them in consecutive chunks of ``MERGED_CHUNK``
-origin particles, each chunk one tagged segment (``kpp_merged``) on one
-reused ``Work``, reduced per replica as soon as it ends: to its minimum, or
-to its sum of ``exp(-lam x)`` as ``np.bincount`` forms it.  A call holds
-one chunk's population at a time, and a call of at most ``MERGED_CHUNK``
-replicas is one chunk, the whole merged population.  An int ``rng`` given
-to either means ``Generator(SFC64(rng))``.
+replicas instead.  They run them in consecutive chunks of origin
+particles, each chunk one tagged segment (``kpp_merged``) on one reused
+``Work``, reduced per replica as soon as it ends: to its minimum, or to its
+sum of ``exp(-lam x)`` as ``np.bincount`` forms it.  A chunk holds as many
+replicas as make ``MERGED_POPULATION`` particles expected at the horizon, so
+a call holds about that many particles at a time whatever its horizon, and
+a call of at most one chunk's replicas is one chunk, the whole merged
+population.  An int ``rng`` given to either means ``Generator(SFC64(rng))``.
 """
 from __future__ import annotations
 
@@ -71,12 +72,13 @@ DEFAULT_MAX_PARTICLES = 5_000_000
 #: descendants reach the left tail with probability O(exp(-14)) ~ 8e-7
 PRUNE_WINDOW_FACTOR = 14.0
 
-#: origin particles per chunk of ``empirical_minima`` and ``empirical_v``.
-#: On a 2-core Xeon, 200 000 gaussian-jump replicas to t = 3 took 0.24 to
-#: 0.39 s in chunks of 1024 to 65536, against 0.53 to 0.59 s as one merged
-#: population, and the peak RSS grew with the chunk, from 84 to 127 MB.
-#: Calls of at most one chunk keep the stream of one merged population.
-MERGED_CHUNK = 16384
+#: expected particles per chunk of ``empirical_minima`` and ``empirical_v``
+#: (``_merged_chunk``).  On a 2-core Xeon, 200 000 gaussian-jump binary
+#: replicas to t = 3 took 0.20 to 0.30 s at 2**14 to 2**18 particles per
+#: chunk, as they did in chunks of 16384 replicas, and the peak RSS grew
+#: with the chunk from 38 to 49 MB; 13 000 of them to t = 6 took 0.27 to
+#: 0.32 s at 2**14 to 2**16 and 0.41 to 0.44 s at 2**17 and 2**18.
+MERGED_POPULATION = 2**16
 
 
 @dataclass(frozen=True)
@@ -329,10 +331,11 @@ def empirical_v(
     """Monte Carlo estimate of ``E sum_y exp(-lam y)`` at time ``t``.
 
     Returns the sample mean and its standard error.  Replicas are advanced in
-    chunks of ``MERGED_CHUNK``, each one merged tagged population, which is
-    distribution-identical to independent runs and much faster for short
-    horizons.  ``max_particles`` bounds one chunk's population: a chunk that
-    passes it raises ``CapacityError`` with its own time and count.
+    chunks of about ``MERGED_POPULATION`` expected particles at ``t``, each
+    one merged tagged population, which is distribution-identical to
+    independent runs and much faster for short horizons.  ``max_particles``
+    bounds one chunk's population: a chunk that passes it raises
+    ``CapacityError`` with its own time and count.
     """
     _check_replicas(replicas)
     sums = _reduce_replicas(model, t, replicas, rng, max_particles, lam)
@@ -350,10 +353,10 @@ def empirical_minima(
 ) -> np.ndarray:
     """Left-most positions of merged replicas at time ``t`` (``inf`` = extinct).
 
-    Replicas are advanced in chunks of ``MERGED_CHUNK``, each one merged
-    tagged population; ``max_particles`` bounds one chunk's population, and
-    a chunk that passes it raises ``CapacityError`` with its own time and
-    count.
+    Replicas are advanced in chunks of about ``MERGED_POPULATION`` expected
+    particles at ``t``, each one merged tagged population; ``max_particles``
+    bounds one chunk's population, and a chunk that passes it raises
+    ``CapacityError`` with its own time and count.
     """
     _check_replicas(replicas)
     return _reduce_replicas(model, t, replicas, rng, max_particles)
@@ -382,16 +385,24 @@ def _reduce_replicas(model, t, replicas, rng, max_particles, lam=None) -> np.nda
     """Per replica, one origin particle at 0.0 run to ``t``: the minimum of
     its particles (``inf`` when extinct), or, with ``lam``, the sum of
     ``exp(-lam x)`` over them.  The replicas run in consecutive chunks of
-    ``MERGED_CHUNK`` on ``rng``, one set of engine buffers and each chunk's
-    own ``max_particles``."""
+    ``_merged_chunk(model, t)`` on ``rng``, one set of engine buffers and
+    each chunk's own ``max_particles``."""
     if not (math.isfinite(t) and t >= 0):
         raise DomainError(f"t = {t!r} must be finite and nonnegative")
-    rng, out = _as_generator(rng), np.empty(replicas)
+    rng, out, size = _as_generator(rng), np.empty(replicas), _merged_chunk(model, t)
     with _engine.Work() as work:
-        for lo in range(0, replicas, MERGED_CHUNK):
-            chunk = out[lo:lo + MERGED_CHUNK]
+        for lo in range(0, replicas, size):
+            chunk = out[lo:lo + size]
             _engine.merged(work, chunk, float(t), model, rng, max_particles, lam)
     return out
+
+
+def _merged_chunk(model, t) -> int:
+    """Replicas per chunk: ``MERGED_POPULATION`` divided by a replica's
+    expected population ``exp((m - 1) t)`` at ``t``, the law's mean ``m``
+    taken as 1 when it is less, and at least one replica."""
+    growth = max(model.law.mean() - 1.0, 0.0)
+    return max(1, int(MERGED_POPULATION * math.exp(-growth * t)))
 
 
 def _run_replica_chunk(model, plan: "_ReplicaPlan", lo: int, hi: int):

@@ -188,7 +188,8 @@ def replica(plan, model, rng, max_particles, positions=(0.0,), t_start=0.0):
     checkpoints, one public step at a time: the segment, then the minimum,
     the martingales and the prune.  Returns the minima, W, D, the prune
     bound, the counters and the population at the last checkpoint."""
-    pos, t, bound = np.array(positions, dtype=float), t_start, 0.0
+    # + 0.0 turns -0.0 into +0.0, as the engine's copy-in does
+    pos, t, bound = np.array(positions, dtype=float) + 0.0, t_start, 0.0
     minima, ws, ds = [], [], []
     counts = {"rounds": 0, "lifelines": 0, "peak_population": 0, "pruned": 0}
     for t_end, record, n in zip(plan.checkpoints.tolist(), plan.record, plan.generations):

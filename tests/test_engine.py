@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kpplab import (
@@ -34,7 +34,7 @@ from kpplab import (
 )
 from kpplab.errors import CapacityError, DomainError, KppLabError
 from kpplab.simulate import (
-    MERGED_CHUNK,
+    _merged_chunk,
     _reduce_replicas,
     _ReplicaPlan,
     _replica_rng,
@@ -117,7 +117,7 @@ def test_segment_matches_the_numpy_engine(
     bit_generator=st.sampled_from(sorted(BIT_GENERATORS)),
     seed=st.integers(0, 2**32 - 1),
     replicas=st.integers(0, 12),
-    chunk=st.sampled_from([1, 3, 5, MERGED_CHUNK]),
+    chunk=st.sampled_from([1, 3, 5, None]),
     t=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
     lam=st.one_of(st.none(), st.floats(-1.0, 2.0)),
     cap=st.integers(1, 3000),
@@ -126,12 +126,14 @@ def test_merged_chunks_match_the_numpy_chunk_loop(
     motion, law, bit_generator, seed, replicas, chunk, t, lam, cap
 ):
     # kpp_merged's tags, minima and sums in every motion x law, over chunks
-    # of one to five replicas with one Work reused between them, extinct
-    # replicas and a capacity hit in any chunk
+    # of one to five replicas patched into the chunk rule, or the rule's own
+    # chunk, with one Work reused between them, extinct replicas and a
+    # capacity hit in any chunk
     model = BranchingModel(MOTIONS[motion], LAWS[law])
-    with mock.patch.object(simulate, "MERGED_CHUNK", chunk):
+    size = chunk or _merged_chunk(model, t)
+    with mock.patch.object(simulate, "_merged_chunk", lambda *_: size):
         (want, want_state), (got, got_state) = _both_calls(
-            lambda rng: ref.merged(model, t, replicas, rng, cap, chunk, lam),
+            lambda rng: ref.merged(model, t, replicas, rng, cap, size, lam),
             lambda rng: _reduce_replicas(model, t, replicas, rng, cap, lam),
             bit_generator,
             seed,
@@ -238,12 +240,14 @@ def test_kernel_draws_and_litters_match_numpy(kernel, law, bit_generator, seed, 
         assert _same_state(want_state, got_state)
 
 
-@pytest.mark.parametrize("replicas", [16383, 16384, 16385, 40960])
+@pytest.mark.parametrize("replicas", [39748, 39749, 39750, 99372])
 def test_merged_calls_match_the_numpy_chunk_loop_at_the_chunk_size(replicas):
     # bit for bit, with the Generator's state, on both sides of the chunk
-    # boundary at 16384 replicas
-    model = BranchingModel(MOTIONS["jump_gaussian"], LAWS["offspring"])
+    # boundary, 39749 replicas of a binary law at t = 0.5
+    model = BranchingModel(MOTIONS["jump_gaussian"], LAWS["binary"])
     t, cap, lam = 0.5, 10**7, 0.6
+    size = _merged_chunk(model, t)
+    assert size == 39749
 
     def both(engine, oracle):
         (want, want_state), (got, got_state) = _both_calls(oracle, engine, "sfc64", replicas)
@@ -254,7 +258,7 @@ def test_merged_calls_match_the_numpy_chunk_loop_at_the_chunk_size(replicas):
 
     # a call of at most one chunk is also the segment of all its replicas at
     # once, as merged calls ran before they were chunked
-    for chunk in {16384, min(replicas, 16384)}:
+    for chunk in {size, min(replicas, size)}:
         both(lambda rng: empirical_minima(model, t, replicas, rng),
              lambda rng: ref.merged(model, t, replicas, rng, cap, chunk))
         both(lambda rng: empirical_v(model, lam, t, replicas, rng),
@@ -264,12 +268,14 @@ def test_merged_calls_match_the_numpy_chunk_loop_at_the_chunk_size(replicas):
 
 
 def test_a_reused_work_gives_the_bytes_of_fresh_buffers():
-    # merged chunks that grow and shrink, both reductions, and segments
-    # between them, on one Work and on fresh buffers for each call
+    # merged chunks that grow and shrink, one of them the rule's own chunk,
+    # both reductions, and segments between them, on one Work and on fresh
+    # buffers for each call
+    tabulated = BranchingModel(MOTIONS["diffusive_jump_tabulated"], LAWS["displaced_uniform"])
     steps = [
         ("jump_gaussian", "offspring", None, 3000),
         ("brownian", "binary", 0.5, 40),
-        ("diffusive_jump_tabulated", "displaced_uniform", None, MERGED_CHUNK),
+        ("diffusive_jump_tabulated", "displaced_uniform", None, _merged_chunk(tabulated, 1.0)),
         ("jump_uniform", "ternary", "segment", 200),
         ("jump_two_sided_exponential", "death", 1.0, 1),
         ("constant", "binary", None, 700),
@@ -459,6 +465,10 @@ def test_replica_matches_the_python_loop(
     window=st.sampled_from([math.inf, 1.0, 3.0]),
     cap=st.sampled_from([1, 10, 100, 10**6]),
 )
+# a -0.0 among the positions, recorded at the start: numpy's min of
+# [0.0, -0.0] is -0.0, and positions enter a population as x + 0.0
+@example(motion="constant", law="binary", bit_generator="sfc64", seed=0, positions=[0.0, -0.0],
+         t_start=0.0, steps=[(0.0, True, -1)], window=math.inf, cap=10)
 def test_replica_from_any_population_matches_the_python_loop(
     motion, law, bit_generator, seed, positions, t_start, steps, window, cap
 ):

@@ -24,7 +24,7 @@ from kpplab import (
     simulate,
 )
 from kpplab.errors import CapacityError, DomainError, NoMinimizerError
-from kpplab.simulate import MERGED_CHUNK, _extinction_curve
+from kpplab.simulate import MERGED_POPULATION, _extinction_curve, _merged_chunk
 
 import reference_engine as ref
 from helpers import binary_death_extinction, binomial_se
@@ -368,11 +368,11 @@ def test_merged_estimators_need_a_replica(jump_gaussian_binary, replicas):
 
 
 def test_merged_capacity_bounds_each_chunk_not_the_call(immobile_binary):
-    # three chunks of about 27 000 particles each run under a cap of 40 000
-    replicas = 3 * MERGED_CHUNK
-    mean, _ = empirical_v(immobile_binary, 0.0, 0.5, replicas, 11, max_particles=40_000)
-    assert mean * replicas > 40_000
-    minima = empirical_minima(immobile_binary, 0.5, replicas, 11, max_particles=40_000)
+    # three chunks of about 65 500 particles each run under a cap of 100 000
+    replicas = 3 * _merged_chunk(immobile_binary, 0.5)
+    mean, _ = empirical_v(immobile_binary, 0.0, 0.5, replicas, 11, max_particles=100_000)
+    assert mean * replicas > 100_000
+    minima = empirical_minima(immobile_binary, 0.5, replicas, 11, max_particles=100_000)
     assert np.all(minima == 0.0)
 
 
@@ -380,17 +380,37 @@ def test_merged_capacity_error_carries_its_chunks_time_and_count(immobile_binary
     # immobile binary chunks only grow, so under a cap one below the largest
     # chunk's final count that chunk alone passes it, with that count, at the
     # numpy chunk loop's time; the chunks before it have run
-    replicas, t = 3 * MERGED_CHUNK, 0.5
-    counts = ref.merged(immobile_binary, t, replicas, _rng(12), 10**7, MERGED_CHUNK, 0.0)
-    totals = counts.reshape(3, MERGED_CHUNK).sum(axis=1).astype(int)
+    t = 0.5
+    chunk = _merged_chunk(immobile_binary, t)
+    replicas = 3 * chunk
+    counts = ref.merged(immobile_binary, t, replicas, _rng(12), 10**7, chunk, 0.0)
+    totals = counts.reshape(3, chunk).sum(axis=1).astype(int)
     cap = int(totals.max()) - 1
     assert int(np.argmax(totals)) > 0 and np.sum(totals > cap) == 1
     with pytest.raises(CapacityError) as want:
-        ref.merged(immobile_binary, t, replicas, _rng(12), cap, MERGED_CHUNK)
+        ref.merged(immobile_binary, t, replicas, _rng(12), cap, chunk)
     with pytest.raises(CapacityError) as got:
         empirical_minima(immobile_binary, t, replicas, _rng(12), max_particles=cap)
     assert got.value.count == want.value.count == totals.max()
     assert got.value.time == want.value.time
+
+
+def test_merged_chunk_holds_a_fixed_expected_population(jump_gaussian_binary):
+    # MERGED_POPULATION / exp((m - 1) t) replicas, with m <= 1 counted as 1
+    # and a horizon too long for one replica's expected population kept at 1
+    assert _merged_chunk(jump_gaussian_binary, 3.0) == 3262
+    assert _merged_chunk(jump_gaussian_binary, 0.0) == MERGED_POPULATION
+    assert _merged_chunk(jump_gaussian_binary, 1e4) == 1
+    for probs in ({0: 0.5, 1: 0.5}, {0: 0.5, 2: 0.5}):
+        model = BranchingModel(Motion.constant(), BranchingLaw.offspring_at_parent(probs))
+        assert _merged_chunk(model, 5.0) == MERGED_POPULATION
+
+
+def test_long_horizons_run_under_the_default_cap(jump_gaussian_binary):
+    # 13 000 replicas to t = 6 are about 5.2e6 particles, more than the
+    # default cap, which bounds each chunk of about 65 536 particles
+    minima = empirical_minima(jump_gaussian_binary, 6.0, 13_000, 5)
+    assert minima.shape == (13_000,) and np.all(np.isfinite(minima))
 
 
 @pytest.mark.parametrize("seed", [0, 31, 2**40 + 3])
