@@ -47,9 +47,7 @@ from .solve import (
     evolve,
     front_position,
     measure_front,
-    pde_step,
     picard_solve,
-    shift_field,
     track_front,
     traveling_wave_profile,
     wave_residual,
@@ -58,13 +56,11 @@ from .analyze import (
     ComparisonResult,
     DInfinityEnsemble,
     ProfileEstimate,
-    SamplingReport,
     align_shift,
     estimate_d_infinity,
     pde_profile,
     phi_from_martingale,
     recentered_cdf,
-    sampling_consistency,
     u_vs_mc,
 )
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, DomainError, InsufficientHorizonError
-from .kernels import INF
-from .model import BranchingModel, log_laplace
-from .simulate import MartingaleTrace, MinimumSample, empirical_minima, empirical_v
+from .model import BranchingModel
+from .simulate import MartingaleTrace, MinimumSample, empirical_minima
 from .solve import Field, Grid, evolve
 from . import solve as _solve
 
@@ -61,25 +60,6 @@ class ComparisonResult:
     pde_values: np.ndarray
     mc_values: np.ndarray
     mc_stderr: np.ndarray
-
-
-@dataclass(frozen=True)
-class SamplingRow:
-    k: int
-    t: float
-    estimate: float
-    stderr: float
-    target: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class SamplingReport:
-    rows: list[SamplingRow]
-    target: float
-
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows)
 
 
 def estimate_d_infinity(traces: list[MartingaleTrace], n_used: int) -> DInfinityEnsemble:
@@ -211,38 +191,6 @@ def u_vs_mc(
     frac, stderr = _survival_fraction(minima, grid.xs)
     sup = float(np.max(np.abs(field.values - frac)))
     return ComparisonResult(sup, grid.xs, field.values, frac, stderr)
-
-
-def sampling_consistency(
-    model: BranchingModel,
-    k_list,
-    lam: float,
-    replicas: int = 10_000,
-    rng: np.random.Generator | int = 0,
-) -> SamplingReport:
-    """Check the dyadic sampling identity ``2**k psi_k = psi`` by simulation.
-
-    For each depth ``k`` the transform of the ``2**-k``-sampled walk is
-    estimated from the population at ``t = 2**-k`` and scaled back; the check
-    passes within three standard errors.  ``k_list`` may be any iterable; an
-    empty one is rejected rather than reported as a vacuous pass.
-    """
-    k_list = list(k_list)
-    if not k_list:
-        raise DomainError("need at least one sampling depth")
-    psi = log_laplace(model, lam)
-    if psi == INF:
-        raise DomainError("transform divergent at this argument")
-    base = np.random.default_rng(rng)
-    streams = base.spawn(len(k_list))
-    rows = []
-    for k, stream in zip(k_list, streams):
-        t = 2.0 ** (-k)
-        mean, se = empirical_v(model, lam, t, replicas, stream)
-        est = (1 << k) * math.log(mean)
-        se_est = (1 << k) * se / mean
-        rows.append(SamplingRow(k, t, est, se_est, psi, abs(est - psi) <= 3.0 * se_est))
-    return SamplingReport(rows, psi)
 
 
 def pde_profile(field: Field) -> ProfileEstimate:

@@ -335,9 +335,12 @@ def empirical_v(
     one merged tagged population, which is distribution-identical to
     independent runs and much faster for short horizons.  ``max_particles``
     bounds one chunk's population: a chunk that passes it raises
-    ``CapacityError`` with its own time and count.
+    ``CapacityError`` with its own time and count.  A ``lam`` that is not
+    finite raises ``DomainError`` before any draw.
     """
     _check_replicas(replicas)
+    if not math.isfinite(lam):
+        raise DomainError(f"lam = {lam!r} must be finite")
     sums = _reduce_replicas(model, t, replicas, rng, max_particles, lam)
     mean = float(sums.mean())
     se = float(sums.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0

@@ -402,17 +402,6 @@ def _check_range(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def pde_step(model: BranchingModel, field: Field, dt: float) -> Field:
-    """One Runge-Kutta step of the strong form, limits included.
-
-    ``dt`` must respect the explicit stability bound (``_Stepper.
-    stability_bound``: 0.2 min(1, dx^2) with a Brownian part, 0.1 otherwise).
-    Values are clamped to [0, 1] only when the overshoot is below 1e-10;
-    larger departures raise ``StepSizeError``.
-    """
-    return evolve(model, field, field.t + dt, dt)
-
-
 def _check_horizon(field: Field, t_end: float) -> None:
     if not (math.isfinite(t_end) and t_end >= field.t):
         raise DomainError(f"t_end = {t_end!r} must be finite and not precede the field time")
@@ -524,7 +513,8 @@ def picard_solve(
     integrates it against the semigroup by the trapezoid rule, frequency by
     frequency.  Iterates increase monotonically to the minimal solution;
     failure to reach ``tol`` within ``PICARD_MAX_ITER`` sweeps raises
-    ``IterationLimitError`` carrying the last increment.
+    ``IterationLimitError`` carrying the last increment.  A ``tol`` that is
+    not positive and finite raises ``DomainError`` before the first sweep.
     """
     if np.any(f.values < 0) or np.any(f.values > 1):
         raise DomainError("initial data must lie in [0, 1]")
@@ -532,6 +522,7 @@ def picard_solve(
         raise DomainError("need at least two time points")
     if not (math.isfinite(t) and t >= 0):
         raise DomainError("the horizon must be finite and nonnegative")
+    _check_positive("tol", tol)
     stepper = _Stepper(model, f.grid)
     n = f.grid.n_points
     dt = t / (n_time - 1)
@@ -651,24 +642,20 @@ def measure_front(
     return FrontFit(float(sol[0]), float(sol[1]), float(sol[2]), -1.5 / lambda_star)
 
 
-def shift_field(field: Field, shift: float) -> Field:
-    """Resample a field at ``x + shift`` with constant extension."""
-    xs = field.grid.xs
-    values = np.interp(
-        xs + shift, xs, field.values, left=field.left_limit, right=field.right_limit
-    )
-    return field.with_values(values)
-
-
 def wave_residual(profile: Field, c: float, model: BranchingModel, dt: float) -> float:
     """Sup-norm defect of a profile as a traveling wave of speed ``c``.
 
-    Advances one step, shifts the result back by ``c dt``, and compares with
-    the original; a small residual certifies a numerical traveling wave.
+    Advances one Runge-Kutta step (``evolve``, so ``dt`` must respect the
+    stability bound), resamples the result at ``x + c dt`` with constant
+    extension, and compares with the original; a small residual certifies a
+    numerical traveling wave.
     """
-    stepped = pde_step(model, profile, dt)
-    shifted = shift_field(stepped, c * dt)
-    return float(np.max(np.abs(shifted.values - profile.values)))
+    stepped = evolve(model, profile, profile.t + dt, dt)
+    xs = profile.grid.xs
+    shifted = np.interp(
+        xs + c * dt, xs, stepped.values, left=stepped.left_limit, right=stepped.right_limit
+    )
+    return float(np.max(np.abs(shifted - profile.values)))
 
 
 def traveling_wave_profile(model: BranchingModel, c: float, grid: Grid) -> Field:
@@ -683,7 +670,8 @@ def traveling_wave_profile(model: BranchingModel, c: float, grid: Grid) -> Field
     of iterations, raises ``IterationLimitError``; a converged solution that
     leaves ``[q, 1]`` by more than ``OVERSHOOT_ERROR`` (as below ``c*``, where
     no monotone wave exists) raises ``DomainError``, and a smaller excursion
-    is clipped.  Evolving the returned
+    is clipped; a ``c`` that is not finite raises ``DomainError`` before the
+    first iterate.  Evolving the returned
     profile and shifting back by ``c dt`` leaves only discretization error,
     so it is the right object for residual tests.
 
@@ -691,6 +679,8 @@ def traveling_wave_profile(model: BranchingModel, c: float, grid: Grid) -> Field
     its limiting speed only algebraically, which leaves a resolution-
     independent speed deficit in any evolved snapshot.
     """
+    if not math.isfinite(c):
+        raise DomainError(f"c = {c!r} must be finite")
     xs = grid.xs
     q = model.law.extinction_probability()
     mid = 0.5 * (q + 1.0)
@@ -740,9 +730,7 @@ def _comoving_jacobian(stepper: _Stepper, u: np.ndarray, c: float, q: float) -> 
     ``[2h + i - j, j]``: the band fills rows ``h ... 3h`` (``solve_banded``
     form, see ``_add_band``), and rows ``0 ... h-1`` are zero, where
     ``gbsv``'s factorization keeps its fill-in.  So ``_solve_band`` factors
-    it in place with ``dgbsv``, with no copy; only a tridiagonal band
-    (``h == 1``) goes to ``dgtsv`` instead, as in ``solve_banded``, for its
-    bits.
+    it in place with ``dgbsv``, with no copy, at every half-bandwidth.
     """
     stencils = [*stepper.motion_stencils, _CENTRAL]
     if stepper.w_disp is not None:
@@ -776,68 +764,52 @@ def _pinned_newton_step(
 def _solve_band(lapack_band: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` for ``A`` in ``gbsv`` storage, overwriting both.
 
-    Bit for bit ``solve_banded((h, h), lapack_band[h:], b)``: with ``h > 1``
-    that is ``dgbsv`` on the same storage, called here on the buffer itself
-    instead of a zero-padded, Fortran-ordered copy of it.  A tridiagonal band
-    (``h == 1``) goes to ``dgtsv``, as in ``solve_banded`` (its bits differ
-    from ``gbsv``'s), on the same contiguous copies of its three diagonals.
-    Both routines are those of the LAPACK numpy is linked to
-    (``_numpy_lapack``), or scipy's where numpy exports none.  Like
-    ``solve_banded``, a non-finite entry raises ``ValueError`` and a singular
-    ``A`` raises ``LinAlgError``.
+    ``dgbsv`` runs on the buffer itself, for every half-bandwidth ``h``: the
+    routine of the LAPACK numpy is linked to (``_numpy_lapack``), or scipy's
+    where numpy exports none.  A non-finite entry raises ``ValueError``
+    before the call, and a singular ``A`` raises ``LinAlgError``.
     """
     h = (lapack_band.shape[0] - 1) // 3
     if lapack_band.shape != (3 * h + 1, b.size):
         raise ValueError("shapes of ab and b are not compatible.")
     if not (np.isfinite(lapack_band[h:]).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    lapack = _numpy_lapack()
-    if h == 1:
-        rows = lapack_band[3, :-1], lapack_band[2], lapack_band[1, 1:]
-        dl, d, du = (np.ascontiguousarray(row) for row in rows)
-        if lapack is None:
-            from scipy.linalg.lapack import dgtsv
-
-            *_, b, info = dgtsv(dl, d, du, b, overwrite_b=True)
-        else:
-            info = _call(lapack[1], b.size, 1, dl, d, du, b, b.size)
-    elif lapack is None:
+    gbsv = _numpy_lapack()
+    if gbsv is None:
         from scipy.linalg.lapack import dgbsv
 
         _, _, b, info = dgbsv(h, h, lapack_band, b, overwrite_ab=True, overwrite_b=True)
     else:
         ipiv = np.empty(b.size, np.int64)
-        info = _call(lapack[0], b.size, h, h, 1, lapack_band, 3 * h + 1, ipiv, b, b.size)
+        info = _call(gbsv, b.size, h, h, 1, lapack_band, 3 * h + 1, ipiv, b, b.size)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
-        routine = "gtsv" if h == 1 else "gbsv"
-        raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
+        raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
     return b
 
 
 @functools.cache
 def _numpy_lapack():
-    """``(dgbsv, dgtsv)`` of the LAPACK that numpy is linked to, or ``None``.
+    """``dgbsv`` of the LAPACK that numpy is linked to, or ``None``.
 
     numpy's wheels map OpenBLAS, built with 64-bit integers, and export its
     LAPACK as ``scipy_<routine>_64_``; ``dlsym`` on numpy's linear-algebra
     module also searches the libraries it links.  A numpy built against
     another LAPACK (conda's, macOS Accelerate) resolves no such symbol, and
-    ``_solve_band`` calls scipy's routines instead.
+    ``_solve_band`` calls scipy's ``dgbsv`` instead.
     """
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     try:
-        gbsv, gtsv = lib.scipy_dgbsv_64_, lib.scipy_dgtsv_64_
+        gbsv = lib.scipy_dgbsv_64_
     except AttributeError:
         return None
     i64 = ctypes.POINTER(ctypes.c_int64)
     f64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS, WRITEABLE")
     ipiv = np.ctypeslib.ndpointer(np.int64, 1, flags="C_CONTIGUOUS, WRITEABLE")
     gbsv.argtypes = [i64, i64, i64, i64, f64, i64, ipiv, f64, i64, i64]
-    gtsv.argtypes = [i64, i64, f64, f64, f64, f64, i64, i64]
-    gbsv.restype = gtsv.restype = None
-    return gbsv, gtsv
+    gbsv.restype = None
+    return gbsv
 
 
 def _call(routine, *args) -> int:

@@ -140,10 +140,13 @@ def second_moment_w(model: BranchingModel, lam: float, mu: float, t: float) -> f
     equation to a scalar linear ODE driven by the squared first moments,
     solved in closed form (``exprel`` keeps it exact when the rates agree).
     Returns the ``inf`` sentinel when any of the needed transforms diverges
-    (in particular when ``lam + mu`` reaches the finiteness edge).
+    (in particular when ``lam + mu`` reaches the finiteness edge); a NaN
+    ``lam`` or ``mu`` raises ``DomainError``.
     """
     if not (math.isfinite(t) and t >= 0):
         raise DomainError("time must be finite and nonnegative")
+    if math.isnan(lam) or math.isnan(mu):
+        raise DomainError(f"lam = {lam!r} and mu = {mu!r} must not be NaN")
     psi_l = log_laplace(model, lam)
     psi_m = log_laplace(model, mu)
     psi_lm = log_laplace(model, lam + mu)

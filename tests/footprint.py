@@ -133,7 +133,8 @@ def wave() -> str:
 
 
 def wave_tridiagonal() -> str:
-    """A Brownian travelling wave above c*, whose step is ``dgtsv``."""
+    """A Brownian travelling wave above c*, whose band is tridiagonal: an
+    ``h = 1`` input to the same ``dgbsv``."""
     return _wave(BranchingModel(Motion.brownian(), BranchingLaw.binary_at_parent()))
 
 

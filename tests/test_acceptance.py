@@ -275,8 +275,8 @@ def test_criterion_08_deterministic_solver_properties():
     _, h2 = k.picard_solve(displaced, f2, 1.0, 65, tol=1e-10, return_history=True)
     checks["picard comparison"] = bool(np.all(h1[-1] <= h2[-1] + 1e-8))
 
-    one = k.pde_step(model, k.Field.constant(grid, 1.0), 0.1)
-    zero = k.pde_step(model, k.Field.constant(grid, 0.0), 0.1)
+    one = k.evolve(model, k.Field.constant(grid, 1.0), 0.1, 0.1)
+    zero = k.evolve(model, k.Field.constant(grid, 0.0), 0.1, 0.1)
     checks["stationary states"] = bool(
         np.max(np.abs(one.values - 1.0)) <= 1e-9 and np.max(np.abs(zero.values)) <= 1e-9
     )
@@ -394,9 +394,13 @@ def test_criterion_13_sampling_consistency():
     rows = []
     ok = True
     for lam, seed in ((0.0, 131), (lam_star, 132)):
-        report = k.sampling_consistency(model, [0, 1, 2], lam, replicas=10_000, rng=seed)
-        ok &= report.all_passed()
-        rows += [f"k={r.k},lam={lam:.2f}:{r.estimate:.3f}/{r.target:.3f}" for r in report.rows]
+        # the walk sampled at t = 2^-depth has transform psi / 2^depth
+        psi = k.log_laplace(model, lam)
+        for depth, stream in enumerate(np.random.default_rng(seed).spawn(3)):
+            mean, se = k.empirical_v(model, lam, 2.0**-depth, 10_000, stream)
+            est = (1 << depth) * math.log(mean)
+            ok &= abs(est - psi) <= 3.0 * ((1 << depth) * se / mean)
+            rows.append(f"k={depth},lam={lam:.2f}:{est:.3f}/{psi:.3f}")
     _report(
         13,
         "dyadic sampling consistency",

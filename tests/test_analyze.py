@@ -13,7 +13,6 @@ from kpplab import (
     estimate_d_infinity,
     phi_from_martingale,
     recentered_cdf,
-    sampling_consistency,
     u_vs_mc,
 )
 from kpplab.errors import AlignmentError, DomainError, InsufficientHorizonError
@@ -179,28 +178,3 @@ def test_recentered_cdfs_approach_each_other_with_horizon(brownian_binary):
     # on seeds 271 and 1-9, d48 read 0.045-0.068 and d816 0.026-0.049; the
     # smallest margin was 0.004, on seed 5 (d816 0.0493 against 0.0531)
     assert d816 <= d48 + 0.005
-
-
-class TestSamplingConsistency:
-    def test_identity_depth_matches_bridge(self, brownian_binary):
-        report = sampling_consistency(brownian_binary, [0], 0.0, replicas=8000, rng=1)
-        assert report.rows[0].target == pytest.approx(1.0)
-        assert report.all_passed()
-
-    def test_quarter_time_scaling(self, brownian_binary):
-        report = sampling_consistency(brownian_binary, [2], 0.0, replicas=8000, rng=2)
-        row = report.rows[0]
-        assert row.t == 0.25
-        assert row.estimate == pytest.approx(1.0, abs=3 * row.stderr)
-
-    def test_generator_depths_match_tuple(self, brownian_binary):
-        as_tuple = sampling_consistency(brownian_binary, (0, 1), 0.3, replicas=500, rng=4)
-        as_gen = sampling_consistency(
-            brownian_binary, (k for k in (0, 1)), 0.3, replicas=500, rng=4
-        )
-        assert len(as_gen.rows) == 2
-        assert as_gen.rows == as_tuple.rows
-
-    def test_empty_depths_rejected(self, brownian_binary):
-        with pytest.raises(DomainError):
-            sampling_consistency(brownian_binary, iter(()), 0.3, replicas=10, rng=4)

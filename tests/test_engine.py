@@ -45,8 +45,8 @@ from helpers import KERNELS, LAWS, MOTIONS
 
 
 # the engine draws through any caller's bitgen_t: SFC64 is the simulator's own
-# stream, PCG64 arrives through default_rng (sampling_consistency), and Philox
-# is a counter-based generator, unlike the other two
+# stream, PCG64 arrives through default_rng (criterion 13's spawned streams),
+# and Philox is a counter-based generator, unlike the other two
 BIT_GENERATORS = {"pcg64": np.random.PCG64, "philox": np.random.Philox, "sfc64": np.random.SFC64}
 
 

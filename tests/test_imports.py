@@ -6,12 +6,13 @@ either: the speed search, second moments, extinction probabilities,
 ensembles, empirical minima, D_inf, phi and the CLI's ``simulate``.  Nor do
 the lattice solvers, whose transforms are ``numpy.fft``'s and whose band
 solves are numpy's own LAPACK's: ``evolve``, ``track_front``,
-``picard_solve``, the CLI's ``compare`` and ``traveling_wave_profile``, with
-a ``gbsv`` and a tridiagonal ``gtsv`` band.  Each other solver imports the
-scipy module it uses on first use: ``align_shift`` loads ``scipy.optimize``
-and the lattice extinction curve ``scipy.integrate``.
+``picard_solve``, the CLI's ``compare`` and ``traveling_wave_profile``, on a
+wide and on a tridiagonal band, both solved by ``dgbsv``.  Each other solver
+imports the scipy module it uses on first use: ``align_shift`` loads
+``scipy.optimize`` and the lattice extinction curve ``scipy.integrate``.
 Every step gives the same values, to the bit, as in this process, which has
-all of scipy loaded.
+all of scipy loaded.  The package's public names are pinned to a list, so
+adding or retiring one is a visible decision.
 """
 import json
 import math
@@ -89,3 +90,21 @@ def test_steps_give_their_values(fresh):
     assert abs(fresh["align"]["value"] - 0.75) < 1e-6
     for t, value in fresh["curve"]["value"].items():
         assert value == pytest.approx(binary_death_extinction(0.2, float(t)), abs=1e-10)
+
+
+#: ``kpplab.__all__``, sorted: its modules, classes and functions
+PUBLIC_NAMES = [
+    "AssumptionReport", "BranchingLaw", "BranchingModel", "ComparisonResult", "DInfinityEnsemble",
+    "EnsembleResult", "Field", "FrontFit", "FrontTrace", "Grid", "INF", "Kernel",
+    "MartingaleTrace", "MinimumSample", "Motion", "Population", "ProfileEstimate", "RunConfig",
+    "SpeedProfile", "abscissa", "advance", "align_shift", "analyze", "check_assumptions",
+    "convolve", "empirical_minima", "empirical_v", "errors", "estimate_d_infinity", "evolve",
+    "front_position", "kernels", "log_laplace", "martingales", "measure_front", "minimal_speed",
+    "model", "model_from_dict", "pde_profile", "phi_from_martingale", "picard_solve", "prune",
+    "recentered_cdf", "run_ensemble", "second_moment_w", "simulate", "solve", "spectral",
+    "track_front", "traveling_wave_profile", "u_vs_mc", "wave_residual",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(kpplab.__all__) == PUBLIC_NAMES

@@ -344,6 +344,17 @@ def test_merged_estimators_need_a_finite_time(immobile_binary, t):
         empirical_v(immobile_binary, 0.5, t, 3, 1, max_particles=1000)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_empirical_transform_needs_a_finite_argument(jump_gaussian_binary, lam):
+    # these returned nan or inf means with a nan standard error; the check
+    # comes before any draw, so the caller's generator is left as it was
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="lam"):
+        empirical_v(jump_gaussian_binary, lam, 1.0, 100, rng)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize(
     "params",
     [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbsv
 from scipy.fft import next_fast_len
 from scipy.signal import fftconvolve
@@ -26,9 +26,7 @@ from kpplab import (
     front_position,
     measure_front,
     minimal_speed,
-    pde_step,
     picard_solve,
-    shift_field,
     track_front,
     traveling_wave_profile,
     wave_residual,
@@ -197,17 +195,19 @@ class TestCorrelate:
 
 
 class TestPdeStep:
+    """Strong-form stepping through ``evolve``; one step is ``t_end = t + dt``."""
+
     def test_stationary_states(self, jump_gaussian_binary):
         grid = Grid(-24.0, 24.0, 1024)
-        one = pde_step(jump_gaussian_binary, Field.constant(grid, 1.0), 0.1)
-        zero = pde_step(jump_gaussian_binary, Field.constant(grid, 0.0), 0.1)
+        one = evolve(jump_gaussian_binary, Field.constant(grid, 1.0), 0.1, 0.1)
+        zero = evolve(jump_gaussian_binary, Field.constant(grid, 0.0), 0.1, 0.1)
         assert np.max(np.abs(one.values - 1.0)) < 1e-9
         assert np.max(np.abs(zero.values)) < 1e-9
 
     def test_brownian_stationary(self, brownian_binary):
         grid = Grid(-8.0, 8.0, 256)
         dt = 0.2 * min(1.0, grid.dx**2)
-        one = pde_step(brownian_binary, Field.constant(grid, 1.0), dt)
+        one = evolve(brownian_binary, Field.constant(grid, 1.0), dt, dt)
         assert np.max(np.abs(one.values - 1.0)) < 1e-9
 
     def test_logistic_closed_form(self, immobile_binary):
@@ -227,14 +227,15 @@ class TestPdeStep:
     def test_stability_bound_enforced(self, brownian_binary):
         grid = Grid(-8.0, 8.0, 1024)
         with pytest.raises(StepSizeError):
-            pde_step(brownian_binary, Field.heaviside(grid), 0.1)
+            evolve(brownian_binary, Field.heaviside(grid), 0.1, 0.1)
 
     def test_instability_detected(self, brownian_binary):
         # well-formed dt but garbage data blowing out of [0, 1]
         grid = Grid(-8.0, 8.0, 256)
         bad = Field(grid, 1.0 + 0.5 * np.sin(10 * grid.xs) ** 2, 0.0, 0.0, 1.0)
+        dt = 0.2 * grid.dx**2
         with pytest.raises(StepSizeError):
-            pde_step(brownian_binary, bad, 0.2 * grid.dx**2)
+            evolve(brownian_binary, bad, dt, dt)
 
 
 class TestComparisonAndSandwich:
@@ -299,6 +300,13 @@ class TestPicard:
         # each would keep doubling the periodic padding, its leak never below TAIL_MASS
         with pytest.raises(DomainError):
             picard_solve(immobile_binary, Field.constant(small_grid(), 0.5), t, 10)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, immobile_binary, tol):
+        # no increment is ever below these: all 80 sweeps ran, then
+        # IterationLimitError blamed the convergence
+        with pytest.raises(DomainError, match="tol"):
+            picard_solve(immobile_binary, Field.constant(small_grid(), 0.5), 1.0, 10, tol=tol)
 
     def test_brownian_constant_data_is_logistic(self, brownian_binary):
         u = picard_solve(brownian_binary, Field.constant(small_grid(), 0.5), 1.0, 65, tol=1e-10)
@@ -379,12 +387,15 @@ class TestWaveResidual:
             res = wave_residual(Field.constant(grid, value), 1.7, jump_gaussian_binary, 0.05)
             assert res < 1e-9
 
-    def test_shift_field_round_trip(self):
-        grid = Grid(-8.0, 8.0, 512)
-        f = Field(grid, ndtr(grid.xs), 0.0, 0.0, 1.0)
-        back = shift_field(shift_field(f, 1.0), -1.0)
-        inner = slice(64, -64)
-        assert np.max(np.abs(back.values[inner] - f.values[inner])) < 1e-4
+    def test_residual_shifts_back_along_the_waves_own_direction(self, jump_gaussian_binary):
+        # the step is resampled at x + c dt: the wave at its own c leaves only
+        # discretization error, and at -c it is off by 2 c dt times its slope
+        c = math.exp(0.5)
+        prof = traveling_wave_profile(jump_gaussian_binary, c, Grid(-30.0, 30.0, 1024))
+        forward = wave_residual(prof, c, jump_gaussian_binary, 0.05)
+        backward = wave_residual(prof, -c, jump_gaussian_binary, 0.05)
+        assert forward < 5e-5
+        assert backward > 1e3 * forward
 
 
 def test_monotone_data_stays_monotone(jump_gaussian_binary, brownian_binary):
@@ -457,6 +468,13 @@ class TestTravelingWaveProfile:
         with pytest.raises(IterationLimitError):
             traveling_wave_profile(model, c, Grid(-30.0, 30.0, 1024))
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_speed_must_be_finite(self, jump_gaussian_binary, c):
+        # NaN reached the band solve, whose ValueError is no KppLabError, and
+        # an infinite speed made the Jacobian NaN: IterationLimitError, "diverged"
+        with pytest.raises(DomainError, match="must be finite"):
+            traveling_wave_profile(jump_gaussian_binary, c, Grid(-30.0, 30.0, 1024))
+
 
 def _dense_band(lapack_band):
     """The matrix held in ``gbsv`` storage: ``A[i, j]`` at ``[2h + i - j, j]``."""
@@ -521,11 +539,24 @@ def _random_system(h, pivot, n=1024):
 
 
 def _fail_lookup(monkeypatch):
-    """Run ``_solve_band`` as on a numpy whose LAPACK exports no ``dgbsv``
-    or ``dgtsv``: the symbol lookup fails, so scipy's routines run."""
+    """Run ``_solve_band`` as on a numpy whose LAPACK exports no ``dgbsv``:
+    the symbol lookup fails, so scipy's ``dgbsv`` runs."""
     monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
     monkeypatch.setattr(solve, "_numpy_lapack", functools.cache(solve._numpy_lapack.__wrapped__))
     assert solve._numpy_lapack() is None
+
+
+def _scipy_dgbsv(lapack_band, b):
+    """The reference solution: scipy's ``dgbsv`` on copies of the system.
+
+    ``solve_banded``, which the tests below are named for, calls this routine
+    on every band wider than tridiagonal; ``_solve_band`` calls it on every
+    band.
+    """
+    h = (lapack_band.shape[0] - 1) // 3
+    _, _, x, info = dgbsv(h, h, lapack_band.copy(), b.copy())
+    assert info == 0
+    return x
 
 
 class TestSolveBand:
@@ -533,7 +564,7 @@ class TestSolveBand:
     @pytest.mark.parametrize("h", [1, 2, 7, 172])
     def test_random_band_is_solve_banded_bit_for_bit(self, h, pivot):
         lapack_band, b = _random_system(h, pivot)
-        want = solve_banded((h, h), lapack_band[h:].copy(), b.copy())
+        want = _scipy_dgbsv(lapack_band, b)
         assert np.array_equal(_solve_band(lapack_band, b), want)
 
     @pytest.mark.parametrize("pivot", [False, True])
@@ -579,7 +610,7 @@ class TestSolveBand:
         assert lapack_band.flags.f_contiguous and not lapack_band[:h].any()
         # the immobile and Brownian at-parent bands are tridiagonal
         assert (h == 1) == (motion in ("constant", "brownian") and law != "binary_one_displaced")
-        want = solve_banded((h, h), lapack_band[h:].copy(), f.copy())
+        want = _scipy_dgbsv(lapack_band, f)
         assert np.array_equal(_solve_band(lapack_band, f), want)
 
     @pytest.mark.parametrize("motion", ["brownian", "pure_jump"])
@@ -686,7 +717,7 @@ def test_limits_move_as_constant_states(immobile_offspring, jump_gaussian_binary
     field = Field.heaviside(grid)
     final, _, snaps = track_front(immobile_offspring, field, 1.0, 0.05, 0.5, snapshot_times=(0.5,))
     for t, out in (
-        (0.05, pde_step(immobile_offspring, field, 0.05)),
+        (0.05, evolve(immobile_offspring, field, 0.05, 0.05)),
         (1.0, evolve(immobile_offspring, field, 1.0, 0.05)),
         (1.0, final),
         (0.5, snaps[0.5]),

@@ -303,6 +303,14 @@ def test_exprel_is_scipys_bit_for_bit(x):
     assert _exprel(float(x)).hex() == float(special.exprel(x)).hex()
 
 
+@pytest.mark.parametrize("lam,mu", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
+def test_second_moment_refuses_a_nan_argument(jump_gaussian_binary, lam, mu):
+    # a NaN argument returned NaN; an infinite one stays the divergence sentinel
+    with pytest.raises(DomainError, match="NaN"):
+        second_moment_w(jump_gaussian_binary, lam, mu, 1.0)
+    assert second_moment_w(jump_gaussian_binary, math.inf, 0.5, 1.0) == INF
+
+
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
 def test_second_moment_needs_a_finite_time(jump_gaussian_binary, t):
     with pytest.raises(DomainError):
