@@ -10,7 +10,9 @@ from kpplab import (
     MinimumSample,
     ProfileEstimate,
     align_shift,
+    empirical_v,
     estimate_d_infinity,
+    log_laplace,
     phi_from_martingale,
     recentered_cdf,
     u_vs_mc,
@@ -178,3 +180,23 @@ def test_recentered_cdfs_approach_each_other_with_horizon(brownian_binary):
     # on seeds 271 and 1-9, d48 read 0.045-0.068 and d816 0.026-0.049; the
     # smallest margin was 0.004, on seed 5 (d816 0.0493 against 0.0531)
     assert d816 <= d48 + 0.005
+
+
+def _dyadic_estimate(model, depth, lam, replicas, seed):
+    # the walk sampled at t = 2^-depth has transform psi / 2^depth, so the
+    # scaled log-mean estimates psi; returns (estimate, its standard error)
+    stream = np.random.default_rng(seed).spawn(1)[0]
+    mean, se = empirical_v(model, lam, 2.0**-depth, replicas, stream)
+    return (1 << depth) * math.log(mean), (1 << depth) * se / mean
+
+
+class TestSamplingConsistency:
+    def test_identity_depth_matches_bridge(self, brownian_binary):
+        psi = log_laplace(brownian_binary, 0.0)
+        est, se = _dyadic_estimate(brownian_binary, 0, 0.0, 8000, 1)
+        assert psi == pytest.approx(1.0)
+        assert abs(est - psi) <= 3.0 * se
+
+    def test_quarter_time_scaling(self, brownian_binary):
+        est, se = _dyadic_estimate(brownian_binary, 2, 0.0, 8000, 2)
+        assert est == pytest.approx(1.0, abs=3 * se)
